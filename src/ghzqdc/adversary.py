@@ -62,6 +62,7 @@ _CNOT = np.array(
     ],
     dtype=complex,
 )
+_CNOT.setflags(write=False)
 
 # Default general-attack parameters: maximal disturbance, orthogonal
 # ancilla marks. Satisfies |a|^2+|b|^2 = |a'|^2+|b'|^2 = 1 and
@@ -82,6 +83,16 @@ def _vec2(v) -> np.ndarray:
     if abs(nrm - 1.0) > ATOL:
         raise InvalidAttackError(f"ancilla state norm^2 = {nrm}, not 1")
     return arr
+
+
+def _read_only(v) -> np.ndarray:
+    """A private complex copy of `v` that no caller can write into."""
+    arr = np.array(v, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
+_CNOT_ANCILLA = _read_only(_KET0)
 
 
 def _orthonormal_completion(cols: list[np.ndarray], order: str) -> list[np.ndarray]:
@@ -173,32 +184,37 @@ class AttackModel:
         if self.completion not in ("standard", "reversed"):
             raise InvalidAttackError("completion must be 'standard' or 'reversed'")
         object.__setattr__(self, "channels", frozenset(Channel(c) for c in self.channels))
-        if self.variant == AttackVariant.ENTANGLE_GENERAL:
-            self.unitary()  # validate parameters eagerly
+        # Built and validated once here, then shared read-only by every
+        # attacked transmission.
+        unitary = ancilla = None
+        if self.variant == AttackVariant.ENTANGLE_CNOT:
+            unitary, ancilla = _CNOT, _CNOT_ANCILLA
+        elif self.variant == AttackVariant.ENTANGLE_GENERAL:
+            unitary = _read_only(
+                build_entangling_unitary(
+                    self.alpha,
+                    self.beta,
+                    self.alpha_p,
+                    self.beta_p,
+                    self.e00,
+                    self.e01,
+                    self.e10,
+                    self.e11,
+                    self.eve_state,
+                    self.completion,
+                )
+            )
+            ancilla = _read_only(_vec2(self.eve_state))
+        object.__setattr__(self, "_unitary", unitary)
+        object.__setattr__(self, "_ancilla", ancilla)
 
     def unitary(self) -> np.ndarray | None:
-        """The 4x4 pair unitary for the entangling variants, else None."""
-        if self.variant == AttackVariant.ENTANGLE_CNOT:
-            return _CNOT.copy()
-        if self.variant == AttackVariant.ENTANGLE_GENERAL:
-            return build_entangling_unitary(
-                self.alpha,
-                self.beta,
-                self.alpha_p,
-                self.beta_p,
-                self.e00,
-                self.e01,
-                self.e10,
-                self.e11,
-                self.eve_state,
-                self.completion,
-            )
-        return None
+        """The read-only 4x4 pair unitary for the entangling variants, else None."""
+        return self._unitary
 
-    def ancilla_state(self) -> np.ndarray:
-        if self.variant == AttackVariant.ENTANGLE_CNOT:
-            return np.array([1, 0], dtype=complex)
-        return _vec2(self.eve_state)
+    def ancilla_state(self) -> np.ndarray | None:
+        """Eve's read-only fresh ancilla for the entangling variants, else None."""
+        return self._ancilla
 
     def targets(self, channel: Channel) -> bool:
         return self.variant != AttackVariant.NONE and channel in self.channels
@@ -259,16 +275,6 @@ class EveRecord:
             and c.outcome is None
             and (ghz_position is None or c.ghz_position == ghz_position)
         ]
-
-    def summary(self) -> dict:
-        """Aggregate view safe for reports: counts and outcome tallies only."""
-        out: dict = {"captures": len(self.captures), "by_kind": {}, "outcomes": {}}
-        for c in self.captures:
-            out["by_kind"][c.kind] = out["by_kind"].get(c.kind, 0) + 1
-            if c.outcome is not None:
-                key = f"{c.phase}:{c.outcome}"
-                out["outcomes"][key] = out["outcomes"].get(key, 0) + 1
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +337,6 @@ def eve_measure_ancilla(
     ancilla: int,
     basis: str,
     rng: np.random.Generator,
-    record: EveRecord | None = None,
     capture: EveCapture | None = None,
 ) -> tuple[int, PureState]:
     """Measure one of Eve's ancillas; outcome is logged on the capture."""
@@ -346,17 +351,6 @@ def eve_measure_ancilla(
     if capture is not None:
         capture.outcome = value
         capture.basis = basis
-    elif record is not None:
-        record.captures.append(
-            EveCapture(
-                ghz_position=-1,
-                phase="message",
-                channel=Channel.ALICE_TO_BOB,
-                kind="ancilla",
-                outcome=value,
-                basis=basis,
-            )
-        )
     return value, state
 
 

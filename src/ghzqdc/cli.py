@@ -58,12 +58,15 @@ def parse_channels(text: str) -> frozenset[Channel]:
     return frozenset(out)
 
 
+def _message_channel(protocol: str) -> Channel:
+    return Channel.ALICE_TO_BOB if protocol == "qdc1" else Channel.ALICE_TO_TRENT
+
+
 def _default_channels(attack: str, protocol: str) -> frozenset[Channel]:
     if attack in ("intercept", "entangle-cnot"):
         return frozenset({Channel.TRENT_TO_ALICE})
     if attack == "entangle-general":
-        msg = Channel.ALICE_TO_BOB if protocol == "qdc1" else Channel.ALICE_TO_TRENT
-        return frozenset({msg})
+        return frozenset({_message_channel(protocol)})
     return frozenset()
 
 
@@ -169,7 +172,13 @@ def _warn_distance_rule(spec: RunSpec) -> None:
     if codec.name == "none":
         return
     # Advisory only: expected raw error rate under the configured attack.
-    rate = spec.attack.coverage * 0.5 if spec.attack.variant != AttackVariant.NONE else 0.0
+    # An attack on any channel the protocol uses randomises the message bits
+    # (the distribution channels too, since the message rides on the same
+    # triples); the other protocol's message channel carries nothing.
+    used = (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB,
+            _message_channel(spec.config.protocol_variant))
+    attacked = any(spec.attack.targets(c) for c in used)
+    rate = spec.attack.coverage * 0.5 if attacked else 0.0
     if rate > 0 and not check_distance_rule(rate, codec.n, codec.d):
         sys.stderr.write(
             f"warning: codec distance d={codec.d} may be too small for an "

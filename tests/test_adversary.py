@@ -399,3 +399,60 @@ def test_attack_model_validation():
         AttackModel(coverage=1.5)
     with pytest.raises(InvalidAttackError):
         AttackModel(intercept_basis="y")
+
+
+# ---------------------------------------------------------------------------
+# Attack operators are built once per model and shared read-only
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        entangle_general_attack({Channel.ALICE_TO_BOB}),
+        entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
+    ],
+    ids=["general", "cnot"],
+)
+def test_attack_operators_are_shared_read_only(model):
+    assert model.unitary() is model.unitary()
+    assert model.ancilla_state() is model.ancilla_state()
+    with pytest.raises(ValueError):
+        model.unitary()[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        model.ancilla_state()[0] = 0.0
+
+
+def test_run_builds_general_unitary_once(monkeypatch):
+    import ghzqdc.adversary as adversary
+    from ghzqdc.harness import RunSpec, run
+
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build_entangling_unitary(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "build_entangling_unitary", counting_build)
+    spec = RunSpec(
+        config=SessionConfig(n_ghz=40, m_auth_check=4, check_fraction_msg=0.5,
+                             error_threshold_msg=1.0, record_transcript=False),
+        attack=entangle_general_attack({Channel.ALICE_TO_BOB}),
+        trials=5,
+        seed=0,
+        message_bits=8,
+    )
+    report = run(spec)
+    assert report.message["check_bits"] > 0 and report.message["errors"] > 0
+    assert len(builds) == 1
+
+
+def test_replace_builds_its_own_unitary():
+    model = entangle_general_attack({Channel.ALICE_TO_BOB})
+    cnot_like = replace(
+        model, alpha=1.0, beta=0.0, alpha_p=1.0, beta_p=0.0, e00=(1, 0), e10=(1, 0)
+    )
+    assert cnot_like.unitary() is not model.unitary()
+    assert np.allclose(cnot_like.unitary(), entangle_cnot_attack(set()).unitary(), atol=ATOL)
+    s = INV_SQRT2
+    default = build_entangling_unitary(s, s, s, -s, [1, 0], [0, 1], [1, 0], [0, 1])
+    assert np.array_equal(model.unitary(), default)

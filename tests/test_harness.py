@@ -246,3 +246,41 @@ def test_cli_parse_helpers():
     assert parse_message("a5") == "10100101"
     with pytest.raises(Exception):
         parse_message("zz")
+
+
+def test_codec_warning_only_when_a_used_channel_is_attacked(capsys):
+    base = ["run", "--attack", "entangle-cnot", "--ecc", "rep3", "--n-ghz", "40",
+            "--auth-check-bits", "4", "--message-bits", "4", "--trials", "8",
+            "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--seed", "1"]
+    # qdc1 never sends on alice-trent: the attack cannot touch the message
+    assert cli_main([*base, "--attack-channels", "alice-trent"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["message"]["error_rate"] == 0.0
+    # an attack on a distribution channel randomises the message bits too
+    assert cli_main([*base, "--attack-channels", "trent-alice"]) == 0
+    captured = capsys.readouterr()
+    assert "expected raw error rate of 0.50" in captured.err
+    assert json.loads(captured.out)["message"]["error_rate"] > 0.25
+
+
+def _pin_golden_reports():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "scripts" / "pin_golden_reports.py"
+    module_spec = importlib.util.spec_from_file_location("pin_golden_reports", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = _pin_golden_reports()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN.CONFIGS))
+def test_golden_report(name):
+    """Reports are byte-stable across versions; refresh the fixture with
+    scripts/pin_golden_reports.py --write after an intentional contract change."""
+    expected = json.loads(GOLDEN.FIXTURE.read_text(encoding="ascii"))
+    assert GOLDEN.report_digest(GOLDEN.CONFIGS[name]) == expected[name]

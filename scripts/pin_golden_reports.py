@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Digests of small CLI reports that every later version must reproduce.
 
-Each configuration is one `ghzqdc run` argv; its digest is the sha256 of
-the JSON report with `timestamp` stripped. Also the generator for
-tests/data/golden_reports.json; run with --write to refresh that fixture
-after an intentional change of the report contract.
+Each configuration is one `ghzqdc run` or `ghzqdc sweep` argv; its digest
+is the sha256 of the JSON report with `timestamp` stripped (a sweep report
+has none). Also the generator for tests/data/golden_reports.json; run with
+--write to refresh that fixture after an intentional change of the report
+contract.
 """
 import argparse
 import hashlib
@@ -38,6 +39,20 @@ CONFIGS = {
         "run", "--protocol", "qdc2", "--ecc", "hamming74", "--n-ghz", "64",
         "--auth-check-bits", "8", "--message-bits", "16", "--trials", "4", "--seed", "9",
     ],
+    "honest_qdc1_rep3": [
+        "run", "--ecc", "rep3", "--n-ghz", "64", "--auth-check-bits", "8",
+        "--message-bits", "8", "--trials", "4", "--seed", "11",
+    ],
+    "general_qdc2_alice_trent": [
+        "run", "--protocol", "qdc2", "--attack", "entangle-general",
+        "--attack-channels", "alice-trent", "--n-ghz", "40", "--auth-check-bits", "4",
+        "--message-bits", "8", "--threshold-msg", "1.0", "--trials", "4", "--seed", "13",
+    ],
+    "sweep_cnot_trent_alice": [
+        "sweep", "--attack", "entangle-cnot", "--attack-channels", "trent-alice",
+        "--n-ghz", "8", "--auth-check-bits", "2", "--message-bits", "0",
+        "--m-values", "1,3", "--trials", "20", "--seed", "15",
+    ],
 }
 
 
@@ -48,7 +63,7 @@ def report_digest(argv: list[str]) -> str:
         if cli_main([*argv, "--out", str(out)]) != 0:
             raise RuntimeError(f"ghzqdc {' '.join(argv)} failed")
         doc = json.loads(out.read_text(encoding="ascii"))
-    doc.pop("timestamp")
+    doc.pop("timestamp", None)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 

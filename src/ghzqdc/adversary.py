@@ -281,6 +281,18 @@ class EveRecord:
 # Attack operations
 
 
+def _measure_bit(
+    state: PureState, qubit: int, basis: str, rng: np.random.Generator
+) -> tuple[int, PureState]:
+    """z or x measurement of one qubit; the x outcome reads 0 for |+>, 1 for |->."""
+    if basis == "z":
+        return measure_z(state, qubit, rng)
+    if basis == "x":
+        xout, state = measure_x(state, qubit, rng)
+        return (0 if xout is XOutcome.PLUS else 1), state
+    raise InvalidAttackError(f"unsupported measurement basis: {basis!r}")
+
+
 def attack_intercept_resend(
     state: PureState,
     qubit: int,
@@ -294,14 +306,7 @@ def attack_intercept_resend(
     seq_position: int | None = None,
 ) -> PureState:
     """Eve measures the transiting qubit and forwards the collapsed state."""
-    if basis == "z":
-        outcome, state = measure_z(state, qubit, rng)
-        value = outcome
-    elif basis == "x":
-        xout, state = measure_x(state, qubit, rng)
-        value = 0 if xout is XOutcome.PLUS else 1
-    else:
-        raise InvalidAttackError(f"unsupported intercept basis: {basis!r}")
+    value, state = _measure_bit(state, qubit, basis, rng)
     if record is not None:
         record.captures.append(
             EveCapture(
@@ -340,14 +345,7 @@ def eve_measure_ancilla(
     capture: EveCapture | None = None,
 ) -> tuple[int, PureState]:
     """Measure one of Eve's ancillas; outcome is logged on the capture."""
-    if basis == "z":
-        outcome, state = measure_z(state, ancilla, rng)
-        value = outcome
-    elif basis == "x":
-        xout, state = measure_x(state, ancilla, rng)
-        value = 0 if xout is XOutcome.PLUS else 1
-    else:
-        raise InvalidAttackError(f"unsupported ancilla basis: {basis!r}")
+    value, state = _measure_bit(state, ancilla, basis, rng)
     if capture is not None:
         capture.outcome = value
         capture.basis = basis

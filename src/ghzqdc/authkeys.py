@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ecc import _check_bits
 from .statevector import H, I, Gate1Q
 
 #: Hash contract: deterministic, fixed output width per instance.
@@ -33,13 +34,6 @@ DEFAULT_COUNTER_BITS = 32
 
 class CounterOverflowError(ValueError):
     """Raised when key derivation would step a counter past its width."""
-
-
-def _check_bits(bits: str, what: str) -> str:
-    # str.strip("01") leaves something behind iff a non-bit char exists.
-    if not isinstance(bits, str) or bits.strip("01"):
-        raise ValueError(f"{what} must be a string of 0s and 1s, got {bits!r}")
-    return bits
 
 
 @dataclass(frozen=True)
@@ -154,12 +148,16 @@ def derive_key(
     return AuthKey(bits="".join(b for _, b in blocks), provenance=tuple(blocks))
 
 
+def random_bits(rng: np.random.Generator, n: int) -> str:
+    """n uniformly random bits as a "0"/"1" string, from one integers() draw."""
+    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
+
+
 def random_key(rng: np.random.Generator, length: int) -> AuthKey:
     """Uniformly random key bits (experiment convenience, empty provenance)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    bits = "".join("1" if b else "0" for b in rng.integers(0, 2, size=length))
-    return AuthKey(bits=bits)
+    return AuthKey(bits=random_bits(rng, length))
 
 
 def unitary_for_key_bit(bit: int) -> Gate1Q:

@@ -4,17 +4,18 @@ Two subcommands:
   run    repeated sessions under one configuration, JSON/CSV report
   sweep  detection-rate curve over a list of auth check counts
 
-Exit status is 0 for a completed run and 1 for a configuration error.
+Exit status is 0 for a completed run and 1 for a configuration error or
+an unwritable output path.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .adversary import AttackModel, AttackVariant, Channel, InvalidAttackError, NO_ATTACK
+from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK
 from .ecc import check_distance_rule, codec_by_name
 from .harness import RunSpec, run, sweep_detection_curve
-from .protocol import ConfigError, SessionConfig
+from .protocol import SessionConfig, message_channel
 
 
 def parse_complex(text: str) -> complex:
@@ -58,15 +59,11 @@ def parse_channels(text: str) -> frozenset[Channel]:
     return frozenset(out)
 
 
-def _message_channel(protocol: str) -> Channel:
-    return Channel.ALICE_TO_BOB if protocol == "qdc1" else Channel.ALICE_TO_TRENT
-
-
 def _default_channels(attack: str, protocol: str) -> frozenset[Channel]:
     if attack in ("intercept", "entangle-cnot"):
         return frozenset({Channel.TRENT_TO_ALICE})
     if attack == "entangle-general":
-        return frozenset({_message_channel(protocol)})
+        return frozenset({message_channel(protocol)})
     return frozenset()
 
 
@@ -176,7 +173,7 @@ def _warn_distance_rule(spec: RunSpec) -> None:
     # (the distribution channels too, since the message rides on the same
     # triples); the other protocol's message channel carries nothing.
     used = (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB,
-            _message_channel(spec.config.protocol_variant))
+            message_channel(spec.config.protocol_variant))
     attacked = any(spec.attack.targets(c) for c in used)
     rate = spec.attack.coverage * 0.5 if attacked else 0.0
     if rate > 0 and not check_distance_rule(rate, codec.n, codec.d):
@@ -193,14 +190,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             _warn_distance_rule(spec)
             report = run(spec)
-            text = report.to_json() if spec.fmt == "json" else report.to_csv()
         else:
             m_values = [int(v) for v in args.m_values.split(",") if v.strip()]
-            sweep_spec = spec
-            report = sweep_detection_curve(sweep_spec, m_values)
-            text = report.to_json() if spec.fmt == "json" else report.to_csv()
+            report = sweep_detection_curve(spec, m_values)
+        text = report.to_json() if spec.fmt == "json" else report.to_csv()
         _emit_output(text, spec.out)
-    except (ConfigError, InvalidAttackError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ValueError covers ConfigError and InvalidAttackError
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0

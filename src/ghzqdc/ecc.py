@@ -66,7 +66,7 @@ def codec_by_name(name: str) -> Codec:
 def _check_bits(bits: str, what: str) -> str:
     # str.strip("01") leaves something behind iff a non-bit char exists.
     if not isinstance(bits, str) or bits.strip("01"):
-        raise ValueError(f"{what} must be a string of 0s and 1s")
+        raise ValueError(f"{what} must be a string of 0s and 1s, got {bits!r}")
     return bits
 
 

@@ -28,7 +28,9 @@ import numpy as np
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK, attack_to_dict
 from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
 from .ecc import encode as ecc_encode
-from .protocol import ConfigError, SessionConfig, SessionResult, Verdict, run_session
+from .protocol import (
+    ConfigError, SessionConfig, SessionResult, Verdict, check_capacity, message_channel, run_session
+)
 
 SCHEMA_VERSION = 1
 
@@ -66,13 +68,7 @@ class RunSpec:
         if self.message_bits is not None:
             frame_len = len(ecc_encode(self.config.codec, "0" * self.message_bits))
             surviving = self.config.n_ghz - self.config.m_auth_check
-            f = self.config.check_fraction_msg
-            checks = int(surviving * f + 0.5) if f > 0 else 0
-            if frame_len + checks > surviving:
-                raise ConfigError(
-                    f"capacity: frame {frame_len} + {checks} check bits "
-                    f"> {surviving} surviving triples"
-                )
+            check_capacity(surviving, frame_len, self.config.check_fraction_msg)
 
 
 def trial_seed(seed: int, index: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
@@ -167,8 +163,7 @@ def _analytic_references(spec: RunSpec) -> dict:
         out["auth_detection_rate"] = 0.0
         return out
     on_auth = bool(attack.channels & _AUTH_CHANNELS)
-    msg_channel = Channel.ALICE_TO_BOB if spec.config.protocol_variant == "qdc1" else Channel.ALICE_TO_TRENT
-    on_msg = msg_channel in attack.channels
+    on_msg = message_channel(spec.config.protocol_variant) in attack.channels
     if on_auth and attack.coverage == 1.0:
         # Per check bit with uniform keys: error only when the owner's key
         # bit is 1, and then with chance 1/2.
@@ -362,7 +357,7 @@ def sweep_detection_curve(base: RunSpec, m_values: list[int]) -> SweepReport:
                 "m": m,
                 "trials": spec.trials,
                 "empirical_detection_rate": result.auth["detection_rate"],
-                "analytic_detection_rate": detection_rate_reference(m),
+                "analytic_detection_rate": result.analytic.get("auth_detection_rate"),
             }
         )
     return report

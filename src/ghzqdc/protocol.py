@@ -50,7 +50,7 @@ from .adversary import (
     apply_channel_attack,
     eve_measure_ancilla,
 )
-from .authkeys import AuthKey, unitary_for_key_bit
+from .authkeys import AuthKey, random_bits, unitary_for_key_bit
 from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, none_codec
 from .statevector import (
     BellOutcome,
@@ -147,7 +147,6 @@ class SessionConfig:
     protocol_variant: str = "qdc1"
     rng_seed: int = 0
     measure_order: tuple[str, str, str] | None = None  # permutation of bob/trent/eve
-    eve_basis: str = "z"
     record_transcript: bool = True
     record_eve: bool = True
 
@@ -166,8 +165,6 @@ class SessionConfig:
             raise ConfigError("protocol_variant must be 'qdc1' or 'qdc2'")
         if self.measure_order is not None and sorted(self.measure_order) != ["bob", "eve", "trent"]:
             raise ConfigError("measure_order must be a permutation of bob/trent/eve")
-        if self.eve_basis not in ("z", "x"):
-            raise ConfigError("eve_basis must be 'z' or 'x'")
 
     def resolved_measure_order(self) -> tuple[str, str, str]:
         if self.measure_order is not None:
@@ -253,28 +250,18 @@ def auth_phase(
         state = apply_gate(state, unitary_for_key_bit(b_bit), IDX_B)
         _emit(transcript, "trent", "auth_encode", position=pos, target="bob")
 
-        _emit(transcript, "trent", "transmit", position=pos, channel=Channel.TRENT_TO_ALICE.value)
-        state, _ = apply_channel_attack(
-            attack,
-            state,
-            IDX_A,
-            channel=Channel.TRENT_TO_ALICE,
-            ghz_position=pos,
-            phase="auth",
-            eve_rng=eve_rng,
-            record=eve_record,
-        )
-        _emit(transcript, "trent", "transmit", position=pos, channel=Channel.TRENT_TO_BOB.value)
-        state, _ = apply_channel_attack(
-            attack,
-            state,
-            IDX_B,
-            channel=Channel.TRENT_TO_BOB,
-            ghz_position=pos,
-            phase="auth",
-            eve_rng=eve_rng,
-            record=eve_record,
-        )
+        for qubit, channel in ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB)):
+            _emit(transcript, "trent", "transmit", position=pos, channel=channel.value)
+            state, _ = apply_channel_attack(
+                attack,
+                state,
+                qubit,
+                channel=channel,
+                ghz_position=pos,
+                phase="auth",
+                eve_rng=eve_rng,
+                record=eve_record,
+            )
 
         state = apply_gate(state, unitary_for_key_bit(a_bit), IDX_A)
         _emit(transcript, "alice", "auth_decode", position=pos)
@@ -295,15 +282,13 @@ def auth_phase(
     checks: list[AuthCheckRecord] = []
     for pos in check_positions:
         triple = triples[pos]
-        za, triple.state = measure_z(triple.state, IDX_A, rng)
-        _emit(transcript, "alice", "z_measure", position=pos, outcome=za)
-        _emit(transcript, "alice", "announce", what="auth_z_outcome", position=pos, outcome=za)
-        zb, triple.state = measure_z(triple.state, IDX_B, rng)
-        _emit(transcript, "bob", "z_measure", position=pos, outcome=zb)
-        _emit(transcript, "bob", "announce", what="auth_z_outcome", position=pos, outcome=zb)
-        zt, triple.state = measure_z(triple.state, IDX_T, rng)
-        _emit(transcript, "trent", "z_measure", position=pos, outcome=zt)
-        _emit(transcript, "trent", "announce", what="auth_z_outcome", position=pos, outcome=zt)
+        outcomes = []
+        for actor, qubit in (("alice", IDX_A), ("bob", IDX_B), ("trent", IDX_T)):
+            z, triple.state = measure_z(triple.state, qubit, rng)
+            _emit(transcript, actor, "z_measure", position=pos, outcome=z)
+            _emit(transcript, actor, "announce", what="auth_z_outcome", position=pos, outcome=z)
+            outcomes.append(z)
+        za, zb, zt = outcomes
         rec = AuthCheckRecord(
             position=pos,
             alice_key_bit=int(alice_key.bits[pos]),
@@ -374,6 +359,26 @@ class MessagePlan:
         return {p: i for i, p in enumerate(self.message_positions)}
 
 
+def message_channel(variant: str) -> Channel:
+    """The channel Alice's encoded qubits travel on: to Bob in qdc1, to Trent in qdc2."""
+    return Channel.ALICE_TO_BOB if variant == "qdc1" else Channel.ALICE_TO_TRENT
+
+
+def check_capacity(num_surviving: int, frame_len: int, check_fraction: float) -> int:
+    """Number of message check bits for the survivors.
+
+    Raises CapacityError when the frame plus those check bits exceed the
+    surviving triples.
+    """
+    n_checks = int(num_surviving * check_fraction + 0.5) if check_fraction > 0 else 0
+    if frame_len + n_checks > num_surviving:
+        raise CapacityError(
+            f"frame of {frame_len} bits plus {n_checks} check bits "
+            f"exceeds {num_surviving} surviving triples"
+        )
+    return n_checks
+
+
 def plan_message_positions(
     num_surviving: int,
     frame_bits: str,
@@ -386,18 +391,13 @@ def plan_message_positions(
     are fresh random draws unrelated to the message. Message positions are
     the lowest remaining indices, in order.
     """
-    n_checks = int(num_surviving * check_fraction + 0.5) if check_fraction > 0 else 0
-    if len(frame_bits) + n_checks > num_surviving:
-        raise CapacityError(
-            f"frame of {len(frame_bits)} bits plus {n_checks} check bits "
-            f"exceeds {num_surviving} surviving triples"
-        )
+    n_checks = check_capacity(num_surviving, len(frame_bits), check_fraction)
     check_positions = (
         tuple(sorted(int(p) for p in rng.choice(num_surviving, size=n_checks, replace=False)))
         if n_checks
         else ()
     )
-    check_bits = "".join("1" if b else "0" for b in rng.integers(0, 2, size=n_checks))
+    check_bits = random_bits(rng, n_checks)
     check_set = set(check_positions)
     free = [p for p in range(num_surviving) if p not in check_set]
     message_positions = tuple(free[: len(frame_bits)])
@@ -414,6 +414,7 @@ def _encode_and_send(
     transcript: Transcript | None,
     eve_record: EveRecord | None,
 ) -> None:
+    """Encode H / HX per bit and transmit the A qubits on `channel`."""
     for seq in plan.used_positions():
         triple = surviving[seq]
         bit = plan.bit_at(seq)
@@ -440,38 +441,6 @@ def _encode_and_send(
             record=eve_record,
             seq_position=seq,
         )
-
-
-def qdc1_encode_and_send(
-    surviving: list[GhzTriple],
-    plan: MessagePlan,
-    attack: AttackModel = NO_ATTACK,
-    *,
-    eve_rng: np.random.Generator,
-    transcript: Transcript | None = None,
-    eve_record: EveRecord | None = None,
-) -> None:
-    """Encode H / HX per bit and transmit the A qubits to Bob."""
-    _encode_and_send(
-        surviving, plan, Channel.ALICE_TO_BOB, attack,
-        eve_rng=eve_rng, transcript=transcript, eve_record=eve_record,
-    )
-
-
-def qdc2_encode_and_send(
-    surviving: list[GhzTriple],
-    plan: MessagePlan,
-    attack: AttackModel = NO_ATTACK,
-    *,
-    eve_rng: np.random.Generator,
-    transcript: Transcript | None = None,
-    eve_record: EveRecord | None = None,
-) -> None:
-    """Encode H / HX per bit and transmit the A qubits to Trent."""
-    _encode_and_send(
-        surviving, plan, Channel.ALICE_TO_TRENT, attack,
-        eve_rng=eve_rng, transcript=transcript, eve_record=eve_record,
-    )
 
 
 _BELL_BIT = {
@@ -507,7 +476,6 @@ def _measure_eve_ancillas(
     triple: GhzTriple,
     eve_record: EveRecord | None,
     eve_rng: np.random.Generator,
-    basis: str,
     transcript: Transcript | None,
 ) -> None:
     if eve_record is None:
@@ -515,7 +483,7 @@ def _measure_eve_ancillas(
     for capture in eve_record.pending_ancillas(triple.position):
         idx = triple.state.index_of(capture.ancilla_label)
         outcome, triple.state = eve_measure_ancilla(
-            triple.state, idx, basis, eve_rng, capture=capture
+            triple.state, idx, "z", eve_rng, capture=capture
         )
         _emit(
             transcript,
@@ -535,7 +503,6 @@ def _measure_and_decode(
     rng: np.random.Generator,
     eve_rng: np.random.Generator,
     order: tuple[str, str, str],
-    eve_basis: str,
     transcript: Transcript | None,
     eve_record: EveRecord | None,
     record_eve: bool,
@@ -568,7 +535,7 @@ def _measure_and_decode(
                 tbit = trent_publish(bell)
                 _emit(transcript, "trent", "announce", what="trent_bit", position=seq, bit=tbit)
             elif step == "eve" and record_eve:
-                _measure_eve_ancillas(triple, eve_record, eve_rng, eve_basis, transcript)
+                _measure_eve_ancillas(triple, eve_record, eve_rng, transcript)
         bit = qdc1_decode(bell, x) if variant == "qdc1" else qdc2_decode(tbit, x)
         decoded[seq] = bit
         _emit(transcript, "bob", "decode_bit", position=seq, bit=bit)
@@ -607,43 +574,28 @@ def message_check_and_deliver(
         checked=checked,
         error_rate=error_rate,
     )
-    if error_rate > threshold:
-        _emit(
-            transcript,
-            "public",
-            "verdict",
-            phase="message",
-            verdict=Verdict.MESSAGE_DISCARDED.value,
-            error_rate=error_rate,
-        )
-        return MessageResult(Verdict.MESSAGE_DISCARDED, None, error_rate, errors, checked, 0)
-
-    frame = "".join(str(decoded[pos]) for pos in plan.message_positions)
-    try:
-        message, corrected = ecc_decode(codec, frame)
-    except FramingError as exc:
-        _emit(
-            transcript,
-            "public",
-            "verdict",
-            phase="message",
-            verdict=Verdict.MESSAGE_DISCARDED.value,
-            error_rate=error_rate,
-            diagnostic=str(exc),
-        )
-        return MessageResult(
-            Verdict.MESSAGE_DISCARDED, None, error_rate, errors, checked, 0, str(exc)
-        )
+    message = diagnostic = None
+    corrected = 0
+    if error_rate <= threshold:
+        frame = "".join(str(decoded[pos]) for pos in plan.message_positions)
+        try:
+            message, corrected = ecc_decode(codec, frame)
+        except FramingError as exc:
+            diagnostic = str(exc)
+    verdict = Verdict.MESSAGE_DISCARDED if message is None else Verdict.MESSAGE_DELIVERED
+    extra = {} if diagnostic is None else {"diagnostic": diagnostic}
     _emit(
         transcript,
         "public",
         "verdict",
         phase="message",
-        verdict=Verdict.MESSAGE_DELIVERED.value,
+        verdict=verdict.value,
         error_rate=error_rate,
+        **extra,
     )
-    _emit(transcript, "bob", "deliver", message=message, corrected_errors=corrected)
-    return MessageResult(Verdict.MESSAGE_DELIVERED, message, error_rate, errors, checked, corrected)
+    if message is not None:
+        _emit(transcript, "bob", "deliver", message=message, corrected_errors=corrected)
+    return MessageResult(verdict, message, error_rate, errors, checked, corrected, diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +682,10 @@ def run_session(
     plan = plan_message_positions(len(auth.surviving), frame, config.check_fraction_msg, rng)
     result.plan = plan
 
-    sender = qdc1_encode_and_send if config.protocol_variant == "qdc1" else qdc2_encode_and_send
-    sender(
+    _encode_and_send(
         auth.surviving,
         plan,
+        message_channel(config.protocol_variant),
         attack,
         eve_rng=eve_rng,
         transcript=transcript,
@@ -746,7 +698,6 @@ def run_session(
         rng=rng,
         eve_rng=eve_rng,
         order=config.resolved_measure_order(),
-        eve_basis=config.eve_basis,
         transcript=transcript,
         eve_record=eve_record,
         record_eve=config.record_eve,
@@ -776,5 +727,5 @@ def run_session(
     if config.record_eve and eve_record.pending_ancillas():
         by_position = {t.position: t for t in auth.all_triples}
         for pos in sorted({c.ghz_position for c in eve_record.pending_ancillas()}):
-            _measure_eve_ancillas(by_position[pos], eve_record, eve_rng, config.eve_basis, transcript)
+            _measure_eve_ancillas(by_position[pos], eve_record, eve_rng, transcript)
     return result

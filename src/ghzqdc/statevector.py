@@ -197,25 +197,17 @@ def _apply_2q(amps: np.ndarray, q1: int, q2: int, m: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _residual_1q(amps: np.ndarray, q: int, vec: np.ndarray) -> np.ndarray:
-    psi = _split1(amps, q)
-    return np.conj(vec[0]) * psi[:, 0] + np.conj(vec[1]) * psi[:, 1]
-
-
-def _collapse_1q(q: int, vec: np.ndarray, residual: np.ndarray, prob: float) -> np.ndarray:
-    scaled = residual * (1.0 / sqrt(prob))
-    out = np.empty((residual.shape[0], 2, residual.shape[1]), dtype=complex)
-    out[:, 0] = vec[0] * scaled
-    out[:, 1] = vec[1] * scaled
-    return out.reshape(-1)
-
-
-def _residual_2q(amps: np.ndarray, q1: int, q2: int, vec4: np.ndarray) -> np.ndarray:
+def _residual(amps: np.ndarray, qubits: tuple[int, ...], vec: np.ndarray) -> np.ndarray:
+    """<vec| contracted into `qubits` (one or a pair): the unnormalised branch."""
+    if len(qubits) == 1:
+        psi = _split1(amps, qubits[0])
+        return np.conj(vec[0]) * psi[:, 0] + np.conj(vec[1]) * psi[:, 1]
+    q1, q2 = qubits
     if q1 > q2:
-        vec4 = vec4[_PAIR_SWAP]
+        vec = vec[_PAIR_SWAP]
         q1, q2 = q2, q1
     psi = _split2(amps, q1, q2)
-    v = np.conj(vec4)
+    v = np.conj(vec)
     out = v[0] * psi[:, 0, :, 0]
     for idx, (b1, b2) in enumerate(((0, 1), (1, 0), (1, 1)), start=1):
         if v[idx] != 0:
@@ -223,17 +215,22 @@ def _residual_2q(amps: np.ndarray, q1: int, q2: int, vec4: np.ndarray) -> np.nda
     return out
 
 
-def _collapse_2q(
-    q1: int, q2: int, vec4: np.ndarray, residual: np.ndarray, prob: float
+def _collapse(
+    qubits: tuple[int, ...], vec: np.ndarray, residual: np.ndarray, prob: float
 ) -> np.ndarray:
-    if q1 > q2:
-        vec4 = vec4[_PAIR_SWAP]
-        q1, q2 = q2, q1
+    """|vec> on `qubits` tensored with the renormalised residual."""
     scaled = residual * (1.0 / sqrt(prob))
+    if len(qubits) == 1:
+        out = np.empty((residual.shape[0], 2, residual.shape[1]), dtype=complex)
+        out[:, 0] = vec[0] * scaled
+        out[:, 1] = vec[1] * scaled
+        return out.reshape(-1)
+    if qubits[0] > qubits[1]:
+        vec = vec[_PAIR_SWAP]
     pre, mid, post = residual.shape
     out = np.empty((pre, 2, mid, 2, post), dtype=complex)
     for idx in range(4):
-        out[:, idx >> 1, :, idx & 1] = vec4[idx] * scaled
+        out[:, idx >> 1, :, idx & 1] = vec[idx] * scaled
     return out.reshape(-1)
 
 
@@ -371,6 +368,8 @@ def _guard(prob: float) -> None:
 
 def measure_z(state: PureState, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
     """Projective z-basis measurement; returns (outcome, collapsed state)."""
+    # Plain slices instead of _measure: auth checks call this for every
+    # checked qubit, and the generic residual/collapse doubles its cost.
     _check_qubit(state, target)
     psi = _split1(state.amplitudes, target)
     residuals = (psi[:, 0], psi[:, 1])
@@ -382,16 +381,23 @@ def measure_z(state: PureState, target: int, rng: np.random.Generator) -> tuple[
     return _Z_ORDER[k], _wrap(out.reshape(-1), state.labels)
 
 
-def measure_x(state: PureState, target: int, rng: np.random.Generator) -> tuple[XOutcome, PureState]:
-    """Projective {|+>, |->} measurement; returns (outcome, collapsed state)."""
-    _check_qubit(state, target)
-    residuals = [_residual_1q(state.amplitudes, target, _X_VECS[o]) for o in _X_ORDER]
+def _measure(
+    state: PureState, qubits: tuple[int, ...], order: tuple, vecs: dict, rng: np.random.Generator
+):
+    for q in qubits:
+        _check_qubit(state, q)
+    residuals = [_residual(state.amplitudes, qubits, vecs[o]) for o in order]
     probs = [_norm2(res) for res in residuals]
     k = _pick(rng, probs)
     _guard(probs[k])
-    outcome = _X_ORDER[k]
-    amps = _collapse_1q(target, _X_VECS[outcome], residuals[k], probs[k])
+    outcome = order[k]
+    amps = _collapse(qubits, vecs[outcome], residuals[k], probs[k])
     return outcome, _wrap(amps, state.labels)
+
+
+def measure_x(state: PureState, target: int, rng: np.random.Generator) -> tuple[XOutcome, PureState]:
+    """Projective {|+>, |->} measurement; returns (outcome, collapsed state)."""
+    return _measure(state, (target,), _X_ORDER, _X_VECS, rng)
 
 
 def measure_bell(
@@ -400,15 +406,22 @@ def measure_bell(
     """Bell-basis measurement of the ordered pair (q1, q2)."""
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    residuals = [_residual_2q(state.amplitudes, q1, q2, _BELL_VECS[o]) for o in _BELL_ORDER]
-    probs = [_norm2(res) for res in residuals]
-    k = _pick(rng, probs)
-    _guard(probs[k])
-    outcome = _BELL_ORDER[k]
-    amps = _collapse_2q(q1, q2, _BELL_VECS[outcome], residuals[k], probs[k])
-    return outcome, _wrap(amps, state.labels)
+    return _measure(state, (q1, q2), _BELL_ORDER, _BELL_VECS, rng)
+
+
+def _resolve(state: PureState, projector: Projector) -> tuple[tuple[int, ...], np.ndarray]:
+    """(qubits, projector vector) of a z / x / Bell projector, qubits range-checked."""
+    if isinstance(projector, ZProjector):
+        qubits, vec = (projector.qubit,), _Z_VECS[projector.outcome]
+    elif isinstance(projector, XProjector):
+        qubits, vec = (projector.qubit,), _X_VECS[projector.outcome]
+    elif isinstance(projector, BellProjector):
+        qubits, vec = (projector.qubit_a, projector.qubit_b), _BELL_VECS[projector.outcome]
+    else:
+        raise TypeError(f"malformed projector: {projector!r}")
+    for q in qubits:
+        _check_qubit(state, q)
+    return qubits, vec
 
 
 def project(state: PureState, projector: Projector) -> tuple[float, PureState | None]:
@@ -417,53 +430,18 @@ def project(state: PureState, projector: Projector) -> tuple[float, PureState | 
     The collapsed state is None when the probability is numerically zero.
     Useful as an exact oracle that avoids sampling noise.
     """
-    if isinstance(projector, ZProjector):
-        _check_qubit(state, projector.qubit)
-        vec = _Z_VECS[projector.outcome]
-        residual = _residual_1q(state.amplitudes, projector.qubit, vec)
-        prob = _norm2(residual)
-        if prob < _DEGENERATE:
-            return prob, None
-        return prob, _wrap(_collapse_1q(projector.qubit, vec, residual, prob), state.labels)
-    if isinstance(projector, XProjector):
-        _check_qubit(state, projector.qubit)
-        vec = _X_VECS[projector.outcome]
-        residual = _residual_1q(state.amplitudes, projector.qubit, vec)
-        prob = _norm2(residual)
-        if prob < _DEGENERATE:
-            return prob, None
-        return prob, _wrap(_collapse_1q(projector.qubit, vec, residual, prob), state.labels)
-    if isinstance(projector, BellProjector):
-        q1, q2 = projector.qubit_a, projector.qubit_b
-        _check_qubit(state, q1)
-        _check_qubit(state, q2)
-        vec = _BELL_VECS[projector.outcome]
-        residual = _residual_2q(state.amplitudes, q1, q2, vec)
-        prob = _norm2(residual)
-        if prob < _DEGENERATE:
-            return prob, None
-        return prob, _wrap(_collapse_2q(q1, q2, vec, residual, prob), state.labels)
-    raise TypeError(f"malformed projector: {projector!r}")
+    qubits, vec = _resolve(state, projector)
+    residual = _residual(state.amplitudes, qubits, vec)
+    prob = _norm2(residual)
+    if prob < _DEGENERATE:
+        return prob, None
+    return prob, _wrap(_collapse(qubits, vec, residual, prob), state.labels)
 
 
 def probability_of(state: PureState, projector: Projector) -> float:
     """Exact Born probability of a z / x / Bell projector."""
-    if isinstance(projector, ZProjector):
-        _check_qubit(state, projector.qubit)
-        return _norm2(_split1(state.amplitudes, projector.qubit)[:, projector.outcome])
-    if isinstance(projector, XProjector):
-        _check_qubit(state, projector.qubit)
-        return _norm2(_residual_1q(state.amplitudes, projector.qubit, _X_VECS[projector.outcome]))
-    if isinstance(projector, BellProjector):
-        _check_qubit(state, projector.qubit_a)
-        _check_qubit(state, projector.qubit_b)
-        return _norm2(
-            _residual_2q(
-                state.amplitudes, projector.qubit_a, projector.qubit_b,
-                _BELL_VECS[projector.outcome],
-            )
-        )
-    raise TypeError(f"malformed projector: {projector!r}")
+    qubits, vec = _resolve(state, projector)
+    return _norm2(_residual(state.amplitudes, qubits, vec))
 
 
 def states_equal_up_to_global_phase(a, b, tol: float = ATOL) -> bool:

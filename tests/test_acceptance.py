@@ -271,6 +271,7 @@ def test_05_cnot_entangle_auth():
 # 6. Detection curve over the number of auth check bits
 
 
+@pytest.mark.slow
 def test_06_detection_curve():
     config = SessionConfig(
         n_ghz=5, m_auth_check=1, record_transcript=False, record_eve=False
@@ -303,6 +304,7 @@ def test_06_detection_curve():
 # 7. General entangling attack on the message channel, order invariance
 
 
+@pytest.mark.slow
 def test_07_message_attack_error_rate_order_invariant():
     config = SessionConfig(
         n_ghz=48,

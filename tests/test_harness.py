@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ghzqdc.adversary import Channel, entangle_cnot_attack, intercept_resend_attack
+from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, intercept_resend_attack
 from ghzqdc.cli import main as cli_main, parse_complex, parse_message
 from ghzqdc.harness import (
     RunSpec,
@@ -14,7 +14,7 @@ from ghzqdc.harness import (
     sweep_detection_curve,
     trial_seed,
 )
-from ghzqdc.protocol import ConfigError, SessionConfig
+from ghzqdc.protocol import CapacityError, ConfigError, SessionConfig
 
 
 def spec(**overrides) -> RunSpec:
@@ -77,6 +77,10 @@ def test_config_errors_raised_before_trials():
     with pytest.raises(ConfigError):
         # frame + checks exceed survivors
         run(spec(message_bits=64))
+    with pytest.raises(CapacityError):
+        # a 16-bit frame fits the 36 survivors, but not with 32 check bits
+        config = SessionConfig(n_ghz=40, m_auth_check=4, check_fraction_msg=0.9)
+        spec(config=config, message_bits=8).validate()
 
 
 def test_intercept_run_statistics():
@@ -101,30 +105,36 @@ def test_detection_reference_values():
 
 
 def test_sweep_detection_curve():
-    base = spec(
-        config=SessionConfig(n_ghz=6, m_auth_check=2, record_transcript=False, record_eve=False),
-        attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
-        trials=800,
-        message_bits=None,
-        seed=5,
-    )
-    report = sweep_detection_curve(base, [1, 2, 4])
-    assert [row["m"] for row in report.rows] == [1, 2, 4]
-    rates = []
-    for row in report.rows:
-        assert row["analytic_detection_rate"] == pytest.approx(
-            detection_rate_reference(row["m"])
+    # Each row's reference comes from its own run's analytic block: the
+    # closed form under the attack, 0 for an honest run.
+    for attack, reference in (
+        (entangle_cnot_attack({Channel.TRENT_TO_ALICE}), detection_rate_reference),
+        (NO_ATTACK, lambda m: 0.0),
+    ):
+        base = spec(
+            config=SessionConfig(
+                n_ghz=6, m_auth_check=2, record_transcript=False, record_eve=False
+            ),
+            attack=attack,
+            trials=800,
+            message_bits=None,
+            seed=5,
         )
-        assert row["empirical_detection_rate"] == pytest.approx(
-            row["analytic_detection_rate"], abs=0.06
-        )
-        rates.append(row["empirical_detection_rate"])
-    # more check bits, more detection
-    assert rates == sorted(rates)
-    csv_text = report.to_csv()
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    assert rows[0] == ["m", "trials", "empirical_detection_rate", "analytic_detection_rate"]
-    assert len(rows) == 4
+        report = sweep_detection_curve(base, [1, 2, 4])
+        assert [row["m"] for row in report.rows] == [1, 2, 4]
+        rates = []
+        for row in report.rows:
+            assert row["analytic_detection_rate"] == pytest.approx(reference(row["m"]))
+            assert row["empirical_detection_rate"] == pytest.approx(
+                row["analytic_detection_rate"], abs=0.06
+            )
+            rates.append(row["empirical_detection_rate"])
+        # more check bits, more detection
+        assert rates == sorted(rates)
+        csv_text = report.to_csv()
+        rows = list(csv.reader(io.StringIO(csv_text)))
+        assert rows[0] == ["m", "trials", "empirical_detection_rate", "analytic_detection_rate"]
+        assert len(rows) == 4
 
 
 def test_report_json_schema_fields():
@@ -196,6 +206,18 @@ def test_cli_config_error_exit_code(capsys):
     code = cli_main(["run", "--n-ghz", "4", "--auth-check-bits", "9", "--trials", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_is_an_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    code = cli_main(
+        ["run", "--n-ghz", "40", "--auth-check-bits", "2", "--message-bits", "2",
+         "--trials", "2", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert not out.exists()
 
 
 def test_cli_attack_flags(capsys):

@@ -7,13 +7,14 @@ import pytest
 
 from ghzqdc.adversary import NO_ATTACK, Channel, entangle_general_attack
 from ghzqdc.authkeys import AuthKey, random_key
-from ghzqdc.ecc import hamming74_codec
+from ghzqdc.ecc import encode as ecc_encode, hamming74_codec
 from ghzqdc.protocol import (
     CapacityError,
     ConfigError,
     InsufficientKeyError,
     MessagePlan,
     SessionConfig,
+    Transcript,
     Verdict,
     auth_phase,
     message_check_and_deliver,
@@ -252,10 +253,19 @@ def test_message_check_and_deliver_discards_on_errors():
         check_bits="11",
     )
     decoded = {p: 0 for p in range(10)}  # both check bits wrong
-    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=hamming74_codec())
+    transcript = Transcript()
+    res = message_check_and_deliver(
+        decoded, plan, threshold=0.0, codec=hamming74_codec(), transcript=transcript
+    )
     assert res.verdict is Verdict.MESSAGE_DISCARDED
     assert res.error_rate == 1.0
     assert res.message is None
+    assert [e.kind for e in transcript.events] == ["msg_compare", "verdict"]
+    assert transcript.events[-1].payload == {
+        "phase": "message",
+        "verdict": "message_discarded",
+        "error_rate": 1.0,
+    }
 
 
 def test_message_check_and_deliver_framing_failure_discards():
@@ -266,9 +276,44 @@ def test_message_check_and_deliver_framing_failure_discards():
         check_bits="",
     )
     decoded = {p: 0 for p in range(9)}  # 1-bit body cannot be hamming74
-    res = message_check_and_deliver(decoded, plan, threshold=0.5, codec=hamming74_codec())
+    transcript = Transcript()
+    res = message_check_and_deliver(
+        decoded, plan, threshold=0.5, codec=hamming74_codec(), transcript=transcript
+    )
     assert res.verdict is Verdict.MESSAGE_DISCARDED
     assert res.diagnostic is not None
+    assert [e.kind for e in transcript.events] == ["msg_compare", "verdict"]
+    assert transcript.events[-1].payload == {
+        "phase": "message",
+        "verdict": "message_discarded",
+        "error_rate": 0.0,
+        "diagnostic": res.diagnostic,
+    }
+
+
+def test_message_check_and_deliver_delivers_after_verdict():
+    frame = ecc_encode(hamming74_codec(), "1011")
+    plan = MessagePlan(
+        frame_bits=frame,
+        message_positions=tuple(range(len(frame))),
+        check_positions=(len(frame),),
+        check_bits="1",
+    )
+    decoded = {p: int(b) for p, b in enumerate(frame + "1")}
+    decoded[9] ^= 1  # one body error, corrected by the code
+    transcript = Transcript()
+    res = message_check_and_deliver(
+        decoded, plan, threshold=0.0, codec=hamming74_codec(), transcript=transcript
+    )
+    assert res.verdict is Verdict.MESSAGE_DELIVERED
+    assert (res.message, res.corrected_errors) == ("1011", 1)
+    assert [e.kind for e in transcript.events] == ["msg_compare", "verdict", "deliver"]
+    assert transcript.events[1].payload == {
+        "phase": "message",
+        "verdict": "message_delivered",
+        "error_rate": 0.0,
+    }
+    assert transcript.events[2].payload == {"message": "1011", "corrected_errors": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ CONFIGS = {
         "--n-ghz", "8", "--auth-check-bits", "2", "--message-bits", "0",
         "--m-values", "1,3", "--trials", "20", "--seed", "15",
     ],
+    "cnot_auth_and_message_half": [
+        "run", "--attack", "entangle-cnot", "--attack-channels", "trent-alice,alice-bob",
+        "--attack-coverage", "0.5", "--n-ghz", "40", "--auth-check-bits", "8",
+        "--message-bits", "8", "--threshold-auth", "1.0", "--threshold-msg", "1.0",
+        "--trials", "6", "--seed", "17",
+    ],
 }
 
 

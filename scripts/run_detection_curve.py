@@ -21,7 +21,7 @@ def main() -> None:
     args = parser.parse_args()
 
     config = SessionConfig(
-        n_ghz=5, m_auth_check=1, record_transcript=False, record_eve=False
+        n_ghz=5, m_auth_check=1, record_transcript=False
     )
     base = RunSpec(
         config=config,

@@ -8,7 +8,6 @@ from .adversary import (
     AttackModel,
     AttackVariant,
     Channel,
-    EveRecord,
     NO_ATTACK,
     entangle_cnot_attack,
     entangle_general_attack,

@@ -14,12 +14,13 @@ Four variants:
 
 All attacks are per-qubit: one fresh ancilla per attacked transmission,
 no joint memory across positions. Eve reads the public channel but cannot
-forge it. Her observations accumulate in an EveRecord, which only ever
-stores outcomes and positions, never key material.
+forge it. Her ancillas stay in the register of the triple they touched
+until she measures them; a session keeps only her message-phase outcomes,
+each paired with Alice's bit, never key material.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -95,13 +96,10 @@ def _read_only(v) -> np.ndarray:
 _CNOT_ANCILLA = _read_only(_KET0)
 
 
-def _orthonormal_completion(cols: list[np.ndarray], order: str) -> list[np.ndarray]:
+def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:
     """Extend orthonormal columns to a full basis of C^4 by Gram-Schmidt."""
-    candidates = [np.eye(4, dtype=complex)[:, i] for i in range(4)]
-    if order == "reversed":
-        candidates.reverse()
     out = list(cols)
-    for cand in candidates:
+    for cand in np.eye(4, dtype=complex):
         if len(out) == 4:
             break
         v = cand.copy()
@@ -125,7 +123,6 @@ def build_entangling_unitary(
     e10,
     e11,
     eve_state=_KET0,
-    completion: str = "standard",
 ) -> np.ndarray:
     """4x4 unitary on the (channel qubit, ancilla) pair.
 
@@ -150,7 +147,7 @@ def build_entangling_unitary(
 
     ev_perp = np.array([-np.conj(ev[1]), np.conj(ev[0])], dtype=complex)
     ins = [np.kron(ket0, ev), np.kron(ket1, ev), np.kron(ket0, ev_perp), np.kron(ket1, ev_perp)]
-    outs = _orthonormal_completion([v0, v1], completion)
+    outs = _orthonormal_completion([v0, v1])
     u = sum(np.outer(out, np.conj(inp)) for out, inp in zip(outs, ins))
     if not np.allclose(u @ u.conj().T, np.eye(4), atol=ATOL):
         raise InvalidAttackError("induced pair map is not unitary")
@@ -174,15 +171,12 @@ class AttackModel:
     e10: tuple[complex, complex] = _KET0
     e11: tuple[complex, complex] = _KET1
     eve_state: tuple[complex, complex] = _KET0
-    completion: str = "standard"
 
     def __post_init__(self):
         if not 0.0 <= self.coverage <= 1.0:
             raise InvalidAttackError("coverage must be in [0, 1]")
         if self.intercept_basis not in ("z", "x"):
             raise InvalidAttackError("intercept basis must be 'z' or 'x'")
-        if self.completion not in ("standard", "reversed"):
-            raise InvalidAttackError("completion must be 'standard' or 'reversed'")
         object.__setattr__(self, "channels", frozenset(Channel(c) for c in self.channels))
         # Built and validated once here, then shared read-only by every
         # attacked transmission.
@@ -201,7 +195,6 @@ class AttackModel:
                     self.e10,
                     self.e11,
                     self.eve_state,
-                    self.completion,
                 )
             )
             ancilla = _read_only(_vec2(self.eve_state))
@@ -247,36 +240,6 @@ def entangle_general_attack(channels, coverage: float = 1.0, **params) -> Attack
     )
 
 
-@dataclass
-class EveCapture:
-    """What Eve holds for one attacked transmission."""
-
-    ghz_position: int
-    phase: str  # "auth" | "message"
-    channel: Channel
-    kind: str  # "intercept" | "ancilla"
-    seq_position: int | None = None  # message-phase sequence index
-    outcome: int | None = None
-    basis: str | None = None
-    ancilla_label: str | None = None
-
-
-@dataclass
-class EveRecord:
-    """Per-session accumulation of Eve's observations."""
-
-    captures: list[EveCapture] = field(default_factory=list)
-
-    def pending_ancillas(self, ghz_position: int | None = None) -> list[EveCapture]:
-        return [
-            c
-            for c in self.captures
-            if c.kind == "ancilla"
-            and c.outcome is None
-            and (ghz_position is None or c.ghz_position == ghz_position)
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Attack operations
 
@@ -294,32 +257,10 @@ def _measure_bit(
 
 
 def attack_intercept_resend(
-    state: PureState,
-    qubit: int,
-    rng: np.random.Generator,
-    record: EveRecord | None = None,
-    *,
-    basis: str = "z",
-    ghz_position: int = -1,
-    phase: str = "auth",
-    channel: Channel = Channel.TRENT_TO_ALICE,
-    seq_position: int | None = None,
-) -> PureState:
+    state: PureState, qubit: int, rng: np.random.Generator, basis: str = "z"
+) -> tuple[int, PureState]:
     """Eve measures the transiting qubit and forwards the collapsed state."""
-    value, state = _measure_bit(state, qubit, basis, rng)
-    if record is not None:
-        record.captures.append(
-            EveCapture(
-                ghz_position=ghz_position,
-                phase=phase,
-                channel=channel,
-                kind="intercept",
-                seq_position=seq_position,
-                outcome=value,
-                basis=basis,
-            )
-        )
-    return state
+    return _measure_bit(state, qubit, basis, rng)
 
 
 def attack_entangle_cnot(state: PureState, qubit: int, ancilla: int) -> PureState:
@@ -338,81 +279,37 @@ def attack_entangle_general(
 
 
 def eve_measure_ancilla(
-    state: PureState,
-    ancilla: int,
-    basis: str,
-    rng: np.random.Generator,
-    capture: EveCapture | None = None,
+    state: PureState, ancilla: int, basis: str, rng: np.random.Generator
 ) -> tuple[int, PureState]:
-    """Measure one of Eve's ancillas; outcome is logged on the capture."""
-    value, state = _measure_bit(state, ancilla, basis, rng)
-    if capture is not None:
-        capture.outcome = value
-        capture.basis = basis
-    return value, state
-
-
-def _next_ancilla_label(state: PureState) -> str:
-    k = sum(1 for lbl in state.labels if lbl.startswith("E"))
-    return f"E{k}"
+    """Measure one of Eve's ancillas."""
+    return _measure_bit(state, ancilla, basis, rng)
 
 
 def apply_channel_attack(
     model: AttackModel,
     state: PureState,
     qubit: int,
-    *,
     channel: Channel,
-    ghz_position: int,
-    phase: str,
     eve_rng: np.random.Generator,
-    record: EveRecord | None,
-    seq_position: int | None = None,
-) -> tuple[PureState, EveCapture | None]:
+) -> tuple[PureState, int | None]:
     """Channel hook: possibly act on the transiting qubit.
 
-    Coverage < 1 draws one Bernoulli variate from Eve's own generator per
-    targeted transmission, so honest-party randomness is never perturbed
-    by the adversary's bookkeeping.
+    Returns the state and, for an intercept, Eve's outcome. An entangling
+    attack appends its ancilla as the last qubit, labelled E0, E1, ... in
+    attach order. Coverage < 1 draws one Bernoulli variate from Eve's own
+    generator per targeted transmission, so honest-party randomness is
+    never perturbed by the adversary's bookkeeping.
     """
     if not model.targets(channel):
         return state, None
     if model.coverage < 1.0 and eve_rng.random() >= model.coverage:
         return state, None
-
     if model.variant == AttackVariant.INTERCEPT_RESEND:
-        state = attack_intercept_resend(
-            state,
-            qubit,
-            eve_rng,
-            record,
-            basis=model.intercept_basis,
-            ghz_position=ghz_position,
-            phase=phase,
-            channel=channel,
-            seq_position=seq_position,
-        )
-        capture = record.captures[-1] if record is not None else None
-        return state, capture
-
-    label = _next_ancilla_label(state)
+        outcome, state = attack_intercept_resend(state, qubit, eve_rng, model.intercept_basis)
+        return state, outcome
+    label = f"E{sum(lbl.startswith('E') for lbl in state.labels)}"
     state = append_qubit(state, model.ancilla_state(), label)
-    ancilla = state.num_qubits - 1
-    if model.variant == AttackVariant.ENTANGLE_CNOT:
-        state = attack_entangle_cnot(state, qubit, ancilla)
-    else:
-        state = attack_entangle_general(state, qubit, ancilla, model)
-    capture = EveCapture(
-        ghz_position=ghz_position,
-        phase=phase,
-        channel=channel,
-        kind="ancilla",
-        seq_position=seq_position,
-        ancilla_label=label,
-    )
-    if record is not None:
-        record.captures.append(capture)
-    return state, capture
+    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1), None
 
 
 def attack_to_dict(model: AttackModel) -> dict:

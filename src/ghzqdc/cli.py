@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK
 from .ecc import check_distance_rule, codec_by_name
@@ -59,6 +60,17 @@ def parse_channels(text: str) -> frozenset[Channel]:
     return frozenset(out)
 
 
+def parse_m_values(text: str) -> list[int]:
+    """Comma list of positive auth check counts for a sweep."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers like 1,2,5, got {text!r}")
+    return values
+
+
 def _default_channels(attack: str, protocol: str) -> frozenset[Channel]:
     if attack in ("intercept", "entangle-cnot"):
         return frozenset({Channel.TRENT_TO_ALICE})
@@ -103,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="detection-rate curve over auth check counts")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument("--m-values", default="1,2,5,10,20",
+    sweep_p.add_argument("--m-values", type=parse_m_values, default="1,2,5,10,20",
                          help="comma list of auth check counts")
     return parser
 
@@ -140,7 +152,6 @@ def _build_spec(args) -> RunSpec:
         codec=codec,
         protocol_variant=args.protocol,
         record_transcript=False,
-        record_eve=True,
     )
     message = args.message
     message_bits = len(message) if message is not None else args.message_bits
@@ -154,14 +165,6 @@ def _build_spec(args) -> RunSpec:
         out=args.out,
         fmt=args.format,
     )
-
-
-def _emit_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
 
 
 def _warn_distance_rule(spec: RunSpec) -> None:
@@ -186,15 +189,16 @@ def _warn_distance_rule(spec: RunSpec) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = _build_spec(args)
-        if args.command == "run":
-            _warn_distance_rule(spec)
-            report = run(spec)
-        else:
-            m_values = [int(v) for v in args.m_values.split(",") if v.strip()]
-            report = sweep_detection_curve(spec, m_values)
-        text = report.to_json() if spec.fmt == "json" else report.to_csv()
-        _emit_output(text, spec.out)
+        spec = _build_spec(args)  # validates the spec
+        # Opened before the first trial, so an unwritable path fails fast.
+        out = nullcontext(sys.stdout) if spec.out is None else open(spec.out, "w", encoding="ascii")
+        with out as fh:
+            if args.command == "run":
+                _warn_distance_rule(spec)
+                report = run(spec)
+            else:
+                report = sweep_detection_curve(spec, args.m_values)
+            fh.write(report.to_json() if spec.fmt == "json" else report.to_csv())
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and InvalidAttackError
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -29,7 +29,7 @@ from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK, attack_to
 from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
 from .ecc import encode as ecc_encode
 from .protocol import (
-    ConfigError, SessionConfig, SessionResult, Verdict, check_capacity, message_channel, run_session
+    ConfigError, SessionConfig, Verdict, check_capacity, message_channel, run_session
 )
 
 SCHEMA_VERSION = 1
@@ -39,7 +39,11 @@ _AUTH_CHANNELS = {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One Monte Carlo experiment: a session template plus trial plumbing."""
+    """One Monte Carlo experiment: a session template plus trial plumbing.
+
+    Validated at construction (and by dataclasses.replace), so a RunSpec
+    that exists is a runnable one.
+    """
 
     config: SessionConfig
     attack: AttackModel = NO_ATTACK
@@ -49,6 +53,9 @@ class RunSpec:
     message: str | None = None  # pinned message; None draws one per trial
     out: str | None = None
     fmt: str = "json"
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.trials < 1:
@@ -176,16 +183,6 @@ def _analytic_references(spec: RunSpec) -> dict:
     return out
 
 
-def _accumulate_eve_counts(counts: dict, res: SessionResult) -> None:
-    if res.eve_record is None or res.plan is None:
-        return
-    for cap in res.eve_record.captures:
-        if cap.phase != "message" or cap.outcome is None or cap.seq_position is None:
-            continue
-        bit = res.plan.bit_at(cap.seq_position)
-        counts[str(bit)][str(cap.outcome)] += 1
-
-
 def _normalize_eve_counts(counts: dict) -> dict:
     normalized = {}
     for bit, hist in counts.items():
@@ -199,7 +196,6 @@ def _normalize_eve_counts(counts: dict) -> dict:
 
 def run(spec: RunSpec) -> RunReport:
     """Execute spec.trials independent sessions and aggregate."""
-    spec.validate()
 
     per_trial: list[dict] = []
     verdict_counts = {v.value: 0 for v in Verdict}
@@ -224,7 +220,8 @@ def run(spec: RunSpec) -> RunReport:
         session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
         config = replace(spec.config, rng_seed=session_seed)
         res = run_session(config, alice_key, bob_key, message, spec.attack)
-        _accumulate_eve_counts(eve_counts, res)
+        for bit, outcome in res.eve_observations:
+            eve_counts[str(bit)][str(outcome)] += 1
 
         verdict_counts[res.auth_verdict.value] += 1
         if res.msg_verdict is not None:

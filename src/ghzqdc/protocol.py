@@ -45,7 +45,6 @@ import numpy as np
 from .adversary import (
     AttackModel,
     Channel,
-    EveRecord,
     NO_ATTACK,
     apply_channel_attack,
     eve_measure_ancilla,
@@ -148,7 +147,6 @@ class SessionConfig:
     rng_seed: int = 0
     measure_order: tuple[str, str, str] | None = None  # permutation of bob/trent/eve
     record_transcript: bool = True
-    record_eve: bool = True
 
     def validate(self) -> None:
         if self.n_ghz < 1:
@@ -188,10 +186,15 @@ class SessionConfig:
 
 @dataclass
 class GhzTriple:
-    """One GHZ triple plus whatever ancillas got entangled onto it."""
+    """One GHZ triple plus whatever ancillas got entangled onto it.
+
+    Eve's ancillas are the register's qubits after (A, T, B), in the order
+    she attached them; `message_ancilla` is the one from the message phase.
+    """
 
     position: int
     state: PureState
+    message_ancilla: int | None = None
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,6 @@ class AuthPhaseResult:
     surviving: list[GhzTriple]
     checks: list[AuthCheckRecord]
     error_rate: float
-    all_triples: list[GhzTriple]
 
 
 def auth_phase(
@@ -226,7 +228,6 @@ def auth_phase(
     rng: np.random.Generator,
     eve_rng: np.random.Generator | None = None,
     transcript: Transcript | None = None,
-    eve_record: EveRecord | None = None,
 ) -> AuthPhaseResult:
     """Run the authentication phase and return the surviving triples."""
     config.validate()
@@ -252,16 +253,7 @@ def auth_phase(
 
         for qubit, channel in ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB)):
             _emit(transcript, "trent", "transmit", position=pos, channel=channel.value)
-            state, _ = apply_channel_attack(
-                attack,
-                state,
-                qubit,
-                channel=channel,
-                ghz_position=pos,
-                phase="auth",
-                eve_rng=eve_rng,
-                record=eve_record,
-            )
+            state, _ = apply_channel_attack(attack, state, qubit, channel, eve_rng)
 
         state = apply_gate(state, unitary_for_key_bit(a_bit), IDX_A)
         _emit(transcript, "alice", "auth_decode", position=pos)
@@ -322,7 +314,7 @@ def auth_phase(
     )
     check_set = set(check_positions)
     surviving = [t for t in triples if t.position not in check_set]
-    return AuthPhaseResult(verdict, surviving, checks, error_rate, triples)
+    return AuthPhaseResult(verdict, surviving, checks, error_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +404,13 @@ def _encode_and_send(
     *,
     eve_rng: np.random.Generator,
     transcript: Transcript | None,
-    eve_record: EveRecord | None,
+    eve_observations: list[tuple[int, int]],
 ) -> None:
-    """Encode H / HX per bit and transmit the A qubits on `channel`."""
+    """Encode H / HX per bit and transmit the A qubits on `channel`.
+
+    An intercept's (bit, outcome) pair goes to `eve_observations` here; an
+    entangling attack's ancilla is remembered on the triple for Eve's step.
+    """
     for seq in plan.used_positions():
         triple = surviving[seq]
         bit = plan.bit_at(seq)
@@ -430,17 +426,12 @@ def _encode_and_send(
             gate=gate.name,
         )
         _emit(transcript, "alice", "transmit", position=seq, channel=channel.value)
-        triple.state, _ = apply_channel_attack(
-            attack,
-            triple.state,
-            IDX_A,
-            channel=channel,
-            ghz_position=triple.position,
-            phase="message",
-            eve_rng=eve_rng,
-            record=eve_record,
-            seq_position=seq,
-        )
+        width = triple.state.num_qubits
+        triple.state, outcome = apply_channel_attack(attack, triple.state, IDX_A, channel, eve_rng)
+        if outcome is not None:
+            eve_observations.append((bit, outcome))
+        elif triple.state.num_qubits > width:
+            triple.message_ancilla = width
 
 
 _BELL_BIT = {
@@ -474,25 +465,24 @@ def qdc2_decode(trent_bit: int, x: XOutcome) -> int:
 
 def _measure_eve_ancillas(
     triple: GhzTriple,
-    eve_record: EveRecord | None,
+    bit: int,
     eve_rng: np.random.Generator,
     transcript: Transcript | None,
+    eve_observations: list[tuple[int, int]],
 ) -> None:
-    if eve_record is None:
-        return
-    for capture in eve_record.pending_ancillas(triple.position):
-        idx = triple.state.index_of(capture.ancilla_label)
-        outcome, triple.state = eve_measure_ancilla(
-            triple.state, idx, "z", eve_rng, capture=capture
-        )
+    """Eve's step: measure every ancilla on the triple in attach order."""
+    for idx in range(IDX_B + 1, triple.state.num_qubits):
+        outcome, triple.state = eve_measure_ancilla(triple.state, idx, "z", eve_rng)
         _emit(
             transcript,
             "eve",
             "eve_ancilla_measure",
-            position=capture.ghz_position,
-            ancilla=capture.ancilla_label,
+            position=triple.position,
+            ancilla=triple.state.labels[idx],
             outcome=outcome,
         )
+        if idx == triple.message_ancilla:
+            eve_observations.append((bit, outcome))
 
 
 def _measure_and_decode(
@@ -504,8 +494,7 @@ def _measure_and_decode(
     eve_rng: np.random.Generator,
     order: tuple[str, str, str],
     transcript: Transcript | None,
-    eve_record: EveRecord | None,
-    record_eve: bool,
+    eve_observations: list[tuple[int, int]],
 ) -> dict[int, int]:
     decoded: dict[int, int] = {}
     for seq in plan.used_positions():
@@ -534,8 +523,10 @@ def _measure_and_decode(
                 _emit(transcript, "trent", "bell_measure", position=seq, outcome=bell.value)
                 tbit = trent_publish(bell)
                 _emit(transcript, "trent", "announce", what="trent_bit", position=seq, bit=tbit)
-            elif step == "eve" and record_eve:
-                _measure_eve_ancillas(triple, eve_record, eve_rng, transcript)
+            else:  # eve
+                _measure_eve_ancillas(
+                    triple, plan.bit_at(seq), eve_rng, transcript, eve_observations
+                )
         bit = qdc1_decode(bell, x) if variant == "qdc1" else qdc2_decode(tbit, x)
         decoded[seq] = bit
         _emit(transcript, "bob", "decode_bit", position=seq, bit=bit)
@@ -618,7 +609,8 @@ class SessionResult:
     delivered_message: str | None = None
     corrected_errors: int = 0
     transcript: Transcript | None = None
-    eve_record: EveRecord | None = None
+    # (Alice's bit, Eve's outcome) for each message-phase attack.
+    eve_observations: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def delivered_ok(self) -> bool:
@@ -645,7 +637,6 @@ def run_session(
 
     rng, eve_rng = session_rngs(config.rng_seed)
     transcript = Transcript() if config.record_transcript else None
-    eve_record = EveRecord()
     _emit(
         transcript,
         "public",
@@ -664,7 +655,6 @@ def run_session(
         rng=rng,
         eve_rng=eve_rng,
         transcript=transcript,
-        eve_record=eve_record,
     )
     result = SessionResult(
         config=config,
@@ -673,7 +663,6 @@ def run_session(
         auth_checks=auth.checks,
         message_sent=message_bits,
         transcript=transcript,
-        eve_record=eve_record,
     )
     if auth.verdict is Verdict.AUTH_ABORTED or message_bits is None:
         return result
@@ -689,7 +678,7 @@ def run_session(
         attack,
         eve_rng=eve_rng,
         transcript=transcript,
-        eve_record=eve_record,
+        eve_observations=result.eve_observations,
     )
     decoded = _measure_and_decode(
         auth.surviving,
@@ -699,8 +688,7 @@ def run_session(
         eve_rng=eve_rng,
         order=config.resolved_measure_order(),
         transcript=transcript,
-        eve_record=eve_record,
-        record_eve=config.record_eve,
+        eve_observations=result.eve_observations,
     )
     result.decoded_bits = decoded
     _emit(transcript, "bob", "announce", what="decoding_complete")
@@ -721,11 +709,4 @@ def run_session(
     result.msg_checked = msg.checked
     result.delivered_message = msg.message
     result.corrected_errors = msg.corrected_errors
-
-    # Eve measures whatever ancillas are still live (check triples, unused
-    # survivors) once the session is over.
-    if config.record_eve and eve_record.pending_ancillas():
-        by_position = {t.position: t for t in auth.all_triples}
-        for pos in sorted({c.ghz_position for c in eve_record.pending_ancillas()}):
-            _measure_eve_ancillas(by_position[pos], eve_record, eve_rng, transcript)
     return result

@@ -96,9 +96,6 @@ class PureState:
     def num_qubits(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def probabilities(self) -> np.ndarray:
         """Born probabilities of the computational basis states."""
         return np.abs(self.amplitudes) ** 2

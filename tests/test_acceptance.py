@@ -188,7 +188,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
 def test_04_intercept_resend_auth_error_rate():
     attack = intercept_resend_attack({Channel.TRENT_TO_ALICE})
     config = SessionConfig(
-        n_ghz=40, m_auth_check=32, record_transcript=False, record_eve=False
+        n_ghz=40, m_auth_check=32, record_transcript=False
     )
     spec = RunSpec(config=config, attack=attack, trials=313, seed=404, message_bits=None)
     rep = run(spec)
@@ -240,7 +240,7 @@ def test_05_cnot_entangle_auth():
     # detection curve instead (criterion 6).
     attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE})
     config = SessionConfig(
-        n_ghz=40, m_auth_check=32, record_transcript=False, record_eve=False
+        n_ghz=40, m_auth_check=32, record_transcript=False
     )
     errors = checked = 0
     for t in range(313):
@@ -274,7 +274,7 @@ def test_05_cnot_entangle_auth():
 @pytest.mark.slow
 def test_06_detection_curve():
     config = SessionConfig(
-        n_ghz=5, m_auth_check=1, record_transcript=False, record_eve=False
+        n_ghz=5, m_auth_check=1, record_transcript=False
     )
     base = RunSpec(
         config=config,
@@ -312,7 +312,6 @@ def test_07_message_attack_error_rate_order_invariant():
         check_fraction_msg=0.5,
         error_threshold_msg=1.0,
         record_transcript=False,
-        record_eve=True,
     )
     # asymmetric amplitudes (still orthogonal ancilla marks) so the
     # conditional outcome distributions genuinely depend on what was

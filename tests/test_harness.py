@@ -113,7 +113,7 @@ def test_sweep_detection_curve():
     ):
         base = spec(
             config=SessionConfig(
-                n_ghz=6, m_auth_check=2, record_transcript=False, record_eve=False
+                n_ghz=6, m_auth_check=2, record_transcript=False
             ),
             attack=attack,
             trials=800,
@@ -202,22 +202,38 @@ def test_cli_sweep(capsys):
     assert len(lines) == 3
 
 
-def test_cli_config_error_exit_code(capsys):
+def test_cli_config_error_exit_code(capsys, tmp_path):
     code = cli_main(["run", "--n-ghz", "4", "--auth-check-bits", "9", "--trials", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # A malformed flag is a usage error, raised before --out is created.
+    out = tmp_path / "r.csv"
+    for m_values in ("0,1", "1,x", ","):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--n-ghz", "8", "--m-values", m_values, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--m-values" in capsys.readouterr().err
+        assert not out.exists()
 
 
-def test_cli_unwritable_out_is_an_error(capsys, tmp_path):
+def test_cli_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
+    """The output path is tried before the first trial runs."""
+
+    def no_trials(*args):
+        raise AssertionError("trials ran before --out was opened")
+
+    monkeypatch.setattr("ghzqdc.cli.run", no_trials)
+    monkeypatch.setattr("ghzqdc.cli.sweep_detection_curve", no_trials)
     out = tmp_path / "missing" / "r.json"
-    code = cli_main(
-        ["run", "--n-ghz", "40", "--auth-check-bits", "2", "--message-bits", "2",
-         "--trials", "2", "--out", str(out)]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(out) in err
-    assert not out.exists()
+    for command in ("run", "sweep"):
+        code = cli_main(
+            [command, "--n-ghz", "40", "--auth-check-bits", "2", "--message-bits", "2",
+             "--trials", "2", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert not out.exists()
 
 
 def test_cli_attack_flags(capsys):

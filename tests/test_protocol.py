@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghzqdc.adversary import NO_ATTACK, Channel, entangle_general_attack
+from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, entangle_general_attack
 from ghzqdc.authkeys import AuthKey, random_key
 from ghzqdc.ecc import encode as ecc_encode, hamming74_codec
 from ghzqdc.protocol import (
@@ -445,6 +445,27 @@ def test_transcript_abort_records_error_rate():
         if e.kind == "verdict" and e.payload["verdict"] == "auth_aborted"
     ]
     assert abort_events and abort_events[0].payload["error_rate"] > 0
+
+
+def test_transcript_eve_measures_only_message_triples():
+    """Eve measures the auth-phase ancilla E0 and then the message-phase
+    ancilla E1 of each used triple at her step, pairs E1's outcome with
+    Alice's bit, and measures nothing on check or unused triples."""
+    config = small_config(error_threshold_auth=1.0, error_threshold_msg=1.0, rng_seed=3)
+    ka, kb = keys_for(config, seed=3)
+    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB})
+    res = run_session(config, ka, kb, "10110100", attack)
+    checked = {c.position for c in res.auth_checks}
+    surviving = [p for p in range(config.n_ghz) if p not in checked]
+    used = res.plan.used_positions()
+    assert len(used) < len(surviving)  # some survivors stay unused
+    eve = [e.payload for e in res.transcript.events if e.kind == "eve_ancilla_measure"]
+    assert [(e["position"], e["ancilla"]) for e in eve] == [
+        (surviving[seq], label) for seq in used for label in ("E0", "E1")
+    ]
+    assert res.eve_observations == [
+        (res.plan.bit_at(seq), e["outcome"]) for seq, e in zip(used, eve[1::2])
+    ]
 
 
 def test_transcript_contains_no_key_material():

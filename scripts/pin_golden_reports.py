@@ -59,6 +59,18 @@ CONFIGS = {
         "--message-bits", "8", "--threshold-auth", "1.0", "--threshold-msg", "1.0",
         "--trials", "6", "--seed", "17",
     ],
+    "general_all_channels_half": [
+        "run", "--attack", "entangle-general",
+        "--attack-channels", "trent-alice,trent-bob,alice-bob", "--attack-coverage", "0.5",
+        "--n-ghz", "40", "--auth-check-bits", "8", "--message-bits", "8",
+        "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--trials", "6", "--seed", "19",
+    ],
+    "intercept_qdc2_all_half": [
+        "run", "--protocol", "qdc2", "--attack", "intercept",
+        "--attack-channels", "trent-alice,trent-bob,alice-trent", "--attack-coverage", "0.5",
+        "--n-ghz", "40", "--auth-check-bits", "8", "--message-bits", "8",
+        "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--trials", "6", "--seed", "21",
+    ],
 }
 
 

@@ -503,18 +503,33 @@ def test_announcements_view_is_public_subset():
     assert not any(e.payload.get("what") == "bell_outcome" for e in announcements)
 
 
-def test_golden_transcript_fixture():
-    """Serialized event log is byte-stable; regenerate the fixture with
-    scripts/dump_honest_transcript.py after an intentional format change."""
+def _dump_transcript_script():
     import importlib.util
     from pathlib import Path
 
-    root = Path(__file__).parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "dump_honest_transcript", root / "scripts" / "dump_honest_transcript.py"
-    )
+    path = Path(__file__).parent.parent / "scripts" / "dump_honest_transcript.py"
+    spec = importlib.util.spec_from_file_location("dump_honest_transcript", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    got = module.golden_session().transcript.to_jsonl()
-    expected = (root / "tests" / "data" / "golden_session.jsonl").read_text()
-    assert got == expected
+    return module
+
+
+def _fixture_text(name):
+    from pathlib import Path
+
+    return (Path(__file__).parent / "data" / name).read_text()
+
+
+def test_golden_transcript_fixture():
+    """Serialized event log is byte-stable; regenerate the fixture with
+    scripts/dump_honest_transcript.py after an intentional format change."""
+    got = _dump_transcript_script().golden_session().transcript.to_jsonl()
+    assert got == _fixture_text("golden_session.jsonl")
+
+
+def test_golden_attacked_transcript_fixture():
+    """The attacked session (general attack on every qdc1 channel at coverage
+    0.5, Eve measuring between Bob and Trent) is byte-stable too, Eve's
+    ancilla labels included; regenerate with --attacked."""
+    got = _dump_transcript_script().golden_attacked_session().transcript.to_jsonl()
+    assert got == _fixture_text("golden_attacked_session.jsonl")

@@ -17,6 +17,12 @@ no joint memory across positions. Eve reads the public channel but cannot
 forge it. Her ancillas stay in the register of the triple they touched
 until she measures them; a session keeps only her message-phase outcomes,
 each paired with Alice's bit, never key material.
+
+The hooks act on a whole phase at once: every row of a register is one
+triple crossing the channel. An entangling attack gives the register one
+ancilla slot per attacked channel; a row whose transmission Eve skipped
+(coverage < 1) keeps that slot in her fresh state, a product factor she
+never measures.
 """
 from __future__ import annotations
 
@@ -25,15 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevector import (
-    ATOL,
-    PureState,
-    XOutcome,
-    append_qubit,
-    apply_two_qubit,
-    measure_x,
-    measure_z,
-)
+from .statevector import ATOL, PureState, append_qubit, apply_two_qubit, measure_x, measure_z
 
 
 class InvalidAttackError(ValueError):
@@ -244,23 +242,20 @@ def entangle_general_attack(channels, coverage: float = 1.0, **params) -> Attack
 # Attack operations
 
 
-def _measure_bit(
-    state: PureState, qubit: int, basis: str, rng: np.random.Generator
-) -> tuple[int, PureState]:
-    """z or x measurement of one qubit; the x outcome reads 0 for |+>, 1 for |->."""
+def _measure_bit(state: PureState, qubit: int, basis: str, u, where=None):
+    """z or x measurement of one qubit per row; an x outcome reads 0 for |+>, 1 for |->."""
     if basis == "z":
-        return measure_z(state, qubit, rng)
+        return measure_z(state, qubit, u, where)
     if basis == "x":
-        xout, state = measure_x(state, qubit, rng)
-        return (0 if xout is XOutcome.PLUS else 1), state
+        return measure_x(state, qubit, u, where)
     raise InvalidAttackError(f"unsupported measurement basis: {basis!r}")
 
 
 def attack_intercept_resend(
-    state: PureState, qubit: int, rng: np.random.Generator, basis: str = "z"
-) -> tuple[int, PureState]:
-    """Eve measures the transiting qubit and forwards the collapsed state."""
-    return _measure_bit(state, qubit, basis, rng)
+    state: PureState, qubit: int, u, basis: str = "z", where=None
+) -> tuple[np.ndarray, PureState]:
+    """Eve measures the transiting qubit of each `where` row and forwards the collapsed state."""
+    return _measure_bit(state, qubit, basis, u, where)
 
 
 def attack_entangle_cnot(state: PureState, qubit: int, ancilla: int) -> PureState:
@@ -279,10 +274,39 @@ def attack_entangle_general(
 
 
 def eve_measure_ancilla(
-    state: PureState, ancilla: int, basis: str, rng: np.random.Generator
-) -> tuple[int, PureState]:
-    """Measure one of Eve's ancillas."""
-    return _measure_bit(state, ancilla, basis, rng)
+    state: PureState, ancilla: int, basis: str, u, where=None
+) -> tuple[np.ndarray, PureState]:
+    """Measure one of Eve's ancilla slots in the `where` rows."""
+    return _measure_bit(state, ancilla, basis, u, where)
+
+
+def attack_draws(
+    model: AttackModel, channels, rows: int, eve_rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which transmissions Eve attacks, and her intercept uniforms.
+
+    `rows` triples each cross `channels` in the given order. Returns
+    (hit, u), both (rows, len(channels)). Eve's generator is read as
+    per-transmission hooks in (row, channel) order would read it: for each
+    targeted transmission, one coverage variate when coverage < 1, then
+    one measurement uniform if an intercept attacks it.
+    """
+    hit = np.zeros((rows, len(channels)), dtype=bool)
+    u = np.zeros(hit.shape)
+    cols = [j for j, c in enumerate(channels) if model.targets(c)]
+    intercept = model.variant == AttackVariant.INTERCEPT_RESEND
+    if cols and model.coverage == 1.0:
+        hit[:, cols] = True
+        if intercept:
+            u[:, cols] = eve_rng.random((rows, len(cols)))
+    elif cols:
+        for row in range(rows):
+            for j in cols:
+                if eve_rng.random() < model.coverage:
+                    hit[row, j] = True
+                    if intercept:
+                        u[row, j] = eve_rng.random()
+    return hit, u
 
 
 def apply_channel_attack(
@@ -290,26 +314,25 @@ def apply_channel_attack(
     state: PureState,
     qubit: int,
     channel: Channel,
-    eve_rng: np.random.Generator,
-) -> tuple[PureState, int | None]:
-    """Channel hook: possibly act on the transiting qubit.
+    hit: np.ndarray,
+    u: np.ndarray,
+) -> tuple[PureState, np.ndarray | None]:
+    """Channel hook: every row's `qubit` crosses `channel`; Eve acts on the `hit` rows.
 
-    Returns the state and, for an intercept, Eve's outcome. An entangling
-    attack appends its ancilla as the last qubit, labelled E0, E1, ... in
-    attach order. Coverage < 1 draws one Bernoulli variate from Eve's own
-    generator per targeted transmission, so honest-party randomness is
-    never perturbed by the adversary's bookkeeping.
+    Returns the state and, for an intercept, Eve's outcome per row (-1
+    where she did not attack), using the row's uniform from `u`. An
+    entangling attack appends one ancilla slot to every row as the last
+    qubit, labelled E0, E1, ... by slot, and entangles it in the `hit`
+    rows only. `hit` and `u` come from attack_draws.
     """
     if not model.targets(channel):
         return state, None
-    if model.coverage < 1.0 and eve_rng.random() >= model.coverage:
-        return state, None
     if model.variant == AttackVariant.INTERCEPT_RESEND:
-        outcome, state = attack_intercept_resend(state, qubit, eve_rng, model.intercept_basis)
-        return state, outcome
+        outcomes, state = attack_intercept_resend(state, qubit, u, model.intercept_basis, hit)
+        return state, outcomes
     label = f"E{sum(lbl.startswith('E') for lbl in state.labels)}"
     state = append_qubit(state, model.ancilla_state(), label)
-    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1), None
+    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1, where=hit), None
 
 
 def attack_to_dict(model: AttackModel) -> dict:

@@ -4,8 +4,9 @@ Two subcommands:
   run    repeated sessions under one configuration, JSON/CSV report
   sweep  detection-rate curve over a list of auth check counts
 
-Exit status is 0 for a completed run and 1 for a configuration error or
-an unwritable output path.
+Exit status is 0 for a completed run, 1 for a configuration error or an
+unwritable output path, and 2 for a malformed flag (raised before the
+output file is created).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_message(text: str) -> str:
-    """Accept a bit string, or hex (0x-prefixed or containing hex digits)."""
+    """Accept a non-empty bit string, or hex (0x-prefixed or containing hex digits)."""
     if text.startswith(("0x", "0X")):
         hexpart = text[2:]
     elif all(c in "01" for c in text) and text:
@@ -41,9 +42,23 @@ def parse_message(text: str) -> str:
     else:
         hexpart = text
     try:
-        return "".join(format(int(c, 16), "04b") for c in hexpart)
+        bits = "".join(format(int(c, 16), "04b") for c in hexpart)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"message must be bits or hex, got {text!r}") from None
+        bits = ""
+    if not bits:
+        raise argparse.ArgumentTypeError(f"message must be bits or hex, got {text!r}")
+    return bits
+
+
+def parse_message_bits(text: str) -> int:
+    """Random message length; 0 runs authentication only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def parse_channels(text: str) -> frozenset[Channel]:
@@ -86,7 +101,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--msg-check-fraction", type=float, default=0.25)
     p.add_argument("--message", type=parse_message, default=None,
                    help="fixed message, bits or hex; default draws a fresh one per trial")
-    p.add_argument("--message-bits", type=int, default=64,
+    p.add_argument("--message-bits", type=parse_message_bits, default=64,
                    help="random message length when --message is not given; 0 for none")
     p.add_argument("--ecc", default="none", help="none | rep3 | rep5 | hamming74")
     p.add_argument("--attack", choices=[v.value for v in AttackVariant], default="none")

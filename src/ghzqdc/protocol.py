@@ -36,7 +36,7 @@ Auth-key bits never appear in transcript payloads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -47,14 +47,17 @@ from .adversary import (
     Channel,
     NO_ATTACK,
     apply_channel_attack,
+    attack_draws,
     eve_measure_ancilla,
 )
 from .authkeys import AuthKey, random_bits, unitary_for_key_bit
 from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, none_codec
 from .statevector import (
-    BellOutcome,
+    BELL_OUTCOMES,
     H,
     HX,
+    X_OUTCOMES,
+    BellOutcome,
     PureState,
     XOutcome,
     apply_gate,
@@ -64,8 +67,10 @@ from .statevector import (
     new_ghz3,
 )
 
-# Qubit slots inside a triple's register; ancillas are appended after.
+# Qubit slots inside a triple's register; Eve's ancilla slots follow.
 IDX_A, IDX_T, IDX_B = 0, 1, 2
+# The keyed gate: key bit 1 selects it, key bit 0 the identity.
+_KEY_GATE = unitary_for_key_bit(1)
 
 
 class ConfigError(ValueError):
@@ -184,17 +189,42 @@ class SessionConfig:
         }
 
 
-@dataclass
-class GhzTriple:
-    """One GHZ triple plus whatever ancillas got entangled onto it.
+@dataclass(frozen=True)
+class Triples:
+    """GHZ triples as one register, one row per triple.
 
-    Eve's ancillas are the register's qubits after (A, T, B), in the order
-    she attached them; `message_ancilla` is the one from the message phase.
+    Qubits are (A, T, B), then one slot per attacked channel the triples
+    crossed, in crossing order. `attached[r, s]` marks an ancilla Eve
+    entangled in slot s of row r; she labels a row's attached ancillas
+    E0, E1, ... in slot order.
     """
 
-    position: int
     state: PureState
-    message_ancilla: int | None = None
+    positions: np.ndarray  # GHZ position of each row
+    attached: np.ndarray  # (rows, slots) bool
+
+    def __len__(self) -> int:
+        return self.state.rows
+
+    def take(self, rows) -> Triples:
+        return Triples(self.state.take(rows), self.positions[rows], self.attached[rows])
+
+
+def _transmit(
+    triples: Triples, attack: AttackModel, qubit: int, channel: Channel, hit, u
+) -> tuple[Triples, np.ndarray | None]:
+    """Send every row's `qubit` over `channel`; returns the intercept outcomes, if any."""
+    width = triples.state.num_qubits
+    state, outcomes = apply_channel_attack(attack, triples.state, qubit, channel, hit, u)
+    attached = triples.attached
+    if state.num_qubits > width:
+        attached = np.column_stack([attached, hit])
+    return Triples(state, triples.positions, attached), outcomes
+
+
+def _key_ones(key: AuthKey, n: int) -> np.ndarray:
+    """Boolean mask of the first n positions whose key bit is 1."""
+    return np.frombuffer(key.bits[:n].encode("ascii"), dtype=np.uint8) == ord("1")
 
 
 @dataclass(frozen=True)
@@ -214,7 +244,7 @@ class AuthCheckRecord:
 @dataclass
 class AuthPhaseResult:
     verdict: Verdict
-    surviving: list[GhzTriple]
+    surviving: Triples
     checks: list[AuthCheckRecord]
     error_rate: float
 
@@ -239,82 +269,60 @@ def auth_phase(
     if eve_rng is None:
         eve_rng = np.random.default_rng(0)
 
-    triples: list[GhzTriple] = []
-    for pos in range(n):
-        a_bit = int(alice_key.bits[pos])
-        b_bit = int(bob_key.bits[pos])
-        state = new_ghz3()
-        _emit(transcript, "trent", "ghz_prepared", position=pos)
-
-        state = apply_gate(state, unitary_for_key_bit(a_bit), IDX_A)
-        _emit(transcript, "trent", "auth_encode", position=pos, target="alice")
-        state = apply_gate(state, unitary_for_key_bit(b_bit), IDX_B)
-        _emit(transcript, "trent", "auth_encode", position=pos, target="bob")
-
-        for qubit, channel in ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB)):
-            _emit(transcript, "trent", "transmit", position=pos, channel=channel.value)
-            state, _ = apply_channel_attack(attack, state, qubit, channel, eve_rng)
-
-        state = apply_gate(state, unitary_for_key_bit(a_bit), IDX_A)
-        _emit(transcript, "alice", "auth_decode", position=pos)
-        state = apply_gate(state, unitary_for_key_bit(b_bit), IDX_B)
-        _emit(transcript, "bob", "auth_decode", position=pos)
-        triples.append(GhzTriple(pos, state))
+    a_key, b_key = _key_ones(alice_key, n), _key_ones(bob_key, n)
+    legs = ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB))
+    hit, eve_u = attack_draws(attack, [channel for _, channel in legs], n, eve_rng)
+    state = new_ghz3(n)
+    state = apply_gate(state, _KEY_GATE, IDX_A, where=a_key)
+    state = apply_gate(state, _KEY_GATE, IDX_B, where=b_key)
+    triples = Triples(state, np.arange(n), np.zeros((n, 0), dtype=bool))
+    for j, (qubit, channel) in enumerate(legs):
+        triples, _ = _transmit(triples, attack, qubit, channel, hit[:, j], eve_u[:, j])
+    state = apply_gate(triples.state, _KEY_GATE, IDX_A, where=a_key)
+    state = apply_gate(state, _KEY_GATE, IDX_B, where=b_key)
+    triples = replace(triples, state=state)
+    if transcript is not None:
+        for pos in range(n):
+            transcript.emit("trent", "ghz_prepared", position=pos)
+            transcript.emit("trent", "auth_encode", position=pos, target="alice")
+            transcript.emit("trent", "auth_encode", position=pos, target="bob")
+            for _, channel in legs:
+                transcript.emit("trent", "transmit", position=pos, channel=channel.value)
+            transcript.emit("alice", "auth_decode", position=pos)
+            transcript.emit("bob", "auth_decode", position=pos)
 
     m = config.m_auth_check
     check_positions = sorted(int(p) for p in rng.choice(n, size=m, replace=False)) if m else []
-    _emit(
-        transcript,
-        "alice",
-        "announce",
-        what="auth_check_positions",
-        positions=list(check_positions),
-    )
+    _emit(transcript, "alice", "announce", what="auth_check_positions", positions=check_positions)
 
-    checks: list[AuthCheckRecord] = []
-    for pos in check_positions:
-        triple = triples[pos]
-        outcomes = []
-        for actor, qubit in (("alice", IDX_A), ("bob", IDX_B), ("trent", IDX_T)):
-            z, triple.state = measure_z(triple.state, qubit, rng)
-            _emit(transcript, actor, "z_measure", position=pos, outcome=z)
-            _emit(transcript, actor, "announce", what="auth_z_outcome", position=pos, outcome=z)
-            outcomes.append(z)
-        za, zb, zt = outcomes
-        rec = AuthCheckRecord(
-            position=pos,
-            alice_key_bit=int(alice_key.bits[pos]),
-            bob_key_bit=int(bob_key.bits[pos]),
-            outcome_alice=za,
-            outcome_trent=zt,
-            outcome_bob=zb,
-        )
-        checks.append(rec)
-        _emit(
-            transcript,
-            "public",
-            "auth_compare",
-            position=pos,
-            outcomes=[za, zt, zb],
-            error=rec.error,
-        )
+    # One uniform per check position and party, drawn in (position, Alice/Bob/Trent) order.
+    outcomes = np.zeros((m, 3), dtype=int)
+    if m:
+        state, u = triples.state.take(check_positions), rng.random((m, 3))
+        for col, qubit in enumerate((IDX_A, IDX_B, IDX_T)):
+            outcomes[:, col], state = measure_z(state, qubit, u[:, col])
+    checks = [
+        AuthCheckRecord(pos, int(a_key[pos]), int(b_key[pos]), za, zt, zb)
+        for pos, (za, zb, zt) in zip(check_positions, outcomes.tolist())
+    ]
+    if transcript is not None:
+        for rec in checks:
+            za, zt, zb = rec.outcome_alice, rec.outcome_trent, rec.outcome_bob
+            for actor, z in (("alice", za), ("bob", zb), ("trent", zt)):
+                transcript.emit(actor, "z_measure", position=rec.position, outcome=z)
+                transcript.emit(actor, "announce", what="auth_z_outcome", position=rec.position,
+                                outcome=z)
+            transcript.emit("public", "auth_compare", position=rec.position,
+                            outcomes=[za, zt, zb], error=rec.error)
 
     errors = sum(1 for c in checks if c.error)
     error_rate = errors / m if m else 0.0
     verdict = Verdict.AUTH_ABORTED if error_rate > config.error_threshold_auth else Verdict.AUTHENTICATED
-    _emit(
-        transcript,
-        "public",
-        "verdict",
-        phase="auth",
-        verdict=verdict.value,
-        error_rate=error_rate,
-        errors=errors,
-        checked=m,
-    )
-    check_set = set(check_positions)
-    surviving = [t for t in triples if t.position not in check_set]
-    return AuthPhaseResult(verdict, surviving, checks, error_rate)
+    _emit(transcript, "public", "verdict", phase="auth", verdict=verdict.value,
+          error_rate=error_rate, errors=errors, checked=m)
+    keep = np.ones(n, dtype=bool)
+    keep[check_positions] = False
+    return AuthPhaseResult(verdict, triples.take(keep), checks, error_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -397,96 +405,78 @@ def plan_message_positions(
 
 
 def _encode_and_send(
-    surviving: list[GhzTriple],
+    sent: Triples,
     plan: MessagePlan,
+    bits: np.ndarray,
     channel: Channel,
     attack: AttackModel,
     *,
     eve_rng: np.random.Generator,
     transcript: Transcript | None,
-    eve_observations: list[tuple[int, int]],
-) -> None:
-    """Encode H / HX per bit and transmit the A qubits on `channel`.
+) -> tuple[Triples, np.ndarray | None]:
+    """Encode H / HX per bit on every row and transmit the A qubits on `channel`.
 
-    An intercept's (bit, outcome) pair goes to `eve_observations` here; an
-    entangling attack's ancilla is remembered on the triple for Eve's step.
+    Returns the sent triples and an intercept's outcomes (-1 on rows Eve
+    skipped); an entangling attack's ancillas take the register's last slot.
     """
-    for seq in plan.used_positions():
-        triple = surviving[seq]
-        bit = plan.bit_at(seq)
-        gate = HX if bit else H
-        triple.state = apply_gate(triple.state, gate, IDX_A)
-        _emit(
-            transcript,
-            "alice",
-            "msg_encode",
-            position=seq,
-            bit=bit,
-            source=plan.source_at(seq),
-            gate=gate.name,
-        )
-        _emit(transcript, "alice", "transmit", position=seq, channel=channel.value)
-        width = triple.state.num_qubits
-        triple.state, outcome = apply_channel_attack(attack, triple.state, IDX_A, channel, eve_rng)
-        if outcome is not None:
-            eve_observations.append((bit, outcome))
-        elif triple.state.num_qubits > width:
-            triple.message_ancilla = width
+    state = apply_gate(sent.state, H, IDX_A, where=bits == 0)
+    state = apply_gate(state, HX, IDX_A, where=bits == 1)
+    hit, u = attack_draws(attack, (channel,), len(bits), eve_rng)
+    sent, outcomes = _transmit(replace(sent, state=state), attack, IDX_A, channel, hit[:, 0], u[:, 0])
+    if transcript is not None:
+        for seq, bit in zip(plan.used_positions(), bits.tolist()):
+            transcript.emit("alice", "msg_encode", position=seq, bit=bit,
+                            source=plan.source_at(seq), gate=HX.name if bit else H.name)
+            transcript.emit("alice", "transmit", position=seq, channel=channel.value)
+    return sent, outcomes
 
 
-_BELL_BIT = {
-    BellOutcome.PHI_PLUS: 0,
-    BellOutcome.PSI_MINUS: 0,
-    BellOutcome.PHI_MINUS: 1,
-    BellOutcome.PSI_PLUS: 1,
-}
+# Trent's published bit per Bell outcome code: 0 for Phi+/Psi-, 1 for Phi-/Psi+.
+_BELL_BIT = np.array([0, 1, 1, 0])
 
 
-def _x_bit(x: XOutcome) -> int:
-    return 0 if x is XOutcome.PLUS else 1
+def _decode(trent_bit, x):
+    """Bob's bit from Trent's bit and the x outcome code (0 plus, 1 minus)."""
+    return 1 ^ trent_bit ^ x
 
 
 def qdc1_decode(bell: BellOutcome, x: XOutcome) -> int:
     """Bob's bit from his Bell outcome on (A, B) and Trent's published x."""
-    return 1 ^ _BELL_BIT[bell] ^ _x_bit(x)
+    return _decode(trent_publish(bell), X_OUTCOMES.index(x))
 
 
 def trent_publish(bell: BellOutcome) -> int:
     """Trent's one-bit publication: 0 for Phi+/Psi-, 1 for Phi-/Psi+."""
-    return _BELL_BIT[bell]
+    return int(_BELL_BIT[BELL_OUTCOMES.index(bell)])
 
 
 def qdc2_decode(trent_bit: int, x: XOutcome) -> int:
     """Bob's bit from Trent's published bit and his own x outcome on B."""
     if trent_bit not in (0, 1):
         raise ValueError(f"trent bit must be 0 or 1, got {trent_bit!r}")
-    return 1 ^ trent_bit ^ _x_bit(x)
+    return _decode(trent_bit, X_OUTCOMES.index(x))
 
 
 def _measure_eve_ancillas(
-    triple: GhzTriple,
-    bit: int,
-    eve_rng: np.random.Generator,
-    transcript: Transcript | None,
-    eve_observations: list[tuple[int, int]],
-) -> None:
-    """Eve's step: measure every ancilla on the triple in attach order."""
-    for idx in range(IDX_B + 1, triple.state.num_qubits):
-        outcome, triple.state = eve_measure_ancilla(triple.state, idx, "z", eve_rng)
-        _emit(
-            transcript,
-            "eve",
-            "eve_ancilla_measure",
-            position=triple.position,
-            ancilla=triple.state.labels[idx],
-            outcome=outcome,
+    attached: np.ndarray, state: PureState, eve_rng: np.random.Generator
+) -> tuple[np.ndarray, PureState]:
+    """Eve's step: z-measure every attached ancilla, one draw each in (row, slot) order.
+
+    Returns the outcomes per (row, slot), -1 where no ancilla is attached.
+    """
+    u = np.zeros(attached.shape)
+    if attached.any():
+        u[attached] = eve_rng.random(int(attached.sum()))
+    outcomes = np.full(attached.shape, -1)
+    for slot in range(attached.shape[1]):
+        outcomes[:, slot], state = eve_measure_ancilla(
+            state, IDX_B + 1 + slot, "z", u[:, slot], where=attached[:, slot]
         )
-        if idx == triple.message_ancilla:
-            eve_observations.append((bit, outcome))
+    return outcomes, state
 
 
 def _measure_and_decode(
-    surviving: list[GhzTriple],
+    sent: Triples,
     plan: MessagePlan,
     variant: str,
     *,
@@ -494,43 +484,59 @@ def _measure_and_decode(
     eve_rng: np.random.Generator,
     order: tuple[str, str, str],
     transcript: Transcript | None,
-    eve_observations: list[tuple[int, int]],
-) -> dict[int, int]:
-    decoded: dict[int, int] = {}
-    for seq in plan.used_positions():
-        triple = surviving[seq]
-        bell = x = tbit = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's, Trent's and Eve's measurements in `order`, then Bob's decoding.
+
+    Returns (decoded bits, Eve's outcomes per (row, slot)).
+    """
+    # One uniform per row for each of Bob and Trent, columns in `order`.
+    honest = [step for step in order if step != "eve"]
+    u = rng.random((len(sent), 2))
+    state = sent.state
+    for step in order:
+        if step == "eve":
+            eve, state = _measure_eve_ancillas(sent.attached, state, eve_rng)
+            continue
+        col = u[:, honest.index(step)]
+        if step == "bob" and variant == "qdc1":
+            bell, state = measure_bell(state, IDX_A, IDX_B, col)
+        elif step == "bob":
+            x, state = measure_x(state, IDX_B, col)
+        elif variant == "qdc1":
+            x, state = measure_x(state, IDX_T, col)
+        else:
+            bell, state = measure_bell(state, IDX_A, IDX_T, col)
+    decoded = _decode(_BELL_BIT[bell], x)
+    if transcript is not None:
+        _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, decoded)
+    return decoded, eve
+
+
+def _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, decoded) -> None:
+    labels = np.cumsum(sent.attached, axis=1) - 1  # rank among the row's attached ancillas
+    rows = zip(plan.used_positions(), sent.positions.tolist(), bell.tolist(), x.tolist(),
+               eve.tolist(), labels.tolist(), decoded.tolist())
+    for seq, pos, b, xo, eve_row, label_row, bit in rows:
+        bell_value, x_value = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
         for step in order:
             if step == "bob" and variant == "qdc1":
-                bell, triple.state = measure_bell(triple.state, IDX_A, IDX_B, rng)
-                _emit(transcript, "bob", "bell_measure", position=seq, outcome=bell.value)
+                transcript.emit("bob", "bell_measure", position=seq, outcome=bell_value)
             elif step == "bob":
-                x, triple.state = measure_x(triple.state, IDX_B, rng)
-                _emit(transcript, "bob", "x_measure", position=seq, outcome=x.value)
+                transcript.emit("bob", "x_measure", position=seq, outcome=x_value)
             elif step == "trent" and variant == "qdc1":
-                x, triple.state = measure_x(triple.state, IDX_T, rng)
-                _emit(transcript, "trent", "x_measure", position=seq, outcome=x.value)
-                _emit(
-                    transcript,
-                    "trent",
-                    "announce",
-                    what="x_outcome",
-                    position=seq,
-                    outcome=x.value,
-                )
+                transcript.emit("trent", "x_measure", position=seq, outcome=x_value)
+                transcript.emit("trent", "announce", what="x_outcome", position=seq,
+                                outcome=x_value)
             elif step == "trent":
-                bell, triple.state = measure_bell(triple.state, IDX_A, IDX_T, rng)
-                _emit(transcript, "trent", "bell_measure", position=seq, outcome=bell.value)
-                tbit = trent_publish(bell)
-                _emit(transcript, "trent", "announce", what="trent_bit", position=seq, bit=tbit)
-            else:  # eve
-                _measure_eve_ancillas(
-                    triple, plan.bit_at(seq), eve_rng, transcript, eve_observations
-                )
-        bit = qdc1_decode(bell, x) if variant == "qdc1" else qdc2_decode(tbit, x)
-        decoded[seq] = bit
-        _emit(transcript, "bob", "decode_bit", position=seq, bit=bit)
-    return decoded
+                transcript.emit("trent", "bell_measure", position=seq, outcome=bell_value)
+                transcript.emit("trent", "announce", what="trent_bit", position=seq,
+                                bit=int(_BELL_BIT[b]))
+            else:
+                for outcome, label in zip(eve_row, label_row):
+                    if outcome >= 0:
+                        transcript.emit("eve", "eve_ancilla_measure", position=pos,
+                                        ancilla=f"E{label}", outcome=outcome)
+        transcript.emit("bob", "decode_bit", position=seq, bit=bit)
 
 
 @dataclass
@@ -648,13 +654,7 @@ def run_session(
     )
 
     auth = auth_phase(
-        config,
-        alice_key,
-        bob_key,
-        attack,
-        rng=rng,
-        eve_rng=eve_rng,
-        transcript=transcript,
+        config, alice_key, bob_key, attack, rng=rng, eve_rng=eve_rng, transcript=transcript
     )
     result = SessionResult(
         config=config,
@@ -671,25 +671,26 @@ def run_session(
     plan = plan_message_positions(len(auth.surviving), frame, config.check_fraction_msg, rng)
     result.plan = plan
 
-    _encode_and_send(
-        auth.surviving,
-        plan,
-        message_channel(config.protocol_variant),
-        attack,
-        eve_rng=eve_rng,
+    used = plan.used_positions()
+    bit_of = np.zeros(len(auth.surviving), dtype=int)
+    bit_of[list(plan.message_positions)] = [int(b) for b in plan.frame_bits]
+    bit_of[list(plan.check_positions)] = [int(b) for b in plan.check_bits]
+    bits = bit_of[used]
+    channel = message_channel(config.protocol_variant)
+    sent, eve_msg = _encode_and_send(
+        auth.surviving.take(used), plan, bits, channel, attack, eve_rng=eve_rng,
         transcript=transcript,
-        eve_observations=result.eve_observations,
     )
-    decoded = _measure_and_decode(
-        auth.surviving,
-        plan,
-        config.protocol_variant,
-        rng=rng,
-        eve_rng=eve_rng,
-        order=config.resolved_measure_order(),
-        transcript=transcript,
-        eve_observations=result.eve_observations,
+    decoded, eve = _measure_and_decode(
+        sent, plan, config.protocol_variant, rng=rng, eve_rng=eve_rng,
+        order=config.resolved_measure_order(), transcript=transcript,
     )
+    if sent.attached.shape[1] > auth.surviving.attached.shape[1]:
+        eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
+    if eve_msg is not None:
+        seen = eve_msg >= 0
+        result.eve_observations = list(zip(bits[seen].tolist(), eve_msg[seen].tolist()))
+    decoded = dict(zip(used, decoded.tolist()))
     result.decoded_bits = decoded
     _emit(transcript, "bob", "announce", what="decoding_complete")
     _emit(

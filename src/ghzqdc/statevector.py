@@ -1,4 +1,4 @@
-"""Dense pure-state simulation of small qubit registers.
+"""Dense pure-state simulation of small qubit registers, many rows at once.
 
 Provides exactly what the messaging protocols need: GHZ triple
 preparation, single- and two-qubit unitaries, and projective measurements
@@ -7,26 +7,36 @@ measurements are implemented directly as a four-projector family, not via
 a basis-change circuit.
 
 Conventions:
+  * A PureState is a stack of independent registers over the same
+    labelled qubits: ``amplitudes`` has shape (rows, 2**num_qubits), one
+    row per register. Every kernel acts on all rows, or on the rows of a
+    boolean ``where`` mask, in one numpy expression; the other rows pass
+    through unchanged.
   * Qubit 0 is the leftmost slot in ket notation and the most significant
-    bit of an amplitude index: with labels (A, T, B), ``amplitudes[0b011]``
-    multiplies |0>_A |1>_T |1>_B.
+    bit of an amplitude index: with labels (A, T, B), ``amplitudes[r, 0b011]``
+    multiplies |0>_A |1>_T |1>_B in row r.
   * Operations never mutate their input; they return fresh states, so
     states can be handed between threads without locking.
-  * Every measurement draws exactly one uniform variate from the injected
-    numpy Generator, whatever the basis.
-  * The squared norm is re-checked after every operation (tolerance 1e-9);
-    a NaN or Inf amplitude fails that check as well.
+  * A measurement takes one uniform variate per row, drawn by the caller,
+    and returns an outcome code per row: the first outcome whose
+    cumulative probability exceeds the uniform. Codes index the outcome
+    order: z 0/1, x ``X_OUTCOMES`` (plus, minus), Bell ``BELL_OUTCOMES``.
+  * The squared norm of every row is re-checked after every operation
+    (tolerance 1e-9); a NaN or Inf amplitude fails that check as well.
+    Measurements also check each row's probability sum and refuse to
+    collapse a row onto a (near-)zero branch.
   * Global phase is not tracked; observable contracts are phrased over
     probabilities and post-measurement states up to global phase.
 
-Internals reshape the amplitude vector as (prefix, 2, suffix) blocks per
-target qubit instead of routing tiny arrays through tensordot; sessions
-spend almost all their time here.
+Internals move the acted-on qubits to the last axis, as a
+(rows * rest, 2**k) array, and contract them in one einsum (no BLAS call,
+whose work buffers would outweigh these small registers).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import sqrt
 from typing import Union
 
@@ -54,8 +64,14 @@ class BellOutcome(Enum):
     PSI_MINUS = "psi_minus"
 
 
-# ZOutcome is a plain int in {0, 1}.
-ZOutcome = int
+# Outcome codes returned by measure_x and measure_bell index these.
+X_OUTCOMES = (XOutcome.PLUS, XOutcome.MINUS)
+BELL_OUTCOMES = (
+    BellOutcome.PHI_PLUS,
+    BellOutcome.PHI_MINUS,
+    BellOutcome.PSI_PLUS,
+    BellOutcome.PSI_MINUS,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,40 +103,50 @@ GATES = {g.name: g for g in (I, H, X, HX)}
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized complex amplitude vector over a labelled qubit register."""
+    """Rows of normalized complex amplitudes over one labelled qubit register."""
 
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray  # (rows, 2**num_qubits)
     labels: tuple[str, ...]
 
     @property
     def num_qubits(self) -> int:
         return len(self.labels)
 
-    def probabilities(self) -> np.ndarray:
-        """Born probabilities of the computational basis states."""
-        return np.abs(self.amplitudes) ** 2
+    @property
+    def rows(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def take(self, rows) -> PureState:
+        """The selected rows (an index array or a boolean mask), in order."""
+        return _wrap(self.amplitudes[rows], self.labels)
 
 
 def make_state(amplitudes, labels) -> PureState:
-    """Validate and wrap an amplitude vector as a PureState."""
-    amps = np.array(amplitudes, dtype=complex).reshape(-1)
+    """Validate and wrap one amplitude vector, or a (rows, 2**n) stack, as a PureState."""
+    amps = np.array(amplitudes, dtype=complex)
+    if amps.ndim == 1:
+        amps = amps[None, :]
     labels = tuple(labels)
     n = len(labels)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n}")
     if len(set(labels)) != n:
         raise ValueError(f"duplicate qubit labels: {labels}")
-    if amps.shape[0] != 2**n:
-        raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.shape[0]}")
+    if amps.ndim != 2 or amps.shape[1] != 2**n:
+        raise ValueError(f"expected rows of {2**n} amplitudes for {n} qubits, got {amps.shape}")
     return _wrap(amps, labels)
 
 
 def _wrap(amps: np.ndarray, labels: tuple[str, ...]) -> PureState:
-    # Single check covers both invariants: a NaN/Inf amplitude makes the
-    # norm comparison fail too.
-    nrm = float(np.vdot(amps, amps).real)
-    if not abs(nrm - 1.0) <= ATOL:
-        raise ValueError(f"state norm^2 = {nrm!r}, not 1 within {ATOL}")
+    # Single check per row covers both invariants: a NaN/Inf amplitude
+    # makes the norm comparison fail too.
+    amps = np.ascontiguousarray(amps)
+    flat = amps.view(np.float64)
+    nrm = np.einsum("ij,ij->i", flat, flat)
+    bad = ~(np.abs(nrm - 1.0) <= ATOL)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"row {row}: state norm^2 = {nrm[row]!r}, not 1 within {ATOL}")
     amps.setflags(write=False)
     return PureState(amps, labels)
 
@@ -130,13 +156,13 @@ _GHZ3[0b000] = _INV_SQRT2
 _GHZ3[0b111] = _INV_SQRT2
 
 
-def new_ghz3() -> PureState:
-    """Fresh (|000> + |111>)/sqrt(2) register with labels (A, T, B)."""
-    return _wrap(_GHZ3.copy(), ("A", "T", "B"))
+def new_ghz3(rows: int = 1) -> PureState:
+    """`rows` fresh (|000> + |111>)/sqrt(2) registers with labels (A, T, B)."""
+    return _wrap(np.tile(_GHZ3, (rows, 1)), ("A", "T", "B"))
 
 
 def basis_state(bits: str, labels=None) -> PureState:
-    """Computational basis state |bits>, e.g. basis_state("010")."""
+    """Computational basis state |bits>, e.g. basis_state("010"), as one row."""
     n = len(bits)
     if labels is None:
         labels = tuple(f"q{i}" for i in range(n))
@@ -146,89 +172,32 @@ def basis_state(bits: str, labels=None) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# Kernels on raw amplitude arrays
+# Kernels on raw (rows, 2**n) amplitude arrays
 
 
-def _split1(amps: np.ndarray, q: int) -> np.ndarray:
-    """View as (prefix, 2, suffix) blocks around qubit q."""
-    return amps.reshape(1 << q, 2, -1)
+@lru_cache(maxsize=None)
+def _layout(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders of a (rows, 2, ..., 2) view that move `qubits` last and back."""
+    rest = [q for q in range(n) if q not in qubits]
+    last = (0,) + tuple(1 + q for q in rest + list(qubits))
+    return last, tuple(int(i) for i in np.argsort(last))
 
 
-def _apply_1q(amps: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
-    psi = _split1(amps, q)
-    a, b = psi[:, 0], psi[:, 1]
-    out = np.empty_like(psi)
-    out[:, 0] = m[0, 0] * a + m[0, 1] * b
-    out[:, 1] = m[1, 0] * a + m[1, 1] * b
-    return out.reshape(-1)
+def _qubits_last(amps: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """(rows * rest, 2**k): the k acted-on qubits last, in the given order."""
+    t = amps.reshape((amps.shape[0],) + (2,) * n).transpose(_layout(n, qubits)[0])
+    return t.reshape(amps.shape[0] << (n - len(qubits)), 1 << len(qubits))
 
 
-_PAIR_SWAP = np.array([0, 2, 1, 3])
+def _qubits_back(t: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _qubits_last: back to (rows, 2**n)."""
+    rows = t.size >> n
+    t = t.reshape((rows,) + (2,) * n).transpose(_layout(n, qubits)[1])
+    return t.reshape(rows, 1 << n)
 
 
-def _split2(amps: np.ndarray, q1: int, q2: int):
-    """View as (pre, 2, mid, 2, post) around the sorted qubit pair."""
-    return amps.reshape(1 << q1, 2, 1 << (q2 - q1 - 1), 2, -1)
-
-
-def _apply_2q(amps: np.ndarray, q1: int, q2: int, m: np.ndarray) -> np.ndarray:
-    if q1 > q2:
-        m = m[np.ix_(_PAIR_SWAP, _PAIR_SWAP)]
-        q1, q2 = q2, q1
-    psi = _split2(amps, q1, q2)
-    blocks = [psi[:, 0, :, 0], psi[:, 0, :, 1], psi[:, 1, :, 0], psi[:, 1, :, 1]]
-    out = np.empty_like(psi)
-    for row in range(4):
-        terms = [(m[row, col], blocks[col]) for col in range(4) if m[row, col] != 0]
-        target = out[:, row >> 1, :, row & 1]
-        if not terms:
-            target[...] = 0.0
-        elif len(terms) == 1 and terms[0][0] == 1.0:
-            # permutation-style rows (the controlled flip) are plain copies
-            target[...] = terms[0][1]
-        else:
-            acc = terms[0][0] * terms[0][1]
-            for coeff, block in terms[1:]:
-                acc += coeff * block
-            target[...] = acc
-    return out.reshape(-1)
-
-
-def _residual(amps: np.ndarray, qubits: tuple[int, ...], vec: np.ndarray) -> np.ndarray:
-    """<vec| contracted into `qubits` (one or a pair): the unnormalised branch."""
-    if len(qubits) == 1:
-        psi = _split1(amps, qubits[0])
-        return np.conj(vec[0]) * psi[:, 0] + np.conj(vec[1]) * psi[:, 1]
-    q1, q2 = qubits
-    if q1 > q2:
-        vec = vec[_PAIR_SWAP]
-        q1, q2 = q2, q1
-    psi = _split2(amps, q1, q2)
-    v = np.conj(vec)
-    out = v[0] * psi[:, 0, :, 0]
-    for idx, (b1, b2) in enumerate(((0, 1), (1, 0), (1, 1)), start=1):
-        if v[idx] != 0:
-            out = out + v[idx] * psi[:, b1, :, b2]
-    return out
-
-
-def _collapse(
-    qubits: tuple[int, ...], vec: np.ndarray, residual: np.ndarray, prob: float
-) -> np.ndarray:
-    """|vec> on `qubits` tensored with the renormalised residual."""
-    scaled = residual * (1.0 / sqrt(prob))
-    if len(qubits) == 1:
-        out = np.empty((residual.shape[0], 2, residual.shape[1]), dtype=complex)
-        out[:, 0] = vec[0] * scaled
-        out[:, 1] = vec[1] * scaled
-        return out.reshape(-1)
-    if qubits[0] > qubits[1]:
-        vec = vec[_PAIR_SWAP]
-    pre, mid, post = residual.shape
-    out = np.empty((pre, 2, mid, 2, post), dtype=complex)
-    for idx in range(4):
-        out[:, idx >> 1, :, idx & 1] = vec[idx] * scaled
-    return out.reshape(-1)
+def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+    return _qubits_back(np.einsum("ij,kj->ik", _qubits_last(amps, n, qubits), m), n, qubits)
 
 
 def _check_qubit(state: PureState, qubit: int) -> None:
@@ -236,16 +205,37 @@ def _check_qubit(state: PureState, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {len(state.labels)} qubits")
 
 
-def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
-    """Apply a single-qubit unitary to ``target``, identity elsewhere."""
+def _rows(state: PureState, where):
+    """Index of the rows a kernel acts on: all of them, or a boolean mask."""
+    if where is None:
+        return slice(None)
+    where = np.asarray(where, dtype=bool)
+    if where.shape != (state.rows,):
+        raise ValueError(f"where mask of shape {where.shape} for {state.rows} rows")
+    return where
+
+
+def _replace_rows(state: PureState, rows, amps: np.ndarray) -> PureState:
+    out = state.amplitudes.copy()
+    out[rows] = amps
+    return _wrap(out, state.labels)
+
+
+def apply_gate(state: PureState, gate: Gate1Q, target: int, where=None) -> PureState:
+    """Apply a single-qubit unitary to ``target`` (identity elsewhere) on the `where` rows."""
     _check_qubit(state, target)
+    rows = _rows(state, where)
     if gate.name == "I":
         return state
-    return _wrap(_apply_1q(state.amplitudes, target, gate.matrix), state.labels)
+    return _replace_rows(
+        state, rows, _apply(state.amplitudes[rows], state.num_qubits, (target,), gate.matrix)
+    )
 
 
-def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int) -> PureState:
-    """Apply a 4x4 unitary to the ordered qubit pair (q1, q2).
+def apply_two_qubit(
+    state: PureState, matrix: np.ndarray, q1: int, q2: int, where=None
+) -> PureState:
+    """Apply a 4x4 unitary to the ordered qubit pair (q1, q2) on the `where` rows.
 
     The matrix acts on the pair basis |q1 q2>, index 2*bit(q1) + bit(q2).
     The caller is responsible for supplying a unitary; a norm-breaking
@@ -258,11 +248,12 @@ def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int) -> P
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("two-qubit matrix must be 4x4")
-    return _wrap(_apply_2q(state.amplitudes, q1, q2, m), state.labels)
+    rows = _rows(state, where)
+    return _replace_rows(state, rows, _apply(state.amplitudes[rows], state.num_qubits, (q1, q2), m))
 
 
 def append_qubit(state: PureState, amplitudes, label: str) -> PureState:
-    """Tensor a fresh single qubit onto the register as the last qubit."""
+    """Tensor the same fresh single qubit onto every row as the last qubit."""
     if label in state.labels:
         raise ValueError(f"label {label!r} already present")
     if state.num_qubits + 1 > MAX_QUBITS:
@@ -270,7 +261,8 @@ def append_qubit(state: PureState, amplitudes, label: str) -> PureState:
     extra = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if extra.shape[0] != 2:
         raise ValueError("appended qubit needs exactly 2 amplitudes")
-    out = (state.amplitudes[:, None] * extra[None, :]).reshape(-1)
+    amps = state.amplitudes
+    out = (amps[:, :, None] * extra[None, None, :]).reshape(amps.shape[0], 2 * amps.shape[1])
     return _wrap(out, state.labels + (label,))
 
 
@@ -313,111 +305,119 @@ class BellProjector:
 
 Projector = Union[ZProjector, XProjector, BellProjector]
 
-_Z_VECS = {
-    0: np.array([1.0, 0.0], dtype=complex),
-    1: np.array([0.0, 1.0], dtype=complex),
-}
-_X_VECS = {
-    XOutcome.PLUS: np.array([1.0, 1.0], dtype=complex) * _INV_SQRT2,
-    XOutcome.MINUS: np.array([1.0, -1.0], dtype=complex) * _INV_SQRT2,
-}
-# Pair-basis index order: 2*bit(first qubit) + bit(second qubit).
-_BELL_VECS = {
-    BellOutcome.PHI_PLUS: np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) * _INV_SQRT2,
-    BellOutcome.PHI_MINUS: np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) * _INV_SQRT2,
-    BellOutcome.PSI_PLUS: np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) * _INV_SQRT2,
-    BellOutcome.PSI_MINUS: np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) * _INV_SQRT2,
-}
 
-_Z_ORDER = (0, 1)
-_X_ORDER = (XOutcome.PLUS, XOutcome.MINUS)
-_BELL_ORDER = (
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
+def _basis(*vectors) -> np.ndarray:
+    """Outcome vectors as the rows of a read-only matrix."""
+    out = np.array(vectors, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+# One row per outcome code; pair vectors index 2*bit(first qubit) + bit(second).
+_Z_BASIS = _basis([1.0, 0.0], [0.0, 1.0])
+_X_BASIS = _basis([_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2])
+_BELL_BASIS = _basis(
+    [_INV_SQRT2, 0.0, 0.0, _INV_SQRT2],
+    [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
+    [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
+    [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
 )
 
 _DEGENERATE = 1e-12
 
 
-def _norm2(arr: np.ndarray) -> float:
-    return float(np.vdot(arr, arr).real)
+def _residuals(amps: np.ndarray, n: int, qubits: tuple[int, ...], vecs: np.ndarray) -> np.ndarray:
+    """Each <vec| contracted into `qubits`: the unnormalised branches, (rows, rest, outcomes)."""
+    out = np.einsum("ij,kj->ik", _qubits_last(amps, n, qubits), vecs.conj())
+    return out.reshape(amps.shape[0], 1 << (n - len(qubits)), len(vecs))
 
 
-def _pick(rng: np.random.Generator, probs) -> int:
-    total = sum(probs)
-    if abs(total - 1.0) > ATOL:
-        raise RuntimeError(f"measurement probabilities sum to {total!r}")
-    r = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return k
-    return len(probs) - 1
+def _probs(residuals: np.ndarray) -> np.ndarray:
+    """Born probabilities, (rows, outcomes)."""
+    return np.einsum("ijk,ijk->ik", residuals.conj(), residuals).real
 
 
-def _guard(prob: float) -> None:
-    if prob < _DEGENERATE:
+def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first outcome whose cumulative probability exceeds u."""
+    acc = np.cumsum(probs, axis=1)
+    bad = ~(np.abs(acc[:, -1] - 1.0) <= ATOL)
+    if bad.any():
+        raise RuntimeError(f"measurement probabilities sum to {acc[bad][0, -1]!r}")
+    return np.minimum((u[:, None] >= acc).sum(axis=1), probs.shape[1] - 1)
+
+
+def _guard(prob: np.ndarray) -> None:
+    if (prob < _DEGENERATE).any():
         raise RuntimeError("projection onto a (near-)zero branch; internal logic error")
 
 
-def measure_z(state: PureState, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
-    """Projective z-basis measurement; returns (outcome, collapsed state)."""
-    # Plain slices instead of _measure: auth checks call this for every
-    # checked qubit, and the generic residual/collapse doubles its cost.
-    _check_qubit(state, target)
-    psi = _split1(state.amplitudes, target)
-    residuals = (psi[:, 0], psi[:, 1])
-    probs = [_norm2(res) for res in residuals]
-    k = _pick(rng, probs)
-    _guard(probs[k])
-    out = np.zeros_like(psi)
-    out[:, k] = residuals[k] * (1.0 / sqrt(probs[k]))
-    return _Z_ORDER[k], _wrap(out.reshape(-1), state.labels)
+def _collapse(residual: np.ndarray, vecs: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Per row, |vec> on the measured qubits times the renormalised (rows, rest) residual."""
+    scaled = residual / np.sqrt(prob)[:, None]
+    return scaled[:, :, None] * vecs[:, None, :]
 
 
-def _measure(
-    state: PureState, qubits: tuple[int, ...], order: tuple, vecs: dict, rng: np.random.Generator
-):
+def _measure_rows(amps, n, qubits, basis, u):
+    """(outcome codes, collapsed amplitudes) of rows measured in `basis`."""
+    residuals = _residuals(amps, n, qubits, basis)
+    probs = _probs(residuals)
+    k = _pick(probs, u)
+    rows = np.arange(amps.shape[0])
+    prob = probs[rows, k]
+    _guard(prob)
+    return k, _qubits_back(_collapse(residuals[rows, :, k], basis[k], prob), n, qubits)
+
+
+def _measure(state: PureState, qubits: tuple[int, ...], basis: np.ndarray, u, where):
     for q in qubits:
         _check_qubit(state, q)
-    residuals = [_residual(state.amplitudes, qubits, vecs[o]) for o in order]
-    probs = [_norm2(res) for res in residuals]
-    k = _pick(rng, probs)
-    _guard(probs[k])
-    outcome = order[k]
-    amps = _collapse(qubits, vecs[outcome], residuals[k], probs[k])
-    return outcome, _wrap(amps, state.labels)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != state.rows:
+        raise ValueError(f"{u.shape[0]} uniforms for {state.rows} rows")
+    rows = _rows(state, where)
+    outcomes = np.full(state.rows, -1)
+    outcomes[rows], amps = _measure_rows(
+        state.amplitudes[rows], state.num_qubits, qubits, basis, u[rows]
+    )
+    return outcomes, _replace_rows(state, rows, amps)
 
 
-def measure_x(state: PureState, target: int, rng: np.random.Generator) -> tuple[XOutcome, PureState]:
-    """Projective {|+>, |->} measurement; returns (outcome, collapsed state)."""
-    return _measure(state, (target,), _X_ORDER, _X_VECS, rng)
+def measure_z(state: PureState, target: int, u, where=None) -> tuple[np.ndarray, PureState]:
+    """Projective z-basis measurement of each row with its uniform from `u`.
+
+    Returns (outcomes 0/1, collapsed state); rows outside `where` keep
+    their amplitudes and read -1.
+    """
+    return _measure(state, (target,), _Z_BASIS, u, where)
 
 
-def measure_bell(
-    state: PureState, q1: int, q2: int, rng: np.random.Generator
-) -> tuple[BellOutcome, PureState]:
-    """Bell-basis measurement of the ordered pair (q1, q2)."""
+def measure_x(state: PureState, target: int, u, where=None) -> tuple[np.ndarray, PureState]:
+    """Projective {|+>, |->} measurement; outcome codes index X_OUTCOMES."""
+    return _measure(state, (target,), _X_BASIS, u, where)
+
+
+def measure_bell(state: PureState, q1: int, q2: int, u, where=None) -> tuple[np.ndarray, PureState]:
+    """Bell-basis measurement of the ordered pair (q1, q2); codes index BELL_OUTCOMES."""
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
-    return _measure(state, (q1, q2), _BELL_ORDER, _BELL_VECS, rng)
+    return _measure(state, (q1, q2), _BELL_BASIS, u, where)
 
 
 def _resolve(state: PureState, projector: Projector) -> tuple[tuple[int, ...], np.ndarray]:
-    """(qubits, projector vector) of a z / x / Bell projector, qubits range-checked."""
+    """(qubits, projector vector) of a z / x / Bell projector on a one-row state."""
     if isinstance(projector, ZProjector):
-        qubits, vec = (projector.qubit,), _Z_VECS[projector.outcome]
+        qubits, vec = (projector.qubit,), _Z_BASIS[projector.outcome]
     elif isinstance(projector, XProjector):
-        qubits, vec = (projector.qubit,), _X_VECS[projector.outcome]
+        qubits, vec = (projector.qubit,), _X_BASIS[X_OUTCOMES.index(projector.outcome)]
     elif isinstance(projector, BellProjector):
-        qubits, vec = (projector.qubit_a, projector.qubit_b), _BELL_VECS[projector.outcome]
+        qubits = (projector.qubit_a, projector.qubit_b)
+        vec = _BELL_BASIS[BELL_OUTCOMES.index(projector.outcome)]
     else:
         raise TypeError(f"malformed projector: {projector!r}")
     for q in qubits:
         _check_qubit(state, q)
+    if state.rows != 1:
+        raise ValueError(f"projection is a one-row oracle, got {state.rows} rows")
     return qubits, vec
 
 
@@ -428,23 +428,25 @@ def project(state: PureState, projector: Projector) -> tuple[float, PureState | 
     Useful as an exact oracle that avoids sampling noise.
     """
     qubits, vec = _resolve(state, projector)
-    residual = _residual(state.amplitudes, qubits, vec)
-    prob = _norm2(residual)
-    if prob < _DEGENERATE:
-        return prob, None
-    return prob, _wrap(_collapse(qubits, vec, residual, prob), state.labels)
+    residual = _residuals(state.amplitudes, state.num_qubits, qubits, vec[None, :])
+    prob = _probs(residual)[:, 0]
+    if prob[0] < _DEGENERATE:
+        return float(prob[0]), None
+    out = _collapse(residual[:, :, 0], vec[None, :], prob)
+    return float(prob[0]), _wrap(_qubits_back(out, state.num_qubits, qubits), state.labels)
 
 
 def probability_of(state: PureState, projector: Projector) -> float:
-    """Exact Born probability of a z / x / Bell projector."""
+    """Exact Born probability of a z / x / Bell projector on a one-row state."""
     qubits, vec = _resolve(state, projector)
-    return _norm2(_residual(state.amplitudes, qubits, vec))
+    return float(_probs(_residuals(state.amplitudes, state.num_qubits, qubits, vec[None, :]))[0, 0])
 
 
 def states_equal_up_to_global_phase(a, b, tol: float = ATOL) -> bool:
-    """True when two normalized states differ only by a global phase."""
-    va = a.amplitudes if isinstance(a, PureState) else np.asarray(a, dtype=complex)
-    vb = b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex)
+    """True when two normalized states differ row by row only by a global phase."""
+    va = np.atleast_2d(a.amplitudes if isinstance(a, PureState) else np.asarray(a, dtype=complex))
+    vb = np.atleast_2d(b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex))
     if va.shape != vb.shape:
         return False
-    return abs(abs(np.vdot(va, vb)) - 1.0) <= tol
+    overlap = np.abs(np.einsum("ij,ij->i", va.conj(), vb))
+    return bool(np.all(np.abs(overlap - 1.0) <= tol))

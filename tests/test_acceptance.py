@@ -29,6 +29,8 @@ from ghzqdc.protocol import (
 )
 from ghzqdc.statevector import (
     ATOL,
+    BELL_OUTCOMES,
+    X_OUTCOMES,
     BellOutcome,
     BellProjector,
     GATES,
@@ -98,6 +100,16 @@ def encoded(bit: int):
     return apply_gate(new_ghz3(), HX if bit else H, 0)
 
 
+def sampled_bell_x(state, bell_pair, x_qubit, rng, shots=10_000):
+    """(Bell outcome, x outcome) of `shots` copies of `state`, the Bell
+    measurement first; each shot draws its Bell uniform, then its x uniform."""
+    copies = make_state(np.tile(state.amplitudes, (shots, 1)), state.labels)
+    u = rng.random((shots, 2))
+    bell, after = measure_bell(copies, *bell_pair, u[:, 0])
+    x, _ = measure_x(after, x_qubit, u[:, 1])
+    return [(BELL_OUTCOMES[b], X_OUTCOMES[xo]) for b, xo in zip(bell.tolist(), x.tolist())]
+
+
 @pytest.mark.parametrize("bit", [0, 1])
 def test_02_bell_x_joint_statistics(bit):
     state = encoded(bit)
@@ -116,9 +128,7 @@ def test_02_bell_x_joint_statistics(bit):
     # sampled side: 10,000 shots, each allowed pair at 0.25 within 0.02
     rng = np.random.default_rng(200 + bit)
     counts = {}
-    for _ in range(10_000):
-        bell, after = measure_bell(state, 0, 2, rng)
-        x, _ = measure_x(after, 1, rng)
+    for bell, x in sampled_bell_x(state, (0, 2), 1, rng):
         counts[(bell, x)] = counts.get((bell, x), 0) + 1
     assert set(counts) == allowed
     for pair in allowed:
@@ -160,9 +170,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
     rng = np.random.default_rng(300 + bit)
     fine_counts = {}
     coarse_counts = {}
-    for _ in range(10_000):
-        bell, after = measure_bell(state, 0, 1, rng)
-        x, _ = measure_x(after, 2, rng)
+    for bell, x in sampled_bell_x(state, (0, 1), 2, rng):
         pair = (trent_publish(bell), x)
         fine_counts[(bell, x)] = fine_counts.get((bell, x), 0) + 1
         coarse_counts[pair] = coarse_counts.get(pair, 0) + 1

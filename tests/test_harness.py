@@ -214,6 +214,14 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
         assert exc.value.code == 2
         assert "--m-values" in capsys.readouterr().err
         assert not out.exists()
+    # So is a negative message length or an empty message.
+    for flag, value in (("--message-bits", "-3"), ("--message", ""), ("--message", "0x")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--n-ghz", "40", "--auth-check-bits", "2", flag, value,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from ghzqdc.statevector import (
     ATOL,
+    BELL_OUTCOMES,
+    X_OUTCOMES,
     BellOutcome,
     BellProjector,
     Gate1Q,
     H,
+    PureState,
     HX,
     I,
     X,
@@ -33,6 +36,11 @@ from ghzqdc.statevector import (
 import oracles
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def stack(state, rows):
+    """`rows` copies of a one-row state as one register."""
+    return make_state(np.tile(state.amplitudes, (rows, 1)), state.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +158,10 @@ def test_make_state_validation():
 def test_append_qubit_and_two_qubit_gate():
     s = append_qubit(basis_state("10"), [1, 0], "E")
     assert s.labels == ("q0", "q1", "E")
-    assert np.allclose(s.amplitudes[0b100], 1.0)
+    assert np.allclose(s.amplitudes[0, 0b100], 1.0)
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     s2 = apply_two_qubit(s, cnot, 0, 2)
-    assert np.allclose(s2.amplitudes[0b101], 1.0)
+    assert np.allclose(s2.amplitudes[0, 0b101], 1.0)
     with pytest.raises(ValueError):
         apply_two_qubit(s, cnot, 1, 1)
 
@@ -164,15 +172,15 @@ def test_append_qubit_and_two_qubit_gate():
 
 def test_measure_z_eigenstate():
     rng = np.random.default_rng(0)
-    outcome, after = measure_z(basis_state("1"), 0, rng)
-    assert outcome == 1
+    outcome, after = measure_z(basis_state("1"), 0, rng.random(1))
+    assert outcome.tolist() == [1]
     assert np.allclose(after.amplitudes, [0, 1], atol=ATOL)
 
 
 def test_measure_z_collapses_ghz():
     rng = np.random.default_rng(5)
-    outcome, after = measure_z(new_ghz3(), 0, rng)
-    target = basis_state("000") if outcome == 0 else basis_state("111")
+    outcome, after = measure_z(new_ghz3(), 0, rng.random(1))
+    target = basis_state("000") if outcome[0] == 0 else basis_state("111")
     assert np.allclose(after.amplitudes, target.amplitudes, atol=ATOL)
 
 
@@ -180,15 +188,16 @@ def test_measure_z_born_frequency():
     """Empirical z frequencies of H|0> against the Born rule."""
     rng = np.random.default_rng(42)
     plus = apply_gate(basis_state("0"), H, 0)
-    zeros = sum(1 for _ in range(10_000) if measure_z(plus, 0, rng)[0] == 0)
+    outcomes, _ = measure_z(stack(plus, 10_000), 0, rng.random(10_000))
+    zeros = int((outcomes == 0).sum())
     assert zeros / 10_000 == pytest.approx(0.5, abs=0.02)
 
 
 def test_measure_x_eigenstate():
     rng = np.random.default_rng(0)
     plus = apply_gate(basis_state("0"), H, 0)
-    outcome, after = measure_x(plus, 0, rng)
-    assert outcome is XOutcome.PLUS
+    outcome, after = measure_x(plus, 0, rng.random(1))
+    assert X_OUTCOMES[outcome[0]] is XOutcome.PLUS
     assert states_equal_up_to_global_phase(after, plus)
 
 
@@ -203,9 +212,9 @@ def test_measure_x_unbiased_on_z_eigenstate():
 def test_measure_x_equals_h_then_z(amps, target, seed):
     """x measurement == apply H then measure z, mapping 0->plus, 1->minus."""
     s = make_state(amps, ("u", "v"))
-    out_x, _ = measure_x(s, target, np.random.default_rng(seed))
-    out_z, _ = measure_z(apply_gate(s, H, target), target, np.random.default_rng(seed))
-    assert (out_z == 0) == (out_x is XOutcome.PLUS)
+    out_x, _ = measure_x(s, target, np.random.default_rng(seed).random(1))
+    out_z, _ = measure_z(apply_gate(s, H, target), target, np.random.default_rng(seed).random(1))
+    assert (out_z[0] == 0) == (X_OUTCOMES[out_x[0]] is XOutcome.PLUS)
 
 
 def test_measure_bell_eigenstate():
@@ -214,20 +223,20 @@ def test_measure_bell_eigenstate():
     phi_plus[0b000] = INV_SQRT2  # |0>_q2 tensor, pair (0,1)
     phi_plus[0b110] = INV_SQRT2
     s = make_state(phi_plus, ("a", "b", "c"))
-    outcome, _ = measure_bell(s, 0, 1, rng)
-    assert outcome is BellOutcome.PHI_PLUS
+    outcome, _ = measure_bell(s, 0, 1, rng.random(1))
+    assert BELL_OUTCOMES[outcome[0]] is BellOutcome.PHI_PLUS
 
 
 def test_measure_bell_rejects_same_qubit():
     with pytest.raises(ValueError):
-        measure_bell(new_ghz3(), 1, 1, np.random.default_rng(0))
+        measure_bell(new_ghz3(), 1, 1, np.random.default_rng(0).random(1))
 
 
 def test_bell_x_joint_after_h_on_ghz():
     """Joint (Bell on (A,B), x on T) statistics after H on A: four pairs at
     1/4 each, all others exactly zero, matching the brute-force oracle."""
     s = apply_gate(new_ghz3(), H, 0)
-    oracle = oracles.bell_x_joint(s.amplitudes, bell_pair=(0, 2), x_qubit=1)
+    oracle = oracles.bell_x_joint(s.amplitudes[0], bell_pair=(0, 2), x_qubit=1)
     allowed = {
         ("phi_plus", "minus"),
         ("phi_minus", "plus"),
@@ -250,10 +259,8 @@ def test_bell_x_joint_after_h_on_ghz():
 def test_bell_measurement_sampling_matches_probabilities():
     rng = np.random.default_rng(11)
     s = apply_gate(new_ghz3(), H, 0)
-    counts = {o: 0 for o in BellOutcome}
-    for _ in range(4000):
-        outcome, _ = measure_bell(s, 0, 2, rng)
-        counts[outcome] += 1
+    outcomes, _ = measure_bell(stack(s, 4000), 0, 2, rng.random(4000))
+    counts = {o: int((outcomes == k).sum()) for k, o in enumerate(BELL_OUTCOMES)}
     for o in BellOutcome:
         assert counts[o] / 4000 == pytest.approx(0.25, abs=0.03)
 
@@ -328,15 +335,96 @@ def test_measurement_repeatability(amps, seed):
     """Repeating a projective measurement reproduces the outcome surely."""
     rng = np.random.default_rng(seed)
     s = make_state(amps, ("a", "b", "c"))
-    out1, after = measure_z(s, 1, rng)
-    out2, _ = measure_z(after, 1, rng)
-    assert out1 == out2
-    bout1, after = measure_bell(s, 0, 2, rng)
-    bout2, _ = measure_bell(after, 0, 2, rng)
-    assert bout1 is bout2
+    out1, after = measure_z(s, 1, rng.random(1))
+    out2, _ = measure_z(after, 1, rng.random(1))
+    assert out1.tolist() == out2.tolist()
+    bout1, after = measure_bell(s, 0, 2, rng.random(1))
+    bout2, _ = measure_bell(after, 0, 2, rng.random(1))
+    assert bout1.tolist() == bout2.tolist()
 
 
 def test_global_phase_equality_helper():
     s = new_ghz3()
     assert states_equal_up_to_global_phase(s, np.exp(1j * 0.7) * s.amplitudes)
     assert not states_equal_up_to_global_phase(s, basis_state("000"))
+
+
+# ---------------------------------------------------------------------------
+# Rows of a stack are independent registers
+
+
+@st.composite
+def row_stacks(draw):
+    """A stack of random normalised 3-6 qubit rows (some with zeroed
+    amplitudes), one uniform per row, and a row mask or None."""
+    n = draw(st.integers(3, 6))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    if draw(st.booleans()):
+        amps[rng.random(amps.shape) < 0.6] = 0.0
+        amps[:, rng.integers(2**n)] += 1.0
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=rows, max_size=rows)))
+    where = draw(st.none() | st.lists(st.booleans(), min_size=rows, max_size=rows).map(np.array))
+    return make_state(amps, tuple(f"q{i}" for i in range(n))), u, where
+
+
+def random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+ROW_KERNELS = ("gate", "two_qubit", "append", "z", "x", "bell")
+
+
+def run_kernel(name, state, q1, q2, u, where, seed):
+    """(outcomes or None, state) of one kernel; `where` is ignored by append_qubit."""
+    if name == "gate":
+        return None, apply_gate(state, HX, q1, where=where)
+    if name == "two_qubit":
+        return None, apply_two_qubit(state, random_unitary(seed), q1, q2, where=where)
+    if name == "append":
+        return None, append_qubit(state, [0.6, 0.8j], "E")
+    if name == "z":
+        return measure_z(state, q1, u, where)
+    if name == "x":
+        return measure_x(state, q1, u, where)
+    return measure_bell(state, q1, q2, u, where)
+
+
+@given(row_stacks(), st.sampled_from(ROW_KERNELS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernels_act_on_each_row_alone(stack_u_where, name, data):
+    """A kernel on a stack gives exactly the outcomes and amplitudes of the
+    same kernel on each row alone, with the row's uniform and mask bit."""
+    state, u, where = stack_u_where
+    q1, q2 = data.draw(st.permutations(range(state.num_qubits)))[:2]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    singles = []
+    for r in range(state.rows):
+        w = None if where is None else where[r : r + 1]
+        try:
+            singles.append(run_kernel(name, state.take([r]), q1, q2, u[r : r + 1], w, seed))
+        except RuntimeError:  # a uniform that lands on a (near-)zero branch
+            with pytest.raises(RuntimeError):
+                run_kernel(name, state, q1, q2, u, where, seed)
+            return
+    outcomes, after = run_kernel(name, state, q1, q2, u, where, seed)
+    assert after.rows == state.rows
+    assert after.labels == singles[0][1].labels
+    assert np.array_equal(after.amplitudes, np.concatenate([s.amplitudes for _, s in singles]))
+    if outcomes is not None:
+        assert outcomes.tolist() == [int(o[0]) for o, _ in singles]
+
+
+@pytest.mark.parametrize("name", ROW_KERNELS)
+def test_stack_with_one_unnormalised_row_raises(name):
+    amps = np.tile(new_ghz3().amplitudes, (4, 1))
+    amps[2] *= 1.01
+    with pytest.raises(ValueError):
+        make_state(amps, ("A", "T", "B"))
+    bad = PureState(amps, ("A", "T", "B"))  # bypasses make_state's check
+    with pytest.raises((ValueError, RuntimeError)):
+        run_kernel(name, bad, 0, 2, np.full(4, 0.3), None, 0)

@@ -295,17 +295,13 @@ def attack_draws(
     u = np.zeros(hit.shape)
     cols = [j for j, c in enumerate(channels) if model.targets(c)]
     intercept = model.variant == AttackVariant.INTERCEPT_RESEND
-    if cols and model.coverage == 1.0:
-        hit[:, cols] = True
-        if intercept:
-            u[:, cols] = eve_rng.random((rows, len(cols)))
-    elif cols:
-        for row in range(rows):
-            for j in cols:
-                if eve_rng.random() < model.coverage:
-                    hit[row, j] = True
-                    if intercept:
-                        u[row, j] = eve_rng.random()
+    for row in range(rows):
+        for j in cols:
+            if model.coverage < 1.0 and eve_rng.random() >= model.coverage:
+                continue
+            hit[row, j] = True
+            if intercept:
+                u[row, j] = eve_rng.random()
     return hit, u
 
 

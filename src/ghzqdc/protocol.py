@@ -672,10 +672,7 @@ def run_session(
     result.plan = plan
 
     used = plan.used_positions()
-    bit_of = np.zeros(len(auth.surviving), dtype=int)
-    bit_of[list(plan.message_positions)] = [int(b) for b in plan.frame_bits]
-    bit_of[list(plan.check_positions)] = [int(b) for b in plan.check_bits]
-    bits = bit_of[used]
+    bits = np.array([plan.bit_at(s) for s in used], dtype=int)
     channel = message_channel(config.protocol_variant)
     sent, eve_msg = _encode_and_send(
         auth.surviving.take(used), plan, bits, channel, attack, eve_rng=eve_rng,

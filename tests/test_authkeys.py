@@ -1,4 +1,6 @@
 """Key derivation: block concatenation, counters, keyed unitaries."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,3 +128,20 @@ def test_encode_then_decode_with_same_bits_is_identity(values, a_bit, b_bit):
     for bit, target in ((a_bit, 0), (b_bit, 1)):
         out = apply_gate(out, unitary_for_key_bit(bit), target)
     assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
+
+
+def test_golden_identity_keys_known_answer():
+    """SHAKE-256 keys of the golden transcript identities, pinned by digest.
+
+    Honest sessions cancel the keyed gates, so only this test (and the
+    attacked goldens) would catch a bit-order slip in key derivation.
+    """
+    h = Shake256Hash()
+    digests = {}
+    for id_bits, role in (("1011001110001111", "alice"), ("0100110001110000", "bob")):
+        key = derive_key(UserIdentity(id_bits, role), h, Counter(0), needed=300)
+        digests[role] = hashlib.sha256(key.bits.encode("ascii")).hexdigest()
+    assert digests == {
+        "alice": "7aed019ac90d07ad9ae461a28af3f8f23ba977e67742ae567d1ad4cf98342598",
+        "bob": "9fc5e9e560c67f1e3efc46caf23119ca6a9b1e190b9e4e514185b6ef35c6d08e",
+    }

@@ -1,14 +1,18 @@
 """Monte Carlo driver: aggregation, reproducibility, sweeps, CLI."""
 import csv
+import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, intercept_resend_attack
 from ghzqdc.cli import main as cli_main, parse_complex, parse_message
 from ghzqdc.harness import (
     RunSpec,
+    _derive_trial_keys,
+    _random_bits,
     detection_rate_reference,
     run,
     sweep_detection_curve,
@@ -330,3 +334,16 @@ def test_golden_report(name):
     scripts/pin_golden_reports.py --write after an intentional contract change."""
     expected = json.loads(GOLDEN.FIXTURE.read_text(encoding="ascii"))
     assert GOLDEN.report_digest(GOLDEN.CONFIGS[name]) == expected[name]
+
+
+def test_trial_draws_known_answer():
+    """Identities, keys and random messages of trials 0-49 at seed 0, pinned by digest."""
+    digest = hashlib.sha256()
+    for t in range(50):
+        keys_ss, _ = trial_seed(0, t)
+        rng = np.random.default_rng(keys_ss)
+        drawn = [_random_bits(rng, 128), _random_bits(rng, 128), _random_bits(rng, 40)]
+        keys = _derive_trial_keys(np.random.default_rng(keys_ss), 128)
+        for bits in drawn + [k.bits for k in keys]:
+            digest.update(bits.encode("ascii") + b"\n")
+    assert digest.hexdigest() == "c8d23db63fe475afc942c4da7a0a8606dfb8a3b1d5df0b1b2b943831fdab84eb"

@@ -13,6 +13,7 @@ import argparse
 
 from ghzqdc.adversary import NO_ATTACK, Channel, entangle_general_attack
 from ghzqdc.authkeys import Counter, Shake256Hash, UserIdentity, derive_key
+from ghzqdc.ecc import parse_bits
 from ghzqdc.protocol import SessionConfig, run_session
 
 
@@ -28,7 +29,7 @@ def golden_session():
     config = SessionConfig(
         n_ghz=20, m_auth_check=2, check_fraction_msg=0.25, rng_seed=2024
     )
-    return run_session(config, alice, bob, "1101", NO_ATTACK)
+    return run_session(config, alice, bob, parse_bits("1101"), NO_ATTACK)
 
 
 def golden_attacked_session():
@@ -44,7 +45,7 @@ def golden_attacked_session():
     attack = entangle_general_attack(
         {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}, coverage=0.5
     )
-    return run_session(config, alice, bob, "1101", attack)
+    return run_session(config, alice, bob, parse_bits("1101"), attack)
 
 
 def main() -> None:

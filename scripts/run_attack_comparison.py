@@ -15,17 +15,17 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.harness import RunSpec, run
-from ghzqdc.protocol import SessionConfig
+from ghzqdc.protocol import SessionConfig, message_channel
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--protocol", choices=["qdc1", "qdc2"], default="qdc1")
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    msg_channel = Channel.ALICE_TO_BOB if args.protocol == "qdc1" else Channel.ALICE_TO_TRENT
+    msg_channel = message_channel(args.protocol)
     attacks = {
         "none": NO_ATTACK,
         "intercept (auth)": intercept_resend_attack({Channel.TRENT_TO_ALICE}),

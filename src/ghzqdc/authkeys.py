@@ -3,9 +3,10 @@
 A key is the concatenation h(ID, c) || h(ID, c+1) || ... of fixed-width
 hash blocks, extended by incrementing the counter until the key covers the
 requested number of positions. The hash itself is a pluggable contract:
-any deterministic callable (id_bits, counter_bits) -> block of constant
-width. Shake256Hash is the production choice; PatternHash is a
-deterministic stub for tests and fixtures.
+any deterministic callable (id_bits, counter_bits) -> bit array of
+constant width, both inputs being "0"/"1" text. Shake256Hash is the
+production choice; PatternHash is a deterministic stub for tests and
+fixtures.
 
 Key bit k drives the encode/decode unitary on the matching GHZ particle:
 0 selects the identity, 1 selects the Hadamard. Both are self-inverse, so
@@ -22,11 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .ecc import _check_bits
+from .ecc import parse_bits
 from .statevector import H, I, Gate1Q
 
 #: Hash contract: deterministic, fixed output width per instance.
-HashContract = Callable[[str, str], str]
+HashContract = Callable[[str, str], np.ndarray]
 
 DEFAULT_KEY_BLOCK_BITS = 128
 DEFAULT_COUNTER_BITS = 32
@@ -44,7 +45,7 @@ class UserIdentity:
     role: str  # "alice" or "bob"
 
     def __post_init__(self):
-        _check_bits(self.id_bits, "id_bits")
+        parse_bits(self.id_bits, "id_bits")
         if not self.id_bits:
             raise ValueError("identity must be non-empty")
         if self.role not in ("alice", "bob"):
@@ -76,40 +77,37 @@ class Shake256Hash:
             raise ValueError("output_bits must be positive")
         self.output_bits = output_bits
 
-    def __call__(self, id_bits: str, counter_bits: str) -> str:
-        shake = hashlib.shake_256()
-        shake.update(f"{id_bits}|{counter_bits}".encode("ascii"))
+    def __call__(self, id_bits: str, counter_bits: str) -> np.ndarray:
+        shake = hashlib.shake_256(f"{id_bits}|{counter_bits}".encode("ascii"))
         digest = shake.digest((self.output_bits + 7) // 8)
-        bits = "".join(format(byte, "08b") for byte in digest)
-        return bits[: self.output_bits]
+        return np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[: self.output_bits]
 
 
 class PatternHash:
     """Deterministic test stub: repeats a fixed pattern, ignoring inputs."""
 
     def __init__(self, pattern: str = "0110", output_bits: int = 8):
-        _check_bits(pattern, "pattern")
-        if not pattern:
+        self.pattern = parse_bits(pattern, "pattern")
+        if not len(self.pattern):
             raise ValueError("pattern must be non-empty")
         if output_bits < 1:
             raise ValueError("output_bits must be positive")
-        self.pattern = pattern
         self.output_bits = output_bits
 
-    def __call__(self, id_bits: str, counter_bits: str) -> str:
-        reps = -(-self.output_bits // len(self.pattern))
-        return (self.pattern * reps)[: self.output_bits]
+    def __call__(self, id_bits: str, counter_bits: str) -> np.ndarray:
+        return np.resize(self.pattern, self.output_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuthKey:
-    """Derived key bits plus the (counter, block) provenance that built them."""
+    """Derived key bits (read-only uint8) plus the counters of the hash blocks
+    that built them, block i being the i-th block-width slice of `bits`."""
 
-    bits: str
-    provenance: tuple[tuple[int, str], ...] = ()
+    bits: np.ndarray
+    counters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_bits(self.bits, "key bits")
+        object.__setattr__(self, "bits", parse_bits(self.bits, "key bits"))
 
 
 def derive_key(
@@ -125,36 +123,33 @@ def derive_key(
     """
     if needed < 1:
         raise ValueError("needed must be >= 1")
-    blocks: list[tuple[int, str]] = []
+    blocks: list[np.ndarray] = []
     collected = 0
-    value = start_counter.value
-    block_width = None
+    start = value = start_counter.value
     while collected < needed:
         if value >= 2**start_counter.width:
             raise CounterOverflowError(
                 f"counter overflow past {2**start_counter.width - 1} while deriving key"
             )
         counter = Counter(value, start_counter.width)
-        block = _check_bits(h(identity.id_bits, counter.bits()), "hash output")
-        if block_width is None:
-            block_width = len(block)
-            if block_width == 0:
-                raise ValueError("hash contract returned an empty block")
-        elif len(block) != block_width:
+        block = h(identity.id_bits, counter.bits())  # AuthKey checks the bits
+        if not blocks and len(block) == 0:
+            raise ValueError("hash contract returned an empty block")
+        if blocks and len(block) != len(blocks[0]):
             raise ValueError("hash contract returned blocks of varying width")
-        blocks.append((value, block))
+        blocks.append(block)
         collected += len(block)
         value += 1
-    return AuthKey(bits="".join(b for _, b in blocks), provenance=tuple(blocks))
+    return AuthKey(bits=np.concatenate(blocks), counters=tuple(range(start, value)))
 
 
-def random_bits(rng: np.random.Generator, n: int) -> str:
-    """n uniformly random bits as a "0"/"1" string, from one integers() draw."""
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
+def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniformly random bits as a uint8 array, from one integers() draw."""
+    return rng.integers(0, 2, size=n).astype(np.uint8)
 
 
 def random_key(rng: np.random.Generator, length: int) -> AuthKey:
-    """Uniformly random key bits (experiment convenience, empty provenance)."""
+    """Uniformly random key bits (experiment convenience, no counters)."""
     if length < 1:
         raise ValueError("length must be >= 1")
     return AuthKey(bits=random_bits(rng, length))

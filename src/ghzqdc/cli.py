@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
+
+import numpy as np
 
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK
-from .ecc import check_distance_rule, codec_by_name
+from .ecc import check_distance_rule, codec_by_name, format_bits, parse_bits
 from .harness import RunSpec, run, sweep_detection_curve
 from .protocol import SessionConfig, message_channel
 
@@ -35,19 +37,17 @@ def parse_complex(text: str) -> complex:
 
 def parse_message(text: str) -> str:
     """Accept a non-empty bit string, or hex (0x-prefixed or containing hex digits)."""
-    if text.startswith(("0x", "0X")):
-        hexpart = text[2:]
-    elif all(c in "01" for c in text) and text:
-        return text
-    else:
+    hexpart = text[2:] if text.startswith(("0x", "0X")) else None
+    if hexpart is None:
+        with suppress(ValueError):
+            if len(parse_bits(text)):
+                return text
         hexpart = text
-    try:
-        bits = "".join(format(int(c, 16), "04b") for c in hexpart)
-    except ValueError:
-        bits = ""
-    if not bits:
-        raise argparse.ArgumentTypeError(f"message must be bits or hex, got {text!r}")
-    return bits
+    with suppress(ValueError):
+        nibbles = np.array([int(c, 16) for c in hexpart], dtype=np.uint8)
+        if len(nibbles):
+            return format_bits(np.unpackbits(nibbles[:, None], axis=1)[:, 4:])
+    raise argparse.ArgumentTypeError(f"message must be bits or hex, got {text!r}")
 
 
 def parse_message_bits(text: str) -> int:

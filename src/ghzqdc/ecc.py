@@ -9,10 +9,16 @@ Codecs: "none" (pass-through), "repetition" with odd block length r
 block). Neither hamming74 nor odd repetition has detect-but-uncorrectable
 syndromes, so decode never rejects a block; framing inconsistencies
 (bad length, impossible pad) raise FramingError instead.
+
+Inside the library a bit sequence is a 1-D uint8 array of 0s and 1s; this
+module owns the "0"/"1" text used at the edges (CLI, report, transcript):
+parse_bits reads and checks it, format_bits writes it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 HEADER_BITS = 8
 
@@ -25,10 +31,14 @@ class FramingError(ValueError):
 class Codec:
     """Block code parameters: codeword width n, data width k, min distance d."""
 
-    name: str  # "none" | "repetition" | "hamming74"
+    name: str  # "none" (the 1-fold repetition) | "repetition" | "hamming74"
     n: int
     k: int
     d: int
+
+    def __post_init__(self):
+        if self.name not in ("none", "repetition", "hamming74"):
+            raise ValueError(f"unknown codec: {self.name!r}")
 
     def correctable_per_block(self) -> int:
         return (self.d - 1) // 2
@@ -63,104 +73,80 @@ def codec_by_name(name: str) -> Codec:
     raise ValueError(f"unknown codec name: {name!r}")
 
 
-def _check_bits(bits: str, what: str) -> str:
-    # str.strip("01") leaves something behind iff a non-bit char exists.
-    if not isinstance(bits, str) or bits.strip("01"):
-        raise ValueError(f"{what} must be a string of 0s and 1s, got {bits!r}")
-    return bits
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def parse_bits(bits, what: str = "bits") -> np.ndarray:
+    """Bits as a read-only 1-D uint8 array from "0"/"1" text or a 0/1 sequence, else ValueError."""
+    if isinstance(bits, str):
+        if bits.strip("01"):  # leaves something behind iff a non-bit character exists
+            raise ValueError(f"{what} must be 0s and 1s, got {bits!r}")
+        # A view of immutable bytes, so already read-only.
+        return np.frombuffer(bits.encode("ascii").translate(_TEXT_TO_BITS), dtype=np.uint8)
+    arr = np.asarray(bits)
+    if arr.ndim != 1 or np.count_nonzero(arr.astype(bool) != arr):  # a value other than 0 or 1
+        raise ValueError(f"{what} must be 0s and 1s, got {bits!r}")
+    out = arr.astype(np.uint8)
+    out.flags.writeable = False
+    return out
+
+
+def format_bits(bits) -> str:
+    """The "0"/"1" text of a bit array."""
+    return np.asarray(bits, dtype=np.uint8).tobytes().translate(_BITS_TO_TEXT).decode("ascii")
 
 
 # Hamming(7,4): data bits at codeword positions 3,5,6,7 (1-indexed),
-# parity bits at 1,2,4. The syndrome reads out the 1-indexed error
-# position directly.
+# parity bits at 1,2,4. Row j of the check matrix holds the bits of j+1,
+# so the syndrome reads out the 1-indexed error position directly, and
+# parity bit 2^i covers the data positions whose index has bit i set.
+_H74_CHECK = (np.arange(1, 8)[:, None] >> np.arange(3)) & 1
+_H74_DATA = [2, 4, 5, 6]
+_H74_GENERATOR = np.zeros((4, 7), dtype=np.uint8)
+_H74_GENERATOR[:, _H74_DATA] = np.eye(4, dtype=np.uint8)
+_H74_GENERATOR[:, [0, 1, 3]] = _H74_CHECK[_H74_DATA]
 
 
-def _h74_encode_block(data: str) -> str:
-    d1, d2, d3, d4 = (int(b) for b in data)
-    p1 = d1 ^ d2 ^ d4
-    p2 = d1 ^ d3 ^ d4
-    p4 = d2 ^ d3 ^ d4
-    return "".join(str(b) for b in (p1, p2, d1, p4, d2, d3, d4))
-
-
-def _h74_decode_block(word: str) -> tuple[str, int]:
-    b = [int(c) for c in word]
-    s1 = b[0] ^ b[2] ^ b[4] ^ b[6]
-    s2 = b[1] ^ b[2] ^ b[5] ^ b[6]
-    s3 = b[3] ^ b[4] ^ b[5] ^ b[6]
-    pos = s1 | (s2 << 1) | (s3 << 2)
-    corrected = 0
-    if pos:
-        b[pos - 1] ^= 1
-        corrected = 1
-    return f"{b[2]}{b[4]}{b[5]}{b[6]}", corrected
-
-
-def _rep_decode_block(word: str) -> tuple[str, int]:
-    ones = word.count("1")
-    zeros = len(word) - ones
-    majority = "1" if ones > zeros else "0"
-    return majority, min(ones, zeros)
-
-
-def _encode_block(codec: Codec, block: str) -> str:
-    if codec.name == "none":
-        return block
-    if codec.name == "repetition":
-        return block * codec.n
-    if codec.name == "hamming74":
-        return _h74_encode_block(block)
-    raise ValueError(f"unknown codec: {codec.name!r}")
-
-
-def _decode_block(codec: Codec, word: str) -> tuple[str, int]:
-    if codec.name == "none":
-        return word, 0
-    if codec.name == "repetition":
-        return _rep_decode_block(word)
-    if codec.name == "hamming74":
-        return _h74_decode_block(word)
-    raise ValueError(f"unknown codec: {codec.name!r}")
-
-
-def encode(codec: Codec, data: str) -> str:
-    """Frame and encode a bit string: header (pad length) + coded blocks."""
-    _check_bits(data, "data")
+def encode(codec: Codec, data: np.ndarray) -> np.ndarray:
+    """Frame and encode a bit array: header (pad length) + coded blocks."""
     pad = (-len(data)) % codec.k
-    padded = data + "0" * pad
-    header = format(pad, f"0{HEADER_BITS}b")
-    body = "".join(
-        _encode_block(codec, padded[i : i + codec.k]) for i in range(0, len(padded), codec.k)
-    )
-    return header + body
+    blocks = np.concatenate([data, np.zeros(pad, dtype=np.uint8)]).reshape(-1, codec.k)
+    if codec.name == "hamming74":
+        blocks = blocks @ _H74_GENERATOR % 2
+    else:
+        blocks = np.repeat(blocks, codec.n, axis=1)
+    header = np.unpackbits(np.array([pad], dtype=np.uint8))
+    return np.concatenate([header, blocks.ravel()]).astype(np.uint8)
 
 
-def decode(codec: Codec, received: str) -> tuple[str, int]:
-    """Decode a frame back to (data, number of corrected bits).
+def decode(codec: Codec, received: np.ndarray) -> tuple[np.ndarray, int]:
+    """Decode a frame back to (data bits, number of corrected bits).
 
     Raises FramingError when the frame length or pad header cannot belong
     to this codec.
     """
-    _check_bits(received, "received")
     if len(received) < HEADER_BITS:
         raise FramingError(f"frame shorter than the {HEADER_BITS}-bit header")
-    pad = int(received[:HEADER_BITS], 2)
+    pad = int(np.packbits(received[:HEADER_BITS])[0])
     body = received[HEADER_BITS:]
     if len(body) % codec.n != 0:
         raise FramingError(f"body length {len(body)} is not a multiple of n={codec.n}")
-    if pad >= codec.k and not (pad == 0 and codec.k == 1):
+    if pad >= codec.k:
         raise FramingError(f"pad length {pad} impossible for k={codec.k}")
-    corrected = 0
-    chunks: list[str] = []
-    for i in range(0, len(body), codec.n):
-        block, fixed = _decode_block(codec, body[i : i + codec.n])
-        chunks.append(block)
-        corrected += fixed
-    padded = "".join(chunks)
+    words = np.asarray(body, dtype=np.uint8).reshape(-1, codec.n)
+    if codec.name == "hamming74":
+        position = words @ _H74_CHECK % 2 @ (1, 2, 4)  # 1-indexed error position, 0 for none
+        words = (words ^ (np.arange(1, 8) == position[:, None]))[:, _H74_DATA]
+        corrected = int(np.count_nonzero(position))
+    else:  # majority vote per block
+        ones = words.sum(axis=1)
+        words = (2 * ones > codec.n).astype(np.uint8)
+        corrected = int(np.minimum(ones, codec.n - ones).sum())
+    padded = words.ravel()
     if pad > len(padded):
         raise FramingError(f"pad length {pad} exceeds decoded length {len(padded)}")
-    data = padded[: len(padded) - pad] if pad else padded
-    return data, corrected
+    return padded[: len(padded) - pad], corrected
 
 
 def check_distance_rule(error_rate: float, n: int, d: int) -> bool:

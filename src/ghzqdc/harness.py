@@ -27,7 +27,7 @@ import numpy as np
 
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK, attack_to_dict
 from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
-from .ecc import encode as ecc_encode
+from .ecc import encode as ecc_encode, format_bits, parse_bits
 from .protocol import (
     ConfigError, SessionConfig, Verdict, check_capacity, message_channel, run_session
 )
@@ -63,17 +63,19 @@ class RunSpec:
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
         self.config.validate()
-        if self.message is not None and any(c not in "01" for c in self.message):
-            raise ConfigError("message must be a string of 0s and 1s")
-        if self.message is not None and self.message_bits is not None:
+        if self.message is not None:
+            try:
+                parse_bits(self.message, "message")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            if self.message_bits is None:
+                raise ConfigError("message given but message_bits is None (auth-only run)")
             if len(self.message) != self.message_bits:
                 raise ConfigError(
                     f"message length {len(self.message)} != message_bits {self.message_bits}"
                 )
-        if self.message_bits is None and self.message is not None:
-            raise ConfigError("message given but message_bits is None (auth-only run)")
         if self.message_bits is not None:
-            frame_len = len(ecc_encode(self.config.codec, "0" * self.message_bits))
+            frame_len = len(ecc_encode(self.config.codec, np.zeros(self.message_bits, np.uint8)))
             surviving = self.config.n_ghz - self.config.m_auth_check
             check_capacity(surviving, frame_len, self.config.check_fraction_msg)
 
@@ -83,17 +85,16 @@ def trial_seed(seed: int, index: int) -> tuple[np.random.SeedSequence, np.random
     return tuple(np.random.SeedSequence((seed, index)).spawn(2))
 
 
-def _random_bits(rng: np.random.Generator, length: int) -> str:
+def _random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
     nbytes = (length + 7) // 8
-    value = int.from_bytes(rng.bytes(nbytes), "big")
-    return format(value, f"0{8 * nbytes}b")[:length]
+    return np.unpackbits(np.frombuffer(rng.bytes(nbytes), dtype=np.uint8))[:length]
 
 
 def _derive_trial_keys(keys_rng: np.random.Generator, n: int) -> tuple[AuthKey, AuthKey]:
     h = Shake256Hash()
     keys = []
     for role in ("alice", "bob"):
-        identity = UserIdentity(id_bits=_random_bits(keys_rng, 128), role=role)
+        identity = UserIdentity(id_bits=format_bits(_random_bits(keys_rng, 128)), role=role)
         keys.append(derive_key(identity, h, Counter(0), needed=n))
     return keys[0], keys[1]
 
@@ -207,15 +208,13 @@ def run(spec: RunSpec) -> RunReport:
     delivered = delivered_ok = attempted = 0
     eve_counts = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
 
+    pinned = None if spec.message is None else parse_bits(spec.message)
     for t in range(spec.trials):
         keys_ss, session_ss = trial_seed(spec.seed, t)
         keys_rng = np.random.default_rng(keys_ss)
         alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
-        if spec.message_bits is None:
-            message = None
-        elif spec.message is not None:
-            message = spec.message
-        else:
+        message = pinned  # validate() allows a pinned message only when message_bits is set
+        if message is None and spec.message_bits is not None:
             message = _random_bits(keys_rng, spec.message_bits)
         session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
         config = replace(spec.config, rng_seed=session_seed)

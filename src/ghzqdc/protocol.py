@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +50,9 @@ from .adversary import (
     eve_measure_ancilla,
 )
 from .authkeys import AuthKey, random_bits, unitary_for_key_bit
-from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, none_codec
+from .ecc import (
+    Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits, none_codec
+)
 from .statevector import (
     BELL_OUTCOMES,
     H,
@@ -222,11 +223,6 @@ def _transmit(
     return Triples(state, triples.positions, attached), outcomes
 
 
-def _key_ones(key: AuthKey, n: int) -> np.ndarray:
-    """Boolean mask of the first n positions whose key bit is 1."""
-    return np.frombuffer(key.bits[:n].encode("ascii"), dtype=np.uint8) == ord("1")
-
-
 @dataclass(frozen=True)
 class AuthCheckRecord:
     position: int
@@ -262,14 +258,13 @@ def auth_phase(
     """Run the authentication phase and return the surviving triples."""
     config.validate()
     n = config.n_ghz
-    if len(alice_key.bits) < n:
-        raise InsufficientKeyError(f"alice key covers {len(alice_key.bits)} < {n} positions")
-    if len(bob_key.bits) < n:
-        raise InsufficientKeyError(f"bob key covers {len(bob_key.bits)} < {n} positions")
+    for who, key in (("alice", alice_key), ("bob", bob_key)):
+        if len(key.bits) < n:
+            raise InsufficientKeyError(f"{who} key covers {len(key.bits)} < {n} positions")
     if eve_rng is None:
         eve_rng = np.random.default_rng(0)
 
-    a_key, b_key = _key_ones(alice_key, n), _key_ones(bob_key, n)
+    a_key, b_key = alice_key.bits[:n] == 1, bob_key.bits[:n] == 1
     legs = ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB))
     hit, eve_u = attack_draws(attack, [channel for _, channel in legs], n, eve_rng)
     state = new_ghz3(n)
@@ -329,34 +324,23 @@ def auth_phase(
 # Messaging phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MessagePlan:
-    """Alice's private position plan for one messaging phase."""
+    """Alice's private plan for one messaging phase, as three aligned arrays.
 
-    frame_bits: str
-    message_positions: tuple[int, ...]
-    check_positions: tuple[int, ...]
-    check_bits: str
+    `positions` are the used survivor indices in ascending order, `bits`
+    the bit Alice sends at each, and `is_check` marks the check positions.
+    The frame is `bits[~is_check]`, in order, and the check bits are
+    `bits[is_check]`.
+    """
 
-    def used_positions(self) -> list[int]:
-        return sorted(self.message_positions + self.check_positions)
+    positions: np.ndarray
+    bits: np.ndarray
+    is_check: np.ndarray
 
-    def bit_at(self, seq_position: int) -> int:
-        check_idx = self._check_index
-        if seq_position in check_idx:
-            return int(self.check_bits[check_idx[seq_position]])
-        return int(self.frame_bits[self._message_index[seq_position]])
-
-    def source_at(self, seq_position: int) -> str:
-        return "check" if seq_position in self._check_index else "message"
-
-    @cached_property
-    def _check_index(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.check_positions)}
-
-    @cached_property
-    def _message_index(self) -> dict[int, int]:
-        return {p: i for i, p in enumerate(self.message_positions)}
+    def used_positions(self) -> np.ndarray:
+        """`positions`, for callers that read it through a method (perfbench's tracer)."""
+        return self.positions
 
 
 def message_channel(variant: str) -> Channel:
@@ -370,7 +354,7 @@ def check_capacity(num_surviving: int, frame_len: int, check_fraction: float) ->
     Raises CapacityError when the frame plus those check bits exceed the
     surviving triples.
     """
-    n_checks = int(num_surviving * check_fraction + 0.5) if check_fraction > 0 else 0
+    n_checks = int(num_surviving * check_fraction + 0.5)
     if frame_len + n_checks > num_surviving:
         raise CapacityError(
             f"frame of {frame_len} bits plus {n_checks} check bits "
@@ -381,52 +365,52 @@ def check_capacity(num_surviving: int, frame_len: int, check_fraction: float) ->
 
 def plan_message_positions(
     num_surviving: int,
-    frame_bits: str,
+    frame_bits: np.ndarray,
     check_fraction: float,
     rng: np.random.Generator,
 ) -> MessagePlan:
     """Pick disjoint check and message positions among the survivors.
 
     Check positions are a uniform without-replacement sample; their bits
-    are fresh random draws unrelated to the message. Message positions are
-    the lowest remaining indices, in order.
+    are fresh random draws unrelated to the message, in position order.
+    Message positions are the lowest remaining indices, in order.
     """
     n_checks = check_capacity(num_surviving, len(frame_bits), check_fraction)
-    check_positions = (
-        tuple(sorted(int(p) for p in rng.choice(num_surviving, size=n_checks, replace=False)))
-        if n_checks
-        else ()
-    )
+    check = np.zeros(num_surviving, dtype=bool)
+    if n_checks:
+        check[rng.choice(num_surviving, size=n_checks, replace=False)] = True
     check_bits = random_bits(rng, n_checks)
-    check_set = set(check_positions)
-    free = [p for p in range(num_surviving) if p not in check_set]
-    message_positions = tuple(free[: len(frame_bits)])
-    return MessagePlan(frame_bits, message_positions, check_positions, check_bits)
+    free = ~check
+    positions = np.flatnonzero(check | (free & (np.cumsum(free) <= len(frame_bits))))
+    is_check = check[positions]
+    bits = np.empty(len(positions), dtype=np.uint8)
+    bits[is_check], bits[~is_check] = check_bits, frame_bits
+    return MessagePlan(positions, bits, is_check)
 
 
 def _encode_and_send(
     sent: Triples,
     plan: MessagePlan,
-    bits: np.ndarray,
     channel: Channel,
     attack: AttackModel,
     *,
     eve_rng: np.random.Generator,
     transcript: Transcript | None,
 ) -> tuple[Triples, np.ndarray | None]:
-    """Encode H / HX per bit on every row and transmit the A qubits on `channel`.
+    """Encode H / HX per planned bit on every row and transmit the A qubits on `channel`.
 
     Returns the sent triples and an intercept's outcomes (-1 on rows Eve
     skipped); an entangling attack's ancillas take the register's last slot.
     """
-    state = apply_gate(sent.state, H, IDX_A, where=bits == 0)
-    state = apply_gate(state, HX, IDX_A, where=bits == 1)
-    hit, u = attack_draws(attack, (channel,), len(bits), eve_rng)
+    state = apply_gate(sent.state, H, IDX_A, where=plan.bits == 0)
+    state = apply_gate(state, HX, IDX_A, where=plan.bits == 1)
+    hit, u = attack_draws(attack, (channel,), len(plan.bits), eve_rng)
     sent, outcomes = _transmit(replace(sent, state=state), attack, IDX_A, channel, hit[:, 0], u[:, 0])
     if transcript is not None:
-        for seq, bit in zip(plan.used_positions(), bits.tolist()):
+        rows = zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist())
+        for seq, bit, check in rows:
             transcript.emit("alice", "msg_encode", position=seq, bit=bit,
-                            source=plan.source_at(seq), gate=HX.name if bit else H.name)
+                            source="check" if check else "message", gate=HX.name if bit else H.name)
             transcript.emit("alice", "transmit", position=seq, channel=channel.value)
     return sent, outcomes
 
@@ -506,7 +490,7 @@ def _measure_and_decode(
             x, state = measure_x(state, IDX_T, col)
         else:
             bell, state = measure_bell(state, IDX_A, IDX_T, col)
-    decoded = _decode(_BELL_BIT[bell], x)
+    decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
     if transcript is not None:
         _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, decoded)
     return decoded, eve
@@ -514,7 +498,7 @@ def _measure_and_decode(
 
 def _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, decoded) -> None:
     labels = np.cumsum(sent.attached, axis=1) - 1  # rank among the row's attached ancillas
-    rows = zip(plan.used_positions(), sent.positions.tolist(), bell.tolist(), x.tolist(),
+    rows = zip(plan.positions.tolist(), sent.positions.tolist(), bell.tolist(), x.tolist(),
                eve.tolist(), labels.tolist(), decoded.tolist())
     for seq, pos, b, xo, eve_row, label_row, bit in rows:
         bell_value, x_value = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
@@ -542,7 +526,7 @@ def _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, dec
 @dataclass
 class MessageResult:
     verdict: Verdict
-    message: str | None
+    message: np.ndarray | None
     error_rate: float
     errors: int
     checked: int
@@ -551,17 +535,16 @@ class MessageResult:
 
 
 def message_check_and_deliver(
-    decoded: dict[int, int],
+    decoded: np.ndarray,
     plan: MessagePlan,
     threshold: float,
     codec: Codec,
     transcript: Transcript | None = None,
 ) -> MessageResult:
-    """Compare the revealed check bits, then deliver or discard."""
-    errors = sum(
-        1 for i, pos in enumerate(plan.check_positions) if decoded[pos] != int(plan.check_bits[i])
-    )
-    checked = len(plan.check_positions)
+    """Compare the revealed check bits, then deliver or discard; `decoded` aligns with the plan."""
+    is_check = plan.is_check
+    errors = int(np.count_nonzero(decoded[is_check] != plan.bits[is_check]))
+    checked = int(np.count_nonzero(is_check))
     error_rate = errors / checked if checked else 0.0
     _emit(
         transcript,
@@ -574,9 +557,8 @@ def message_check_and_deliver(
     message = diagnostic = None
     corrected = 0
     if error_rate <= threshold:
-        frame = "".join(str(decoded[pos]) for pos in plan.message_positions)
         try:
-            message, corrected = ecc_decode(codec, frame)
+            message, corrected = ecc_decode(codec, decoded[~is_check])
         except FramingError as exc:
             diagnostic = str(exc)
     verdict = Verdict.MESSAGE_DISCARDED if message is None else Verdict.MESSAGE_DELIVERED
@@ -591,7 +573,8 @@ def message_check_and_deliver(
         **extra,
     )
     if message is not None:
-        _emit(transcript, "bob", "deliver", message=message, corrected_errors=corrected)
+        _emit(transcript, "bob", "deliver", message=format_bits(message),
+              corrected_errors=corrected)
     return MessageResult(verdict, message, error_rate, errors, checked, corrected, diagnostic)
 
 
@@ -605,14 +588,14 @@ class SessionResult:
     auth_verdict: Verdict
     auth_error_rate: float
     auth_checks: list[AuthCheckRecord]
-    message_sent: str | None = None
+    message_sent: np.ndarray | None = None
     plan: MessagePlan | None = None
-    decoded_bits: dict[int, int] | None = None
+    decoded_bits: np.ndarray | None = None  # Bob's bit at each of plan.positions
     msg_verdict: Verdict | None = None
     msg_error_rate: float | None = None
     msg_check_errors: int = 0
     msg_checked: int = 0
-    delivered_message: str | None = None
+    delivered_message: np.ndarray | None = None
     corrected_errors: int = 0
     transcript: Transcript | None = None
     # (Alice's bit, Eve's outcome) for each message-phase attack.
@@ -620,7 +603,9 @@ class SessionResult:
 
     @property
     def delivered_ok(self) -> bool:
-        return self.delivered_message is not None and self.delivered_message == self.message_sent
+        return self.delivered_message is not None and np.array_equal(
+            self.delivered_message, self.message_sent
+        )
 
 
 def session_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -633,13 +618,11 @@ def run_session(
     config: SessionConfig,
     alice_key: AuthKey,
     bob_key: AuthKey,
-    message_bits: str | None,
+    message_bits: np.ndarray | None,
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
     """Run one full session. message_bits=None runs authentication only."""
     config.validate()
-    if message_bits is not None and any(c not in "01" for c in message_bits):
-        raise ConfigError("message_bits must be a string of 0s and 1s")
 
     rng, eve_rng = session_rngs(config.rng_seed)
     transcript = Transcript() if config.record_transcript else None
@@ -671,11 +654,9 @@ def run_session(
     plan = plan_message_positions(len(auth.surviving), frame, config.check_fraction_msg, rng)
     result.plan = plan
 
-    used = plan.used_positions()
-    bits = np.array([plan.bit_at(s) for s in used], dtype=int)
     channel = message_channel(config.protocol_variant)
     sent, eve_msg = _encode_and_send(
-        auth.surviving.take(used), plan, bits, channel, attack, eve_rng=eve_rng,
+        auth.surviving.take(plan.positions), plan, channel, attack, eve_rng=eve_rng,
         transcript=transcript,
     )
     decoded, eve = _measure_and_decode(
@@ -686,8 +667,7 @@ def run_session(
         eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
     if eve_msg is not None:
         seen = eve_msg >= 0
-        result.eve_observations = list(zip(bits[seen].tolist(), eve_msg[seen].tolist()))
-    decoded = dict(zip(used, decoded.tolist()))
+        result.eve_observations = list(zip(plan.bits[seen].tolist(), eve_msg[seen].tolist()))
     result.decoded_bits = decoded
     _emit(transcript, "bob", "announce", what="decoding_complete")
     _emit(
@@ -695,8 +675,8 @@ def run_session(
         "alice",
         "announce",
         what="msg_check_reveal",
-        positions=list(plan.check_positions),
-        values=plan.check_bits,
+        positions=plan.positions[plan.is_check].tolist(),
+        values=format_bits(plan.bits[plan.is_check]),
     )
     msg = message_check_and_deliver(
         decoded, plan, config.error_threshold_msg, config.codec, transcript

@@ -18,7 +18,10 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.authkeys import AuthKey, random_key, unitary_for_key_bit
-from ghzqdc.ecc import decode as ecc_decode, encode as ecc_encode, hamming74_codec, repetition_codec
+from ghzqdc.ecc import (
+    decode as ecc_decode, encode as ecc_encode, format_bits, hamming74_codec, parse_bits,
+    repetition_codec,
+)
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
 from ghzqdc.protocol import (
     SessionConfig,
@@ -252,7 +255,7 @@ def test_05_cnot_entangle_auth():
     )
     errors = checked = 0
     for t in range(313):
-        ka = AuthKey("1" * 40)
+        ka = AuthKey(parse_bits("1" * 40))
         kb = random_key(np.random.default_rng(50_000 + t), 40)
         res = run_session(replace(config, rng_seed=t), ka, kb, None, attack)
         errors += sum(c.error for c in res.auth_checks)
@@ -334,7 +337,7 @@ def test_07_message_attack_error_rate_order_invariant():
             ka = random_key(np.random.default_rng(70_000 + t), 48)
             kb = random_key(np.random.default_rng(80_000 + t), 48)
             cfg = replace(config, measure_order=order, rng_seed=t)
-            res = run_session(cfg, ka, kb, "10110010", attack)
+            res = run_session(cfg, ka, kb, parse_bits("10110010"), attack)
             errors += res.msg_check_errors
             checked += res.msg_checked
         rates[order] = errors / checked
@@ -413,12 +416,12 @@ def test_09a_hamming_corrects_all_single_errors():
     cases = failures = 0
     for k in range(16):
         data = format(k, "04b")
-        word = ecc_encode(codec, data)[8:]
+        word = format_bits(ecc_encode(codec, parse_bits(data))[8:])
         for pos in range(7):
             corrupted = word[:pos] + ("1" if word[pos] == "0" else "0") + word[pos + 1 :]
-            got, fixed = ecc_decode(codec, "00000000" + corrupted)
+            got, fixed = ecc_decode(codec, parse_bits("00000000" + corrupted))
             cases += 1
-            if got != data or fixed != 1:
+            if format_bits(got) != data or fixed != 1:
                 failures += 1
     assert cases == 112
     assert failures == 0
@@ -443,9 +446,10 @@ def test_09b_partial_coverage_attack_with_repetition_code():
     for t in range(12):
         ka = random_key(np.random.default_rng(90_000 + t), 160)
         kb = random_key(np.random.default_rng(91_000 + t), 160)
-        res = run_session(replace(config, rng_seed=500 + t), ka, kb, message, attack)
-        sent = res.plan.frame_bits
-        got = "".join(str(res.decoded_bits[p]) for p in res.plan.message_positions)
+        res = run_session(replace(config, rng_seed=500 + t), ka, kb, parse_bits(message), attack)
+        frame = ~res.plan.is_check
+        sent = format_bits(res.plan.bits[frame])
+        got = format_bits(res.decoded_bits[frame])
         header_clean = sent[:8] == got[:8]
         blocks_ok = True
         for i in range(8, len(sent), codec.n):
@@ -457,12 +461,12 @@ def test_09b_partial_coverage_attack_with_repetition_code():
         if oracle_says_ok:
             predicted_ok += 1
             assert res.msg_verdict is Verdict.MESSAGE_DELIVERED
-            assert res.delivered_message == message
+            assert format_bits(res.delivered_message) == message
         else:
             # out-of-bound blocks majority-vote wrong, and a corrupted
             # uncoded header surfaces as a framing discard, never as a
             # silently wrong delivery
-            assert res.delivered_message != message
+            assert res.delivered_message is None or format_bits(res.delivered_message) != message
     assert predicted_ok >= 3, "oracle-clean sessions must occur for the check to bind"
     assert True in outcomes and False in outcomes
     report(

@@ -21,6 +21,7 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.authkeys import AuthKey, random_key
+from ghzqdc.ecc import parse_bits
 from ghzqdc.protocol import SessionConfig, Verdict, run_session
 from ghzqdc.statevector import (
     ATOL,
@@ -67,7 +68,7 @@ def uniform_alice(t, n):
 
 
 def ones_alice(t, n):
-    return AuthKey("1" * n)
+    return AuthKey(parse_bits("1" * n))
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +347,13 @@ def test_zero_coverage_matches_no_attack_exactly():
     cfg = config(n_ghz=24, m_auth_check=4, record_transcript=True, rng_seed=9)
     ka = uniform_alice(1, cfg.n_ghz)
     kb = random_key(np.random.default_rng(91_000), cfg.n_ghz)
-    baseline = run_session(cfg, ka, kb, "110010", NO_ATTACK)
+    message = parse_bits("110010")
+    baseline = run_session(cfg, ka, kb, message, NO_ATTACK)
     covered = run_session(
-        cfg, ka, kb, "110010", intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.0)
+        cfg, ka, kb, message, intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.0)
     )
     assert baseline.transcript.to_jsonl() == covered.transcript.to_jsonl()
-    assert baseline.delivered_message == covered.delivered_message
+    assert np.array_equal(baseline.delivered_message, covered.delivered_message)
 
 
 def test_intercept_x_basis_option():

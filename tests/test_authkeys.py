@@ -17,6 +17,7 @@ from ghzqdc.authkeys import (
     random_key,
     unitary_for_key_bit,
 )
+from ghzqdc.ecc import format_bits, parse_bits
 from ghzqdc.statevector import ATOL, H, I, apply_gate, make_state
 
 ALICE = UserIdentity(id_bits="1011", role="alice")
@@ -25,22 +26,22 @@ ALICE = UserIdentity(id_bits="1011", role="alice")
 def test_single_block_is_one_hash_call():
     h = PatternHash(pattern="0110", output_bits=8)
     key = derive_key(ALICE, h, Counter(3, width=8), needed=8)
-    assert key.bits == "01100110"
-    assert key.provenance == ((3, "01100110"),)
+    assert format_bits(key.bits) == "01100110"
+    assert key.counters == (3,)
 
 
 def test_counter_increases_when_one_block_is_short():
     h = PatternHash(pattern="0110", output_bits=8)
     key = derive_key(ALICE, h, Counter(3, width=8), needed=9)
-    assert key.bits == "01100110" * 2
-    assert [c for c, _ in key.provenance] == [3, 4]
+    assert format_bits(key.bits) == "01100110" * 2
+    assert key.counters == (3, 4)
 
 
 def test_stub_concatenation_matches_hand_computation():
     # pattern "10" at width 5 gives "10101"; needed 12 takes three blocks
     h = PatternHash(pattern="10", output_bits=5)
     key = derive_key(ALICE, h, Counter(0, width=4), needed=12)
-    assert key.bits == "10101" * 3
+    assert format_bits(key.bits) == "10101" * 3
     assert len(key.bits) == 15
 
 
@@ -56,7 +57,7 @@ def test_derive_key_deterministic():
     h = Shake256Hash(output_bits=64)
     k1 = derive_key(ALICE, h, Counter(7), needed=100)
     k2 = derive_key(ALICE, h, Counter(7), needed=100)
-    assert k1 == k2
+    assert np.array_equal(k1.bits, k2.bits) and k1.counters == k2.counters == (7, 8)
 
 
 def test_counter_overflow():
@@ -71,9 +72,9 @@ def test_shake_hash_properties():
     b = h("1011", Counter(1).bits())
     c = h("0011", Counter(0).bits())
     assert len(a) == len(b) == len(c) == 128
-    assert set(a) <= {"0", "1"}
-    assert a != b and a != c
-    assert a == h("1011", Counter(0).bits())
+    assert a.dtype == np.uint8 and set(a.tolist()) <= {0, 1}
+    assert not np.array_equal(a, b) and not np.array_equal(a, c)
+    assert np.array_equal(a, h("1011", Counter(0).bits()))
 
 
 def test_identity_and_counter_validation():
@@ -93,13 +94,21 @@ def test_identity_and_counter_validation():
 def test_random_key_shape():
     key = random_key(np.random.default_rng(0), 33)
     assert len(key.bits) == 33
-    assert set(key.bits) <= {"0", "1"}
-    assert key.provenance == ()
+    assert key.bits.dtype == np.uint8 and set(key.bits.tolist()) <= {0, 1}
+    assert key.counters == ()
 
 
 def test_authkey_rejects_non_bits():
     with pytest.raises(ValueError):
         AuthKey("01x0")
+    with pytest.raises(ValueError):
+        AuthKey(np.array([0, 1, 2, 0]))
+
+
+def test_authkey_bits_are_read_only():
+    key = AuthKey(parse_bits("0110"))
+    with pytest.raises(ValueError):
+        key.bits[0] = 1
 
 
 def test_unitary_for_key_bit_mapping():
@@ -140,7 +149,7 @@ def test_golden_identity_keys_known_answer():
     digests = {}
     for id_bits, role in (("1011001110001111", "alice"), ("0100110001110000", "bob")):
         key = derive_key(UserIdentity(id_bits, role), h, Counter(0), needed=300)
-        digests[role] = hashlib.sha256(key.bits.encode("ascii")).hexdigest()
+        digests[role] = hashlib.sha256(format_bits(key.bits).encode("ascii")).hexdigest()
     assert digests == {
         "alice": "7aed019ac90d07ad9ae461a28af3f8f23ba977e67742ae567d1ad4cf98342598",
         "bob": "9fc5e9e560c67f1e3efc46caf23119ca6a9b1e190b9e4e514185b6ef35c6d08e",

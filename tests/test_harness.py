@@ -1,14 +1,17 @@
 """Monte Carlo driver: aggregation, reproducibility, sweeps, CLI."""
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, intercept_resend_attack
 from ghzqdc.cli import main as cli_main, parse_complex, parse_message
+from ghzqdc.ecc import format_bits
 from ghzqdc.harness import (
     RunSpec,
     _derive_trial_keys,
@@ -345,5 +348,24 @@ def test_trial_draws_known_answer():
         drawn = [_random_bits(rng, 128), _random_bits(rng, 128), _random_bits(rng, 40)]
         keys = _derive_trial_keys(np.random.default_rng(keys_ss), 128)
         for bits in drawn + [k.bits for k in keys]:
-            digest.update(bits.encode("ascii") + b"\n")
+            digest.update(format_bits(bits).encode("ascii") + b"\n")
     assert digest.hexdigest() == "c8d23db63fe475afc942c4da7a0a8606dfb8a3b1d5df0b1b2b943831fdab84eb"
+
+
+@pytest.mark.parametrize("protocol", ["qdc1", "qdc2"])
+def test_attack_comparison_script(protocol, capsys):
+    """scripts/run_attack_comparison.py prints one row per attack model; the
+    general attack lands on the protocol's own message channel."""
+    path = Path(__file__).parent.parent / "scripts" / "run_attack_comparison.py"
+    module_spec = importlib.util.spec_from_file_location("run_attack_comparison", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    module.main(["--protocol", protocol, "--trials", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    names = ["none", "intercept (auth)", "entangle-cnot (auth)", "entangle-general (msg)"]
+    assert len(lines) == 2 + len(names)
+    rows = {line[:24].strip(): [float(v) for v in line[24:].split()] for line in lines[2:]}
+    assert list(rows) == names
+    assert all(len(v) == 4 and all(0.0 <= x <= 1.0 for x in v) for v in rows.values())
+    assert rows["none"] == [0.0, 0.0, 0.0, 1.0]
+    assert rows["entangle-general (msg)"][2] > 0.0  # message error rate

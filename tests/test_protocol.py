@@ -7,7 +7,7 @@ import pytest
 
 from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, entangle_general_attack
 from ghzqdc.authkeys import AuthKey, random_key
-from ghzqdc.ecc import encode as ecc_encode, hamming74_codec
+from ghzqdc.ecc import encode as ecc_encode, format_bits, hamming74_codec, parse_bits
 from ghzqdc.protocol import (
     CapacityError,
     ConfigError,
@@ -209,7 +209,10 @@ def test_auth_restores_raw_triples():
 def test_auth_requires_key_coverage():
     config = small_config()
     with pytest.raises(InsufficientKeyError):
-        auth_phase(config, AuthKey("01"), AuthKey("0" * 48), rng=np.random.default_rng(0))
+        auth_phase(
+            config, AuthKey(parse_bits("01")), AuthKey(parse_bits("0" * 48)),
+            rng=np.random.default_rng(0),
+        )
 
 
 def test_config_validation():
@@ -231,27 +234,34 @@ def test_config_validation():
 
 def test_plan_positions_disjoint_and_uniformly_sampled():
     rng = np.random.default_rng(0)
-    plan = plan_message_positions(40, "0" * 20, 0.25, rng)
-    assert len(plan.check_positions) == 10
-    assert len(plan.message_positions) == 20
-    assert not set(plan.check_positions) & set(plan.message_positions)
+    frame = parse_bits("01" * 10)
+    plan = plan_message_positions(40, frame, 0.25, rng)
+    check_positions = plan.positions[plan.is_check].tolist()
+    message_positions = plan.positions[~plan.is_check].tolist()
+    assert len(check_positions) == 10
+    assert len(message_positions) == 20
+    assert not set(check_positions) & set(message_positions)
     assert all(0 <= p < 40 for p in plan.used_positions())
-    assert len(set(plan.check_positions)) == 10
+    assert len(set(check_positions)) == 10
+    # ascending positions; the frame rides the lowest free indices, in order
+    assert plan.positions.tolist() == sorted(check_positions + message_positions)
+    free = [p for p in range(40) if p not in check_positions]
+    assert message_positions == free[:20]
+    assert format_bits(plan.bits[~plan.is_check]) == format_bits(frame)
 
 
 def test_plan_capacity_error():
     with pytest.raises(CapacityError):
-        plan_message_positions(10, "0" * 9, 0.25, np.random.default_rng(0))
+        plan_message_positions(10, parse_bits("0" * 9), 0.25, np.random.default_rng(0))
 
 
 def test_message_check_and_deliver_discards_on_errors():
-    plan = MessagePlan(
-        frame_bits="00000000",
-        message_positions=tuple(range(8)),
-        check_positions=(8, 9),
-        check_bits="11",
+    plan = MessagePlan(  # frame 00000000 at 0-7, check bits 11 at 8 and 9
+        positions=np.arange(10),
+        bits=parse_bits("00000000" + "11"),
+        is_check=np.arange(10) >= 8,
     )
-    decoded = {p: 0 for p in range(10)}  # both check bits wrong
+    decoded = parse_bits("0" * 10)  # both check bits wrong
     transcript = Transcript()
     res = message_check_and_deliver(
         decoded, plan, threshold=0.0, codec=hamming74_codec(), transcript=transcript
@@ -268,13 +278,8 @@ def test_message_check_and_deliver_discards_on_errors():
 
 
 def test_message_check_and_deliver_framing_failure_discards():
-    plan = MessagePlan(
-        frame_bits="0" * 9,
-        message_positions=tuple(range(9)),
-        check_positions=(),
-        check_bits="",
-    )
-    decoded = {p: 0 for p in range(9)}  # 1-bit body cannot be hamming74
+    plan = MessagePlan(positions=np.arange(9), bits=parse_bits("0" * 9), is_check=np.zeros(9, bool))
+    decoded = parse_bits("0" * 9)  # 1-bit body cannot be hamming74
     transcript = Transcript()
     res = message_check_and_deliver(
         decoded, plan, threshold=0.5, codec=hamming74_codec(), transcript=transcript
@@ -291,21 +296,19 @@ def test_message_check_and_deliver_framing_failure_discards():
 
 
 def test_message_check_and_deliver_delivers_after_verdict():
-    frame = ecc_encode(hamming74_codec(), "1011")
-    plan = MessagePlan(
-        frame_bits=frame,
-        message_positions=tuple(range(len(frame))),
-        check_positions=(len(frame),),
-        check_bits="1",
+    frame = format_bits(ecc_encode(hamming74_codec(), parse_bits("1011")))
+    n = len(frame) + 1
+    plan = MessagePlan(  # the frame, then check bit 1 at the last position
+        positions=np.arange(n), bits=parse_bits(frame + "1"), is_check=np.arange(n) == n - 1
     )
-    decoded = {p: int(b) for p, b in enumerate(frame + "1")}
+    decoded = plan.bits.copy()
     decoded[9] ^= 1  # one body error, corrected by the code
     transcript = Transcript()
     res = message_check_and_deliver(
         decoded, plan, threshold=0.0, codec=hamming74_codec(), transcript=transcript
     )
     assert res.verdict is Verdict.MESSAGE_DELIVERED
-    assert (res.message, res.corrected_errors) == ("1011", 1)
+    assert (format_bits(res.message), res.corrected_errors) == ("1011", 1)
     assert [e.kind for e in transcript.events] == ["msg_compare", "verdict", "deliver"]
     assert transcript.events[1].payload == {
         "phase": "message",
@@ -325,10 +328,10 @@ def test_honest_session_delivers_exact_message(variant):
     for seed in (0, 1, 2, 3, 4):
         config = small_config(protocol_variant=variant, rng_seed=seed)
         ka, kb = keys_for(config, seed=seed)
-        res = run_session(config, ka, kb, message, NO_ATTACK)
+        res = run_session(config, ka, kb, parse_bits(message), NO_ATTACK)
         assert res.auth_verdict is Verdict.AUTHENTICATED
         assert res.msg_verdict is Verdict.MESSAGE_DELIVERED
-        assert res.delivered_message == message
+        assert format_bits(res.delivered_message) == message
         assert res.auth_error_rate == 0.0
         assert res.msg_error_rate == 0.0
 
@@ -336,10 +339,10 @@ def test_honest_session_delivers_exact_message(variant):
 def test_session_without_message_checks_still_delivers():
     config = small_config(check_fraction_msg=0.0, rng_seed=4)
     ka, kb = keys_for(config, seed=4)
-    res = run_session(config, ka, kb, "10110100", NO_ATTACK)
+    res = run_session(config, ka, kb, parse_bits("10110100"), NO_ATTACK)
     assert res.msg_verdict is Verdict.MESSAGE_DELIVERED
     assert res.msg_checked == 0
-    assert res.delivered_message == "10110100"
+    assert format_bits(res.delivered_message) == "10110100"
 
 
 def test_auth_only_session():
@@ -354,8 +357,8 @@ def test_auth_only_session():
 def test_session_same_seed_same_transcript():
     config = small_config(rng_seed=123)
     ka, kb = keys_for(config)
-    r1 = run_session(config, ka, kb, "10101010", NO_ATTACK)
-    r2 = run_session(config, ka, kb, "10101010", NO_ATTACK)
+    r1 = run_session(config, ka, kb, parse_bits("10101010"), NO_ATTACK)
+    r2 = run_session(config, ka, kb, parse_bits("10101010"), NO_ATTACK)
     assert r1.transcript.to_jsonl() == r2.transcript.to_jsonl()
 
 
@@ -363,7 +366,7 @@ def test_capacity_error_from_session():
     config = small_config(n_ghz=16, m_auth_check=4)
     ka, kb = keys_for(config)
     with pytest.raises(CapacityError):
-        run_session(config, ka, kb, "1" * 32, NO_ATTACK)
+        run_session(config, ka, kb, parse_bits("1" * 32), NO_ATTACK)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,7 @@ def test_capacity_error_from_session():
 def transcript_for(variant="qdc1", attack=NO_ATTACK, message="10110100", seed=7):
     config = small_config(protocol_variant=variant, rng_seed=seed)
     ka, kb = keys_for(config, seed=seed)
-    return run_session(config, ka, kb, message, attack).transcript
+    return run_session(config, ka, kb, parse_bits(message), attack).transcript
 
 
 def test_transcript_serialization_round_trip():
@@ -436,7 +439,7 @@ def test_transcript_abort_records_error_rate():
     )
     ka, kb = keys_for(config, seed=2)
     attack = entangle_general_attack({Channel.TRENT_TO_ALICE})
-    res = run_session(config, ka, kb, "1010", attack)
+    res = run_session(config, ka, kb, parse_bits("1010"), attack)
     assert res.auth_verdict is Verdict.AUTH_ABORTED
     abort_events = [
         e
@@ -453,27 +456,27 @@ def test_transcript_eve_measures_only_message_triples():
     config = small_config(error_threshold_auth=1.0, error_threshold_msg=1.0, rng_seed=3)
     ka, kb = keys_for(config, seed=3)
     attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB})
-    res = run_session(config, ka, kb, "10110100", attack)
+    res = run_session(config, ka, kb, parse_bits("10110100"), attack)
     checked = {c.position for c in res.auth_checks}
     surviving = [p for p in range(config.n_ghz) if p not in checked]
-    used = res.plan.used_positions()
+    used = res.plan.positions.tolist()
     assert len(used) < len(surviving)  # some survivors stay unused
     eve = [e.payload for e in res.transcript.events if e.kind == "eve_ancilla_measure"]
     assert [(e["position"], e["ancilla"]) for e in eve] == [
         (surviving[seq], label) for seq in used for label in ("E0", "E1")
     ]
     assert res.eve_observations == [
-        (res.plan.bit_at(seq), e["outcome"]) for seq, e in zip(used, eve[1::2])
+        (bit, e["outcome"]) for bit, e in zip(res.plan.bits.tolist(), eve[1::2])
     ]
 
 
 def test_transcript_contains_no_key_material():
     config = small_config(rng_seed=5)
     ka, kb = keys_for(config, seed=5)
-    res = run_session(config, ka, kb, "10110100", NO_ATTACK)
+    res = run_session(config, ka, kb, parse_bits("10110100"), NO_ATTACK)
     text = res.transcript.to_jsonl()
-    assert ka.bits not in text
-    assert kb.bits not in text
+    assert format_bits(ka.bits) not in text
+    assert format_bits(kb.bits) not in text
     for event in res.transcript.events:
         if event.kind in ("auth_encode", "auth_decode"):
             assert "bit" not in event.payload
@@ -484,7 +487,8 @@ def test_measure_order_knob_reorders_events():
     ka, kb = keys_for(config, seed=21)
 
     def first_measure_kind(order):
-        res = run_session(replace(config, measure_order=order), ka, kb, "1010", NO_ATTACK)
+        cfg = replace(config, measure_order=order)
+        res = run_session(cfg, ka, kb, parse_bits("1010"), NO_ATTACK)
         for e in res.transcript.events:
             if e.kind in ("bell_measure", "x_measure"):
                 return (e.actor, e.kind)

@@ -71,6 +71,17 @@ CONFIGS = {
         "--n-ghz", "40", "--auth-check-bits", "8", "--message-bits", "8",
         "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--trials", "6", "--seed", "21",
     ],
+    "general_many_trials_2560_rows": [
+        "run", "--protocol", "qdc2", "--ecc", "hamming74", "--attack", "entangle-general",
+        "--attack-channels", "trent-bob,alice-trent", "--attack-coverage", "0.5",
+        "--n-ghz", "128", "--auth-check-bits", "16", "--message-bits", "40",
+        "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--trials", "20", "--seed", "23",
+    ],
+    "intercept_mixed_verdicts": [
+        "run", "--attack", "intercept", "--attack-channels", "trent-alice",
+        "--attack-coverage", "0.3", "--n-ghz", "24", "--auth-check-bits", "2",
+        "--message-bits", "8", "--threshold-msg", "0.3", "--trials", "40", "--seed", "25",
+    ],
 }
 
 

@@ -8,7 +8,15 @@ pinned, and its own deterministic seed. The per-trial seed chain is:
     keys, sess = trial_ss.spawn(2)
 
 so reports are byte-identical across runs of the same RunSpec, the
-timestamp field aside, no matter how trials would be scheduled.
+timestamp field aside, no matter how trials are scheduled.
+
+Trials run trial-major through `protocol.run_trials`, in chunks of at
+most max(1, ROW_CAP // n_ghz) trials: each kernel runs once per chunk,
+while the cap (`protocol.ROW_CAP` rows) bounds the memory a chunk holds.
+Each trial still reads its own generators in the order a lone session
+would, so the seed contract (v1) is unchanged and a report does not
+depend on the chunk size. Each chunk's `Tally` of counts is added up, and
+the report's rates come from the total.
 
 The JSON report schema (schema_version 1) is documented in the README.
 Alongside every empirical statistic the report carries the matching
@@ -29,7 +37,17 @@ from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK, attack_to
 from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
 from .ecc import encode as ecc_encode, format_bits, parse_bits
 from .protocol import (
-    ConfigError, SessionConfig, Verdict, check_capacity, message_channel, run_session
+    ConfigError,
+    SessionConfig,
+    SessionResult,
+    Tally,
+    Trial,
+    Verdict,
+    check_capacity,
+    message_channel,
+    run_session,  # only read by perfbench's tracer, which wraps harness.run_session
+    run_trials,
+    session_rngs,
 )
 
 SCHEMA_VERSION = 1
@@ -92,11 +110,14 @@ def _random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
 
 def _derive_trial_keys(keys_rng: np.random.Generator, n: int) -> tuple[AuthKey, AuthKey]:
     h = Shake256Hash()
-    keys = []
-    for role in ("alice", "bob"):
-        identity = UserIdentity(id_bits=format_bits(_random_bits(keys_rng, 128)), role=role)
-        keys.append(derive_key(identity, h, Counter(0), needed=n))
-    return keys[0], keys[1]
+    # Alice's 128-bit identity, then Bob's: one 32-byte draw reads the
+    # generator exactly as two 16-byte draws would.
+    ids = _random_bits(keys_rng, 256)
+    alice, bob = (
+        derive_key(UserIdentity(format_bits(bits), role), h, Counter(0), needed=n)
+        for bits, role in ((ids[:128], "alice"), (ids[128:], "bob"))
+    )
+    return alice, bob
 
 
 @dataclass
@@ -195,87 +216,71 @@ def _normalize_eve_counts(counts: dict) -> dict:
     return normalized
 
 
+def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> Trial:
+    """Trial `index`: keys, then the message from the key generator, then the session seed."""
+    keys_ss, session_ss = trial_seed(spec.seed, index)
+    keys_rng = np.random.default_rng(keys_ss)
+    alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
+    message = pinned  # validate() allows a pinned message only when message_bits is set
+    if message is None and spec.message_bits is not None:
+        message = _random_bits(keys_rng, spec.message_bits)
+    rng, eve_rng = session_rngs(int(session_ss.generate_state(1, dtype=np.uint64)[0]))
+    return Trial(alice_key, bob_key, message, rng, eve_rng)
+
+
+def _trial_record(index: int, res: SessionResult) -> dict:
+    msg = res.msg
+    return {
+        "trial": index,
+        "auth_verdict": res.auth_verdict.value,
+        "auth_errors": res.auth_errors,
+        "auth_checked": len(res.checks),
+        "msg_verdict": None if msg is None else msg.verdict.value,
+        "msg_errors": 0 if msg is None else msg.errors,
+        "msg_checked": 0 if msg is None else msg.checked,
+        "delivered_ok": None if res.message_sent is None else res.delivered_ok,
+    }
+
+
 def run(spec: RunSpec) -> RunReport:
-    """Execute spec.trials independent sessions and aggregate."""
-
-    per_trial: list[dict] = []
-    verdict_counts = {v.value: 0 for v in Verdict}
-    auth_errors = auth_checked = 0
-    auth_err_by_alice_bit = {0: [0, 0], 1: [0, 0]}  # bit -> [errors, total]
-    auth_err_by_bob_bit = {0: [0, 0], 1: [0, 0]}
-    detected = 0
-    msg_errors = msg_checked = 0
-    delivered = delivered_ok = attempted = 0
-    eve_counts = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
-
+    """Execute spec.trials independent sessions, chunk by chunk, and aggregate."""
     pinned = None if spec.message is None else parse_bits(spec.message)
-    for t in range(spec.trials):
-        keys_ss, session_ss = trial_seed(spec.seed, t)
-        keys_rng = np.random.default_rng(keys_ss)
-        alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
-        message = pinned  # validate() allows a pinned message only when message_bits is set
-        if message is None and spec.message_bits is not None:
-            message = _random_bits(keys_rng, spec.message_bits)
-        session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
-        config = replace(spec.config, rng_seed=session_seed)
-        res = run_session(config, alice_key, bob_key, message, spec.attack)
-        for bit, outcome in res.eve_observations:
-            eve_counts[str(bit)][str(outcome)] += 1
-
-        verdict_counts[res.auth_verdict.value] += 1
-        if res.msg_verdict is not None:
-            verdict_counts[res.msg_verdict.value] += 1
-        for check in res.auth_checks:
-            auth_checked += 1
-            err = 1 if check.error else 0
-            auth_errors += err
-            auth_err_by_alice_bit[check.alice_key_bit][0] += err
-            auth_err_by_alice_bit[check.alice_key_bit][1] += 1
-            auth_err_by_bob_bit[check.bob_key_bit][0] += err
-            auth_err_by_bob_bit[check.bob_key_bit][1] += 1
-        if res.auth_verdict is Verdict.AUTH_ABORTED:
-            detected += 1
-        msg_errors += res.msg_check_errors
-        msg_checked += res.msg_checked
-        if message is not None:
-            attempted += 1
-            if res.msg_verdict is Verdict.MESSAGE_DELIVERED:
-                delivered += 1
-                if res.delivered_ok:
-                    delivered_ok += 1
-        per_trial.append(
-            {
-                "trial": t,
-                "auth_verdict": res.auth_verdict.value,
-                "auth_errors": sum(1 for c in res.auth_checks if c.error),
-                "auth_checked": len(res.auth_checks),
-                "msg_verdict": res.msg_verdict.value if res.msg_verdict else None,
-                "msg_errors": res.msg_check_errors,
-                "msg_checked": res.msg_checked,
-                "delivered_ok": res.delivered_ok if message is not None else None,
-            }
-        )
+    trials = (_trial(spec, t, pinned) for t in range(spec.trials))
+    tally, per_trial = Tally(), []
+    for chunk, sessions in run_trials(spec.config, spec.attack, trials):
+        tally += chunk
+        first = len(per_trial)
+        per_trial.extend(_trial_record(first + i, res) for i, res in enumerate(sessions))
 
     def rate(errors, total):
         return errors / total if total else 0.0
 
+    checked, errors = tally.auth_checked, tally.auth_errors  # by 2 * alice bit + bob bit
     auth = {
-        "check_bits": auth_checked,
-        "errors": auth_errors,
-        "error_rate": rate(auth_errors, auth_checked),
+        "check_bits": sum(checked),
+        "errors": sum(errors),
+        "error_rate": rate(sum(errors), sum(checked)),
         "error_rate_by_alice_key_bit": {
-            str(b): rate(*auth_err_by_alice_bit[b]) for b in (0, 1)
+            str(b): rate(errors[2 * b] + errors[2 * b + 1], checked[2 * b] + checked[2 * b + 1])
+            for b in (0, 1)
         },
-        "error_rate_by_bob_key_bit": {str(b): rate(*auth_err_by_bob_bit[b]) for b in (0, 1)},
-        "detection_rate": rate(detected, spec.trials),
+        "error_rate_by_bob_key_bit": {
+            str(b): rate(errors[b] + errors[b + 2], checked[b] + checked[b + 2]) for b in (0, 1)
+        },
+        "detection_rate": rate(tally.auth_aborted, tally.trials),
     }
+    delivered = tally.message_delivered
     message_stats = {
-        "check_bits": msg_checked,
-        "errors": msg_errors,
-        "error_rate": rate(msg_errors, msg_checked),
-        "attempted": attempted,
+        "check_bits": tally.msg_checked,
+        "errors": tally.msg_errors,
+        "error_rate": rate(tally.msg_errors, tally.msg_checked),
+        "attempted": tally.trials if spec.message_bits is not None else 0,
         "delivered": delivered,
-        "delivery_fidelity": rate(delivered_ok, delivered) if delivered else 0.0,
+        "delivery_fidelity": rate(tally.delivered_ok, delivered),
+    }
+    eve_counts = {
+        str(bit): {str(outcome): tally.eve[2 * bit + outcome] for outcome in (0, 1)}
+        for bit in (0, 1)
     }
 
     spec_echo = {
@@ -290,7 +295,7 @@ def run(spec: RunSpec) -> RunReport:
         spec_echo=spec_echo,
         seed=spec.seed,
         trials=spec.trials,
-        verdicts=verdict_counts,
+        verdicts={v.value: getattr(tally, v.name.lower()) for v in Verdict},
         per_trial=per_trial,
         auth=auth,
         message=message_stats,

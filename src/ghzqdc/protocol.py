@@ -36,8 +36,11 @@ Auth-key bits never appear in transcript payloads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import operator
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -237,40 +240,67 @@ class AuthCheckRecord:
         return not (self.outcome_alice == self.outcome_trent == self.outcome_bob)
 
 
+@dataclass(frozen=True, eq=False)
+class Trial:
+    """One session's inputs: both keys, the message (None runs authentication
+    only) and the session's honest and adversary generators."""
+
+    alice_key: AuthKey
+    bob_key: AuthKey
+    message: np.ndarray | None
+    rng: np.random.Generator
+    eve_rng: np.random.Generator
+
+
 @dataclass
 class AuthPhaseResult:
-    verdict: Verdict
+    """The authentication phase of a chunk of trials, trial by trial.
+
+    `checks` has one row per check position, with the fields of
+    AuthCheckRecord as its columns; `surviving` holds each trial's
+    n - m unchecked triples in turn.
+    """
+
+    aborted: np.ndarray  # (trials,) bool
+    errors: np.ndarray  # (trials,) check errors
+    error_rates: np.ndarray  # (trials,)
+    checks: np.ndarray  # (trials * m, 6)
     surviving: Triples
-    checks: list[AuthCheckRecord]
-    error_rate: float
 
 
 def auth_phase(
     config: SessionConfig,
-    alice_key: AuthKey,
-    bob_key: AuthKey,
-    attack: AttackModel = NO_ATTACK,
-    *,
-    rng: np.random.Generator,
-    eve_rng: np.random.Generator | None = None,
+    attack: AttackModel,
+    trials: list[Trial],
     transcript: Transcript | None = None,
 ) -> AuthPhaseResult:
-    """Run the authentication phase and return the surviving triples."""
-    config.validate()
-    n = config.n_ghz
-    for who, key in (("alice", alice_key), ("bob", bob_key)):
-        if len(key.bits) < n:
-            raise InsufficientKeyError(f"{who} key covers {len(key.bits)} < {n} positions")
-    if eve_rng is None:
-        eve_rng = np.random.default_rng(0)
-
-    a_key, b_key = alice_key.bits[:n] == 1, bob_key.bits[:n] == 1
+    """Run the authentication phase of every trial at once; a transcript records one trial."""
+    n, m, count = config.n_ghz, config.m_auth_check, len(trials)
     legs = ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB))
-    hit, eve_u = attack_draws(attack, [channel for _, channel in legs], n, eve_rng)
-    state = new_ghz3(n)
+    channels = [channel for _, channel in legs]
+    keys = np.empty((2, count, n), dtype=bool)
+    hit, eve_u = np.empty((count, n, 2), dtype=bool), np.empty((count, n, 2))
+    check_positions = np.empty((count, m), dtype=int)
+    u = np.empty((count, m, 3))
+    # Each trial's draws, in the order its generators have always been read.
+    for i, trial in enumerate(trials):
+        for who, key, row in (("alice", trial.alice_key, keys[0]), ("bob", trial.bob_key, keys[1])):
+            if len(key.bits) < n:
+                raise InsufficientKeyError(f"{who} key covers {len(key.bits)} < {n} positions")
+            row[i] = key.bits[:n]
+        hit[i], eve_u[i] = attack_draws(attack, channels, n, trial.eve_rng)
+        if m:
+            check_positions[i] = np.sort(trial.rng.choice(n, size=m, replace=False))
+            # One uniform per check position and party, in (position, Alice/Bob/Trent) order.
+            u[i] = trial.rng.random((m, 3))
+
+    # Row i * n + p is position p of trial i.
+    a_key, b_key = keys[0].reshape(-1), keys[1].reshape(-1)
+    hit, eve_u = hit.reshape(-1, 2), eve_u.reshape(-1, 2)
+    state = new_ghz3(count * n)
     state = apply_gate(state, _KEY_GATE, IDX_A, where=a_key)
     state = apply_gate(state, _KEY_GATE, IDX_B, where=b_key)
-    triples = Triples(state, np.arange(n), np.zeros((n, 0), dtype=bool))
+    triples = Triples(state, np.tile(np.arange(n), count), np.zeros((count * n, 0), dtype=bool))
     for j, (qubit, channel) in enumerate(legs):
         triples, _ = _transmit(triples, attack, qubit, channel, hit[:, j], eve_u[:, j])
     state = apply_gate(triples.state, _KEY_GATE, IDX_A, where=a_key)
@@ -281,43 +311,40 @@ def auth_phase(
             transcript.emit("trent", "ghz_prepared", position=pos)
             transcript.emit("trent", "auth_encode", position=pos, target="alice")
             transcript.emit("trent", "auth_encode", position=pos, target="bob")
-            for _, channel in legs:
+            for channel in channels:
                 transcript.emit("trent", "transmit", position=pos, channel=channel.value)
             transcript.emit("alice", "auth_decode", position=pos)
             transcript.emit("bob", "auth_decode", position=pos)
+        transcript.emit("alice", "announce", what="auth_check_positions",
+                        positions=check_positions[0].tolist())
 
-    m = config.m_auth_check
-    check_positions = sorted(int(p) for p in rng.choice(n, size=m, replace=False)) if m else []
-    _emit(transcript, "alice", "announce", what="auth_check_positions", positions=check_positions)
-
-    # One uniform per check position and party, drawn in (position, Alice/Bob/Trent) order.
-    outcomes = np.zeros((m, 3), dtype=int)
+    rows = (np.arange(count)[:, None] * n + check_positions).reshape(-1)
+    outcomes = np.zeros((len(rows), 3), dtype=int)
     if m:
-        state, u = triples.state.take(check_positions), rng.random((m, 3))
+        state, u = triples.state.take(rows), u.reshape(-1, 3)
         for col, qubit in enumerate((IDX_A, IDX_B, IDX_T)):
             outcomes[:, col], state = measure_z(state, qubit, u[:, col])
-    checks = [
-        AuthCheckRecord(pos, int(a_key[pos]), int(b_key[pos]), za, zt, zb)
-        for pos, (za, zb, zt) in zip(check_positions, outcomes.tolist())
-    ]
+    za, zb, zt = outcomes.T
+    checks = np.column_stack([check_positions.reshape(-1), a_key[rows], b_key[rows], za, zt, zb])
     if transcript is not None:
-        for rec in checks:
-            za, zt, zb = rec.outcome_alice, rec.outcome_trent, rec.outcome_bob
-            for actor, z in (("alice", za), ("bob", zb), ("trent", zt)):
-                transcript.emit(actor, "z_measure", position=rec.position, outcome=z)
-                transcript.emit(actor, "announce", what="auth_z_outcome", position=rec.position,
+        for pos, _, _, a, t, b in checks.tolist():
+            for actor, z in (("alice", a), ("bob", b), ("trent", t)):
+                transcript.emit(actor, "z_measure", position=pos, outcome=z)
+                transcript.emit(actor, "announce", what="auth_z_outcome", position=pos,
                                 outcome=z)
-            transcript.emit("public", "auth_compare", position=rec.position,
-                            outcomes=[za, zt, zb], error=rec.error)
+            transcript.emit("public", "auth_compare", position=pos,
+                            outcomes=[a, t, b], error=not a == t == b)
 
-    errors = sum(1 for c in checks if c.error)
-    error_rate = errors / m if m else 0.0
-    verdict = Verdict.AUTH_ABORTED if error_rate > config.error_threshold_auth else Verdict.AUTHENTICATED
-    _emit(transcript, "public", "verdict", phase="auth", verdict=verdict.value,
-          error_rate=error_rate, errors=errors, checked=m)
-    keep = np.ones(n, dtype=bool)
-    keep[check_positions] = False
-    return AuthPhaseResult(verdict, triples.take(keep), checks, error_rate)
+    errors = (~((za == zt) & (zt == zb))).reshape(count, m).sum(axis=1)
+    error_rates = errors / m if m else np.zeros(count)
+    aborted = error_rates > config.error_threshold_auth
+    if transcript is not None:
+        verdict = Verdict.AUTH_ABORTED if aborted[0] else Verdict.AUTHENTICATED
+        transcript.emit("public", "verdict", phase="auth", verdict=verdict.value,
+                        error_rate=float(error_rates[0]), errors=int(errors[0]), checked=m)
+    keep = np.ones(count * n, dtype=bool)
+    keep[rows] = False
+    return AuthPhaseResult(aborted, errors, error_rates, checks, triples.take(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +420,19 @@ def _encode_and_send(
     plan: MessagePlan,
     channel: Channel,
     attack: AttackModel,
-    *,
-    eve_rng: np.random.Generator,
+    hit: np.ndarray,
+    u: np.ndarray,
     transcript: Transcript | None,
 ) -> tuple[Triples, np.ndarray | None]:
     """Encode H / HX per planned bit on every row and transmit the A qubits on `channel`.
 
-    Returns the sent triples and an intercept's outcomes (-1 on rows Eve
-    skipped); an entangling attack's ancillas take the register's last slot.
+    `hit` and `u` are Eve's draws per row. Returns the sent triples and an
+    intercept's outcomes (-1 on rows Eve skipped); an entangling attack's
+    ancillas take the register's last slot.
     """
     state = apply_gate(sent.state, H, IDX_A, where=plan.bits == 0)
     state = apply_gate(state, HX, IDX_A, where=plan.bits == 1)
-    hit, u = attack_draws(attack, (channel,), len(plan.bits), eve_rng)
-    sent, outcomes = _transmit(replace(sent, state=state), attack, IDX_A, channel, hit[:, 0], u[:, 0])
+    sent, outcomes = _transmit(replace(sent, state=state), attack, IDX_A, channel, hit, u)
     if transcript is not None:
         rows = zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist())
         for seq, bit, check in rows:
@@ -442,15 +469,12 @@ def qdc2_decode(trent_bit: int, x: XOutcome) -> int:
 
 
 def _measure_eve_ancillas(
-    attached: np.ndarray, state: PureState, eve_rng: np.random.Generator
+    attached: np.ndarray, state: PureState, u: np.ndarray
 ) -> tuple[np.ndarray, PureState]:
-    """Eve's step: z-measure every attached ancilla, one draw each in (row, slot) order.
+    """Eve's step: z-measure every attached ancilla with its uniform from `u`, (rows, slots).
 
     Returns the outcomes per (row, slot), -1 where no ancilla is attached.
     """
-    u = np.zeros(attached.shape)
-    if attached.any():
-        u[attached] = eve_rng.random(int(attached.sum()))
     outcomes = np.full(attached.shape, -1)
     for slot in range(attached.shape[1]):
         outcomes[:, slot], state = eve_measure_ancilla(
@@ -463,23 +487,22 @@ def _measure_and_decode(
     sent: Triples,
     plan: MessagePlan,
     variant: str,
-    *,
-    rng: np.random.Generator,
-    eve_rng: np.random.Generator,
     order: tuple[str, str, str],
+    u: np.ndarray,
+    eve_u: np.ndarray,
     transcript: Transcript | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bob's, Trent's and Eve's measurements in `order`, then Bob's decoding.
 
-    Returns (decoded bits, Eve's outcomes per (row, slot)).
+    `u` holds one uniform per row for each of Bob and Trent, columns in
+    `order`; `eve_u` one per (row, ancilla slot). Returns (decoded bits,
+    Eve's outcomes per (row, slot)).
     """
-    # One uniform per row for each of Bob and Trent, columns in `order`.
     honest = [step for step in order if step != "eve"]
-    u = rng.random((len(sent), 2))
     state = sent.state
     for step in order:
         if step == "eve":
-            eve, state = _measure_eve_ancillas(sent.attached, state, eve_rng)
+            eve, state = _measure_eve_ancillas(sent.attached, state, eve_u)
             continue
         col = u[:, honest.index(step)]
         if step == "bob" and variant == "qdc1":
@@ -579,39 +602,223 @@ def message_check_and_deliver(
 
 
 # ---------------------------------------------------------------------------
-# Whole-session orchestration
+# Trial-major orchestration
+
+# Most rows a chunk's registers hold: a chunk runs max(1, ROW_CAP // n_ghz)
+# trials. Larger chunks buy little once kernel calls are amortised, and
+# each row held at once costs memory, so the cap keeps peak memory flat
+# however many trials a run has.
+ROW_CAP = 512
+
+
+@dataclass(frozen=True)
+class Tally:
+    """Integer counts over a set of trials; tallies of disjoint sets add with `+`.
+
+    The auth tuples count check positions by (Alice's key bit a, Bob's key
+    bit b) at index 2a + b; `eve` counts Eve's message-phase outcomes by
+    (Alice's bit, Eve's outcome) at index 2 * bit + outcome.
+    """
+
+    trials: int = 0
+    authenticated: int = 0
+    auth_aborted: int = 0
+    message_delivered: int = 0
+    message_discarded: int = 0
+    delivered_ok: int = 0
+    auth_checked: tuple[int, int, int, int] = (0, 0, 0, 0)
+    auth_errors: tuple[int, int, int, int] = (0, 0, 0, 0)
+    msg_checked: int = 0
+    msg_errors: int = 0
+    eve: tuple[int, int, int, int] = (0, 0, 0, 0)
+
+    def __add__(self, other: Tally) -> Tally:
+        sums = {}
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            sums[f.name] = a + b if isinstance(a, int) else tuple(map(operator.add, a, b))
+        return Tally(**sums)
 
 
 @dataclass
 class SessionResult:
-    config: SessionConfig
+    """One trial's outcome; `msg` is None when the trial sent no message."""
+
     auth_verdict: Verdict
     auth_error_rate: float
-    auth_checks: list[AuthCheckRecord]
+    auth_errors: int
+    checks: np.ndarray  # one row per check position, the fields of AuthCheckRecord as columns
     message_sent: np.ndarray | None = None
     plan: MessagePlan | None = None
     decoded_bits: np.ndarray | None = None  # Bob's bit at each of plan.positions
-    msg_verdict: Verdict | None = None
-    msg_error_rate: float | None = None
-    msg_check_errors: int = 0
-    msg_checked: int = 0
-    delivered_message: np.ndarray | None = None
-    corrected_errors: int = 0
+    msg: MessageResult | None = None
     transcript: Transcript | None = None
     # (Alice's bit, Eve's outcome) for each message-phase attack.
     eve_observations: list[tuple[int, int]] = field(default_factory=list)
 
     @property
+    def auth_checks(self) -> list[AuthCheckRecord]:
+        return [AuthCheckRecord(*row) for row in self.checks.tolist()]
+
+    @property
     def delivered_ok(self) -> bool:
-        return self.delivered_message is not None and np.array_equal(
-            self.delivered_message, self.message_sent
+        return (
+            self.msg is not None
+            and self.msg.message is not None
+            and np.array_equal(self.msg.message, self.message_sent)
         )
 
 
 def session_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Honest-party and adversary generators, derived from one seed."""
-    honest_ss, eve_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(honest_ss), np.random.default_rng(eve_ss)
+    """Honest-party and adversary generators, derived from one seed.
+
+    They are the children SeedSequence(seed).spawn(2) would give, built
+    directly: child i is SeedSequence(seed, spawn_key=(i,)).
+    """
+    honest, eve = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                   for i in (0, 1))
+    return honest, eve
+
+
+def _message_phase(
+    config: SessionConfig,
+    attack: AttackModel,
+    trials: list[Trial],
+    auth: AuthPhaseResult,
+    results: list[SessionResult],
+    transcript: Transcript | None,
+) -> tuple[int, int, int, int]:
+    """Send the message of every authenticated trial at once; fills in their results.
+
+    Returns the chunk's counts of Eve's message-phase outcomes, indexed
+    by 2 * (Alice's bit) + outcome.
+    """
+    survivors = config.n_ghz - config.m_auth_check
+    channel = message_channel(config.protocol_variant)
+    active = [i for i, (trial, aborted) in enumerate(zip(trials, auth.aborted.tolist()))
+              if trial.message is not None and not aborted]
+    if not active:
+        return (0, 0, 0, 0)
+    plans, rows, hits, eve_us, us = [], [], [], [], []
+    for i in active:
+        trial = trials[i]
+        frame = ecc_encode(config.codec, trial.message)
+        plan = plan_message_positions(survivors, frame, config.check_fraction_msg, trial.rng)
+        hit, eve_u = attack_draws(attack, (channel,), len(plan.bits), trial.eve_rng)
+        plans.append(plan)
+        rows.append(i * survivors + plan.positions)
+        hits.append(hit[:, 0])
+        eve_us.append(eve_u[:, 0])
+        us.append(trial.rng.random((len(plan.bits), 2)))
+    bounds = np.cumsum([0] + [len(plan.bits) for plan in plans]).tolist()
+    chunk_plan = MessagePlan(*(np.concatenate([getattr(plan, name) for plan in plans])
+                               for name in ("positions", "bits", "is_check")))
+
+    sent, eve_msg = _encode_and_send(
+        auth.surviving.take(np.concatenate(rows)), chunk_plan, channel, attack,
+        np.concatenate(hits), np.concatenate(eve_us), transcript,
+    )
+    # Eve's uniforms for her attached ancillas, trial by trial in (row, slot) order.
+    ancilla_u = np.zeros(sent.attached.shape)
+    for i, lo, hi in zip(active, bounds, bounds[1:]):
+        attached = sent.attached[lo:hi]
+        if attached.any():
+            ancilla_u[lo:hi][attached] = trials[i].eve_rng.random(int(attached.sum()))
+    decoded, eve = _measure_and_decode(
+        sent, chunk_plan, config.protocol_variant, config.resolved_measure_order(),
+        np.concatenate(us), ancilla_u, transcript,
+    )
+    if sent.attached.shape[1] > auth.surviving.attached.shape[1]:
+        eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
+
+    for i, plan, lo, hi in zip(active, plans, bounds, bounds[1:]):
+        res = results[i]
+        res.plan, res.decoded_bits = plan, decoded[lo:hi]
+        if eve_msg is not None:
+            outcomes = eve_msg[lo:hi]
+            seen = outcomes >= 0
+            res.eve_observations = list(zip(plan.bits[seen].tolist(), outcomes[seen].tolist()))
+        _emit(transcript, "bob", "announce", what="decoding_complete")
+        _emit(
+            transcript,
+            "alice",
+            "announce",
+            what="msg_check_reveal",
+            positions=plan.positions[plan.is_check].tolist(),
+            values=format_bits(plan.bits[plan.is_check]),
+        )
+        res.msg = message_check_and_deliver(
+            decoded[lo:hi], plan, config.error_threshold_msg, config.codec, transcript
+        )
+    if eve_msg is None:
+        return (0, 0, 0, 0)
+    seen = eve_msg >= 0
+    return tuple(np.bincount(2 * chunk_plan.bits[seen] + eve_msg[seen], minlength=4).tolist())
+
+
+def run_chunk(
+    config: SessionConfig,
+    attack: AttackModel,
+    trials: list[Trial],
+    transcript: Transcript | None = None,
+) -> tuple[Tally, list[SessionResult]]:
+    """Run a chunk of trials trial-major: rows are (trial, position) pairs.
+
+    Each phase runs each kernel once over the rows of every trial in it;
+    trials that abort skip the message phase. Every trial's generators are
+    read in the same order as in a session run alone, so a trial's outcome
+    does not depend on its chunk. A transcript records a one-trial chunk.
+    """
+    config.validate()
+    auth = auth_phase(config, attack, trials, transcript)
+    checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
+    results = [
+        SessionResult(
+            Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED,
+            rate,
+            errors,
+            trial_checks,
+            trial.message,
+        )
+        for trial, aborted, rate, errors, trial_checks in zip(
+            trials, auth.aborted.tolist(), auth.error_rates.tolist(), auth.errors.tolist(), checks
+        )
+    ]
+    eve = _message_phase(config, attack, trials, auth, results, transcript)
+
+    msgs = [res.msg for res in results if res.msg is not None]
+    delivered = sum(msg.verdict is Verdict.MESSAGE_DELIVERED for msg in msgs)
+    aborted = int(auth.aborted.sum())
+    pair = 2 * auth.checks[:, 1] + auth.checks[:, 2]
+    outcomes = auth.checks[:, 3:]
+    error = (outcomes != outcomes[:, :1]).any(axis=1)
+    tally = Tally(
+        trials=len(trials),
+        authenticated=len(trials) - aborted,
+        auth_aborted=aborted,
+        message_delivered=delivered,
+        message_discarded=len(msgs) - delivered,
+        delivered_ok=sum(res.delivered_ok for res in results),
+        auth_checked=tuple(np.bincount(pair, minlength=4).tolist()),
+        auth_errors=tuple(np.bincount(pair[error], minlength=4).tolist()),
+        msg_checked=sum(msg.checked for msg in msgs),
+        msg_errors=sum(msg.errors for msg in msgs),
+        eve=eve,
+    )
+    return tally, results
+
+
+def run_trials(
+    config: SessionConfig, attack: AttackModel, trials: Iterable[Trial]
+) -> Iterator[tuple[Tally, list[SessionResult]]]:
+    """Run `trials` in chunks of max(1, ROW_CAP // n_ghz) trials, yielding each chunk's results.
+
+    Each chunk's trials are taken from `trials` only when the chunk starts.
+    """
+    size = max(1, ROW_CAP // config.n_ghz)
+    trials = iter(trials)
+    while chunk := list(islice(trials, size)):
+        yield run_chunk(config, attack, chunk)
 
 
 def run_session(
@@ -621,9 +828,7 @@ def run_session(
     message_bits: np.ndarray | None,
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
-    """Run one full session. message_bits=None runs authentication only."""
-    config.validate()
-
+    """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
     rng, eve_rng = session_rngs(config.rng_seed)
     transcript = Transcript() if config.record_transcript else None
     _emit(
@@ -635,56 +840,7 @@ def run_session(
         m_auth_check=config.m_auth_check,
         seed=config.rng_seed,
     )
-
-    auth = auth_phase(
-        config, alice_key, bob_key, attack, rng=rng, eve_rng=eve_rng, transcript=transcript
-    )
-    result = SessionResult(
-        config=config,
-        auth_verdict=auth.verdict,
-        auth_error_rate=auth.error_rate,
-        auth_checks=auth.checks,
-        message_sent=message_bits,
-        transcript=transcript,
-    )
-    if auth.verdict is Verdict.AUTH_ABORTED or message_bits is None:
-        return result
-
-    frame = ecc_encode(config.codec, message_bits)
-    plan = plan_message_positions(len(auth.surviving), frame, config.check_fraction_msg, rng)
-    result.plan = plan
-
-    channel = message_channel(config.protocol_variant)
-    sent, eve_msg = _encode_and_send(
-        auth.surviving.take(plan.positions), plan, channel, attack, eve_rng=eve_rng,
-        transcript=transcript,
-    )
-    decoded, eve = _measure_and_decode(
-        sent, plan, config.protocol_variant, rng=rng, eve_rng=eve_rng,
-        order=config.resolved_measure_order(), transcript=transcript,
-    )
-    if sent.attached.shape[1] > auth.surviving.attached.shape[1]:
-        eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
-    if eve_msg is not None:
-        seen = eve_msg >= 0
-        result.eve_observations = list(zip(plan.bits[seen].tolist(), eve_msg[seen].tolist()))
-    result.decoded_bits = decoded
-    _emit(transcript, "bob", "announce", what="decoding_complete")
-    _emit(
-        transcript,
-        "alice",
-        "announce",
-        what="msg_check_reveal",
-        positions=plan.positions[plan.is_check].tolist(),
-        values=format_bits(plan.bits[plan.is_check]),
-    )
-    msg = message_check_and_deliver(
-        decoded, plan, config.error_threshold_msg, config.codec, transcript
-    )
-    result.msg_verdict = msg.verdict
-    result.msg_error_rate = msg.error_rate
-    result.msg_check_errors = msg.errors
-    result.msg_checked = msg.checked
-    result.delivered_message = msg.message
-    result.corrected_errors = msg.corrected_errors
+    trial = Trial(alice_key, bob_key, message_bits, rng, eve_rng)
+    _, (result,) = run_chunk(config, attack, [trial], transcript)
+    result.transcript = transcript
     return result

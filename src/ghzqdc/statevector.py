@@ -216,6 +216,8 @@ def _rows(state: PureState, where):
 
 
 def _replace_rows(state: PureState, rows, amps: np.ndarray) -> PureState:
+    if isinstance(rows, slice):  # every row: nothing of the old state is kept
+        return _wrap(amps, state.labels)
     out = state.amplitudes.copy()
     out[rows] = amps
     return _wrap(out, state.labels)

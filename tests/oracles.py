@@ -158,3 +158,129 @@ def h74_decode(word7: str) -> tuple[str, int]:
         w[pos - 1] ^= 1
         fixed = 1
     return f"{w[2]}{w[4]}{w[5]}{w[6]}", fixed
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte Carlo loop: one session per trial, hand-written counters.
+
+
+def reference_run(spec):
+    """The report `harness.run(spec)` must reproduce, built trial by trial.
+
+    Each trial spawns its seeds, derives its keys, draws its message, runs
+    one session with `run_session` and adds its outcome to plain counters,
+    the way the harness did before it ran trials in chunks.
+    """
+    from dataclasses import replace
+
+    from ghzqdc.adversary import attack_to_dict
+    from ghzqdc.ecc import parse_bits
+    from ghzqdc.harness import (
+        RunReport,
+        _analytic_references,
+        _derive_trial_keys,
+        _normalize_eve_counts,
+        _random_bits,
+        trial_seed,
+    )
+    from ghzqdc.protocol import Verdict, run_session
+
+    per_trial: list[dict] = []
+    verdict_counts = {v.value: 0 for v in Verdict}
+    auth_errors = auth_checked = 0
+    auth_err_by_alice_bit = {0: [0, 0], 1: [0, 0]}  # bit -> [errors, total]
+    auth_err_by_bob_bit = {0: [0, 0], 1: [0, 0]}
+    detected = 0
+    msg_errors = msg_checked = 0
+    delivered = delivered_ok = attempted = 0
+    eve_counts = {"0": {"0": 0, "1": 0}, "1": {"0": 0, "1": 0}}
+
+    pinned = None if spec.message is None else parse_bits(spec.message)
+    for t in range(spec.trials):
+        keys_ss, session_ss = trial_seed(spec.seed, t)
+        keys_rng = np.random.default_rng(keys_ss)
+        alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
+        message = pinned
+        if message is None and spec.message_bits is not None:
+            message = _random_bits(keys_rng, spec.message_bits)
+        session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
+        config = replace(spec.config, rng_seed=session_seed)
+        res = run_session(config, alice_key, bob_key, message, spec.attack)
+        for bit, outcome in res.eve_observations:
+            eve_counts[str(bit)][str(outcome)] += 1
+
+        verdict_counts[res.auth_verdict.value] += 1
+        if res.msg is not None:
+            verdict_counts[res.msg.verdict.value] += 1
+        for check in res.auth_checks:
+            auth_checked += 1
+            err = 1 if check.error else 0
+            auth_errors += err
+            auth_err_by_alice_bit[check.alice_key_bit][0] += err
+            auth_err_by_alice_bit[check.alice_key_bit][1] += 1
+            auth_err_by_bob_bit[check.bob_key_bit][0] += err
+            auth_err_by_bob_bit[check.bob_key_bit][1] += 1
+        if res.auth_verdict is Verdict.AUTH_ABORTED:
+            detected += 1
+        msg_result = res.msg
+        msg_errors += msg_result.errors if msg_result else 0
+        msg_checked += msg_result.checked if msg_result else 0
+        if message is not None:
+            attempted += 1
+            if msg_result and msg_result.verdict is Verdict.MESSAGE_DELIVERED:
+                delivered += 1
+                if res.delivered_ok:
+                    delivered_ok += 1
+        per_trial.append(
+            {
+                "trial": t,
+                "auth_verdict": res.auth_verdict.value,
+                "auth_errors": sum(1 for c in res.auth_checks if c.error),
+                "auth_checked": len(res.auth_checks),
+                "msg_verdict": msg_result.verdict.value if msg_result else None,
+                "msg_errors": msg_result.errors if msg_result else 0,
+                "msg_checked": msg_result.checked if msg_result else 0,
+                "delivered_ok": res.delivered_ok if message is not None else None,
+            }
+        )
+
+    def rate(errors, total):
+        return errors / total if total else 0.0
+
+    auth = {
+        "check_bits": auth_checked,
+        "errors": auth_errors,
+        "error_rate": rate(auth_errors, auth_checked),
+        "error_rate_by_alice_key_bit": {
+            str(b): rate(*auth_err_by_alice_bit[b]) for b in (0, 1)
+        },
+        "error_rate_by_bob_key_bit": {str(b): rate(*auth_err_by_bob_bit[b]) for b in (0, 1)},
+        "detection_rate": rate(detected, spec.trials),
+    }
+    message_stats = {
+        "check_bits": msg_checked,
+        "errors": msg_errors,
+        "error_rate": rate(msg_errors, msg_checked),
+        "attempted": attempted,
+        "delivered": delivered,
+        "delivery_fidelity": rate(delivered_ok, delivered) if delivered else 0.0,
+    }
+    spec_echo = {
+        "config": spec.config.to_dict(),
+        "attack": attack_to_dict(spec.attack),
+        "trials": spec.trials,
+        "seed": spec.seed,
+        "message_bits": spec.message_bits,
+        "message": spec.message,
+    }
+    return RunReport(
+        spec_echo=spec_echo,
+        seed=spec.seed,
+        trials=spec.trials,
+        verdicts=verdict_counts,
+        per_trial=per_trial,
+        auth=auth,
+        message=message_stats,
+        eve=_normalize_eve_counts(eve_counts),
+        analytic=_analytic_references(spec),
+    )

@@ -338,8 +338,8 @@ def test_07_message_attack_error_rate_order_invariant():
             kb = random_key(np.random.default_rng(80_000 + t), 48)
             cfg = replace(config, measure_order=order, rng_seed=t)
             res = run_session(cfg, ka, kb, parse_bits("10110010"), attack)
-            errors += res.msg_check_errors
-            checked += res.msg_checked
+            errors += res.msg.errors
+            checked += res.msg.checked
         rates[order] = errors / checked
         assert checked >= 5000
         assert rates[order] == pytest.approx(0.50, abs=0.02)
@@ -460,13 +460,13 @@ def test_09b_partial_coverage_attack_with_repetition_code():
         outcomes.append(oracle_says_ok)
         if oracle_says_ok:
             predicted_ok += 1
-            assert res.msg_verdict is Verdict.MESSAGE_DELIVERED
-            assert format_bits(res.delivered_message) == message
+            assert res.msg.verdict is Verdict.MESSAGE_DELIVERED
+            assert format_bits(res.msg.message) == message
         else:
             # out-of-bound blocks majority-vote wrong, and a corrupted
             # uncoded header surfaces as a framing discard, never as a
             # silently wrong delivery
-            assert res.delivered_message is None or format_bits(res.delivered_message) != message
+            assert res.msg.message is None or format_bits(res.msg.message) != message
     assert predicted_ok >= 3, "oracle-clean sessions must occur for the check to bind"
     assert True in outcomes and False in outcomes
     report(

@@ -353,7 +353,7 @@ def test_zero_coverage_matches_no_attack_exactly():
         cfg, ka, kb, message, intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.0)
     )
     assert baseline.transcript.to_jsonl() == covered.transcript.to_jsonl()
-    assert np.array_equal(baseline.delivered_message, covered.delivered_message)
+    assert np.array_equal(baseline.msg.message, covered.msg.message)
 
 
 def test_intercept_x_basis_option():

@@ -6,12 +6,24 @@ import io
 import json
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import reference_run
 
-from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, intercept_resend_attack
+from ghzqdc import protocol
+from ghzqdc.adversary import (
+    NO_ATTACK,
+    AttackModel,
+    AttackVariant,
+    Channel,
+    entangle_cnot_attack,
+    intercept_resend_attack,
+)
 from ghzqdc.cli import main as cli_main, parse_complex, parse_message
-from ghzqdc.ecc import format_bits
+from ghzqdc.ecc import codec_by_name, format_bits
 from ghzqdc.harness import (
     RunSpec,
     _derive_trial_keys,
@@ -369,3 +381,77 @@ def test_attack_comparison_script(protocol, capsys):
     assert all(len(v) == 4 and all(0.0 <= x <= 1.0 for x in v) for v in rows.values())
     assert rows["none"] == [0.0, 0.0, 0.0, 1.0]
     assert rows["entangle-general (msg)"][2] > 0.0  # message error rate
+
+
+# ---------------------------------------------------------------------------
+# Trial-major engine against the trial-by-trial reference
+
+
+_ORDERS = [None, ("bob", "trent", "eve"), ("eve", "trent", "bob"), ("trent", "eve", "bob")]
+
+
+@st.composite
+def run_specs(draw):
+    n = draw(st.integers(12, 28))
+    config = SessionConfig(
+        n_ghz=n,
+        m_auth_check=draw(st.integers(0, 5)),
+        check_fraction_msg=draw(st.sampled_from([0.0, 0.1, 0.25])),
+        error_threshold_auth=draw(st.sampled_from([0.0, 0.25, 1.0])),
+        error_threshold_msg=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        codec=codec_by_name(draw(st.sampled_from(["none", "rep3", "hamming74"]))),
+        protocol_variant=draw(st.sampled_from(["qdc1", "qdc2"])),
+        measure_order=draw(st.sampled_from(_ORDERS)),
+        record_transcript=False,
+    )
+    attack = AttackModel(
+        variant=draw(st.sampled_from(list(AttackVariant))),
+        channels=frozenset(draw(st.sets(st.sampled_from(list(Channel))))),
+        coverage=draw(st.sampled_from([1.0, 0.6, 0.3])),
+    )
+    message_bits = draw(st.sampled_from([None, 1, 2, 4]))
+    try:
+        return RunSpec(config=config, attack=attack, trials=draw(st.integers(1, 7)),
+                       seed=draw(st.integers(0, 2**16)), message_bits=message_bits)
+    except ConfigError:  # frame plus checks exceed the survivors
+        return RunSpec(config=config, attack=attack, trials=3, seed=1, message_bits=None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(spec=run_specs(), row_cap=st.sampled_from([1, 13, 30, 64, protocol.ROW_CAP]))
+@example(  # one-trial chunks, every one of them aborted
+    spec=RunSpec(
+        config=SessionConfig(n_ghz=24, m_auth_check=6, record_transcript=False),
+        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}),
+        trials=4, seed=2, message_bits=4,
+    ),
+    row_cap=1,
+)
+@example(  # chunks of 3 trials, each full one with all three verdicts, the last one partial
+    spec=RunSpec(
+        config=SessionConfig(n_ghz=20, m_auth_check=4, error_threshold_msg=0.3,
+                             record_transcript=False),
+        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.3),
+        trials=8, seed=54, message_bits=2,
+    ),
+    row_cap=60,
+)
+def test_chunked_run_matches_trial_by_trial_reference(spec, row_cap):
+    with mock.patch.object(protocol, "ROW_CAP", row_cap):
+        got = run(spec).to_json(include_timestamp=False)
+    assert got == reference_run(spec).to_json(include_timestamp=False)
+
+
+def test_chunks_stay_within_row_cap(monkeypatch):
+    rows = []
+    new_ghz3 = protocol.new_ghz3
+
+    def recording_new_ghz3(count=1):
+        rows.append(count)
+        return new_ghz3(count)
+
+    monkeypatch.setattr(protocol, "new_ghz3", recording_new_ghz3)
+    run(spec(config=SessionConfig(n_ghz=128, m_auth_check=16, record_transcript=False),
+             trials=20, message_bits=40))
+    assert sum(rows) == 20 * 128
+    assert max(rows) <= protocol.ROW_CAP

@@ -15,6 +15,7 @@ from ghzqdc.protocol import (
     MessagePlan,
     SessionConfig,
     Transcript,
+    Trial,
     Verdict,
     auth_phase,
     message_check_and_deliver,
@@ -185,13 +186,17 @@ def test_trent_marginals_leak_nothing():
 # Authentication phase
 
 
+def one_trial(ka, kb, rng) -> list[Trial]:
+    return [Trial(ka, kb, None, rng, np.random.default_rng(0))]
+
+
 def test_honest_auth_no_errors():
     config = small_config(m_auth_check=16)
     ka, kb = keys_for(config)
     rng = np.random.default_rng(1)
-    res = auth_phase(config, ka, kb, NO_ATTACK, rng=rng)
-    assert res.verdict is Verdict.AUTHENTICATED
-    assert res.error_rate == 0.0
+    res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, rng))
+    assert res.aborted.tolist() == [False]
+    assert res.error_rates.tolist() == [0.0]
     assert len(res.surviving) == config.n_ghz - 16
     assert len(res.checks) == 16
 
@@ -201,7 +206,7 @@ def test_auth_restores_raw_triples():
     state, for random keys."""
     config = small_config(m_auth_check=0)
     ka, kb = keys_for(config, seed=9)
-    res = auth_phase(config, ka, kb, NO_ATTACK, rng=np.random.default_rng(1))
+    res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, np.random.default_rng(1)))
     assert res.surviving.state.rows == config.n_ghz
     assert np.allclose(res.surviving.state.amplitudes, new_ghz3().amplitudes, atol=ATOL)
 
@@ -210,8 +215,9 @@ def test_auth_requires_key_coverage():
     config = small_config()
     with pytest.raises(InsufficientKeyError):
         auth_phase(
-            config, AuthKey(parse_bits("01")), AuthKey(parse_bits("0" * 48)),
-            rng=np.random.default_rng(0),
+            config, NO_ATTACK,
+            one_trial(AuthKey(parse_bits("01")), AuthKey(parse_bits("0" * 48)),
+                      np.random.default_rng(0)),
         )
 
 
@@ -330,19 +336,19 @@ def test_honest_session_delivers_exact_message(variant):
         ka, kb = keys_for(config, seed=seed)
         res = run_session(config, ka, kb, parse_bits(message), NO_ATTACK)
         assert res.auth_verdict is Verdict.AUTHENTICATED
-        assert res.msg_verdict is Verdict.MESSAGE_DELIVERED
-        assert format_bits(res.delivered_message) == message
+        assert res.msg.verdict is Verdict.MESSAGE_DELIVERED
+        assert format_bits(res.msg.message) == message
         assert res.auth_error_rate == 0.0
-        assert res.msg_error_rate == 0.0
+        assert res.msg.error_rate == 0.0
 
 
 def test_session_without_message_checks_still_delivers():
     config = small_config(check_fraction_msg=0.0, rng_seed=4)
     ka, kb = keys_for(config, seed=4)
     res = run_session(config, ka, kb, parse_bits("10110100"), NO_ATTACK)
-    assert res.msg_verdict is Verdict.MESSAGE_DELIVERED
-    assert res.msg_checked == 0
-    assert format_bits(res.delivered_message) == "10110100"
+    assert res.msg.verdict is Verdict.MESSAGE_DELIVERED
+    assert res.msg.checked == 0
+    assert format_bits(res.msg.message) == "10110100"
 
 
 def test_auth_only_session():
@@ -350,7 +356,7 @@ def test_auth_only_session():
     ka, kb = keys_for(config)
     res = run_session(config, ka, kb, None, NO_ATTACK)
     assert res.auth_verdict is Verdict.AUTHENTICATED
-    assert res.msg_verdict is None
+    assert res.msg is None
     assert res.plan is None
 
 

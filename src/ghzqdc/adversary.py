@@ -210,6 +210,11 @@ class AttackModel:
     def targets(self, channel: Channel) -> bool:
         return self.variant != AttackVariant.NONE and channel in self.channels
 
+    @property
+    def draws(self) -> bool:
+        """Whether attack_draws reads Eve's generator for a targeted transmission."""
+        return self.coverage < 1.0 or self.variant == AttackVariant.INTERCEPT_RESEND
+
 
 NO_ATTACK = AttackModel()
 
@@ -289,7 +294,8 @@ def attack_draws(
     (hit, u), both (rows, len(channels)). Eve's generator is read as
     per-transmission hooks in (row, channel) order would read it: for each
     targeted transmission, one coverage variate when coverage < 1, then
-    one measurement uniform if an intercept attacks it.
+    one measurement uniform if an intercept attacks it. `eve_rng` may be
+    None when `model.draws` is false.
     """
     hit = np.zeros((rows, len(channels)), dtype=bool)
     u = np.zeros(hit.shape)

@@ -47,7 +47,6 @@ from .protocol import (
     message_channel,
     run_session,  # only read by perfbench's tracer, which wraps harness.run_session
     run_trials,
-    session_rngs,
 )
 
 SCHEMA_VERSION = 1
@@ -224,8 +223,8 @@ def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> Trial:
     message = pinned  # validate() allows a pinned message only when message_bits is set
     if message is None and spec.message_bits is not None:
         message = _random_bits(keys_rng, spec.message_bits)
-    rng, eve_rng = session_rngs(int(session_ss.generate_state(1, dtype=np.uint64)[0]))
-    return Trial(alice_key, bob_key, message, rng, eve_rng)
+    session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
+    return Trial(alice_key, bob_key, message, session_seed)
 
 
 def _trial_record(index: int, res: SessionResult) -> dict:

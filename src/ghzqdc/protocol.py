@@ -40,6 +40,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -243,13 +244,26 @@ class AuthCheckRecord:
 @dataclass(frozen=True, eq=False)
 class Trial:
     """One session's inputs: both keys, the message (None runs authentication
-    only) and the session's honest and adversary generators."""
+    only) and the seed of the session's honest and adversary generators.
+
+    The generators are the two children SeedSequence(seed).spawn(2) would
+    give, child i being SeedSequence(seed, spawn_key=(i,)). Each is built
+    on first use: Eve's is never read in a run without an attack, nor in an
+    authentication-only run of an entangling attack at full coverage.
+    """
 
     alice_key: AuthKey
     bob_key: AuthKey
     message: np.ndarray | None
-    rng: np.random.Generator
-    eve_rng: np.random.Generator
+    seed: int
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
+
+    @cached_property
+    def eve_rng(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(1,)))
 
 
 @dataclass
@@ -288,7 +302,8 @@ def auth_phase(
             if len(key.bits) < n:
                 raise InsufficientKeyError(f"{who} key covers {len(key.bits)} < {n} positions")
             row[i] = key.bits[:n]
-        hit[i], eve_u[i] = attack_draws(attack, channels, n, trial.eve_rng)
+        eve_rng = trial.eve_rng if attack.draws else None  # built only if Eve draws
+        hit[i], eve_u[i] = attack_draws(attack, channels, n, eve_rng)
         if m:
             check_positions[i] = np.sort(trial.rng.choice(n, size=m, replace=False))
             # One uniform per check position and party, in (position, Alice/Bob/Trent) order.
@@ -669,17 +684,6 @@ class SessionResult:
         )
 
 
-def session_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Honest-party and adversary generators, derived from one seed.
-
-    They are the children SeedSequence(seed).spawn(2) would give, built
-    directly: child i is SeedSequence(seed, spawn_key=(i,)).
-    """
-    honest, eve = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-                   for i in (0, 1))
-    return honest, eve
-
-
 def _message_phase(
     config: SessionConfig,
     attack: AttackModel,
@@ -704,7 +708,8 @@ def _message_phase(
         trial = trials[i]
         frame = ecc_encode(config.codec, trial.message)
         plan = plan_message_positions(survivors, frame, config.check_fraction_msg, trial.rng)
-        hit, eve_u = attack_draws(attack, (channel,), len(plan.bits), trial.eve_rng)
+        eve_rng = trial.eve_rng if attack.draws else None
+        hit, eve_u = attack_draws(attack, (channel,), len(plan.bits), eve_rng)
         plans.append(plan)
         rows.append(i * survivors + plan.positions)
         hits.append(hit[:, 0])
@@ -829,7 +834,6 @@ def run_session(
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
     """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
-    rng, eve_rng = session_rngs(config.rng_seed)
     transcript = Transcript() if config.record_transcript else None
     _emit(
         transcript,
@@ -840,7 +844,7 @@ def run_session(
         m_auth_check=config.m_auth_check,
         seed=config.rng_seed,
     )
-    trial = Trial(alice_key, bob_key, message_bits, rng, eve_rng)
+    trial = Trial(alice_key, bob_key, message_bits, config.rng_seed)
     _, (result,) = run_chunk(config, attack, [trial], transcript)
     result.transcript = transcript
     return result

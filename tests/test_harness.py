@@ -419,13 +419,13 @@ def run_specs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(spec=run_specs(), row_cap=st.sampled_from([1, 13, 30, 64, protocol.ROW_CAP]))
-@example(  # one-trial chunks, every one of them aborted
+@example(  # chunks of two trials in which every trial aborts
     spec=RunSpec(
         config=SessionConfig(n_ghz=24, m_auth_check=6, record_transcript=False),
         attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}),
         trials=4, seed=2, message_bits=4,
     ),
-    row_cap=1,
+    row_cap=48,
 )
 @example(  # chunks of 3 trials, each full one with all three verdicts, the last one partial
     spec=RunSpec(

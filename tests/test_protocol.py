@@ -186,15 +186,14 @@ def test_trent_marginals_leak_nothing():
 # Authentication phase
 
 
-def one_trial(ka, kb, rng) -> list[Trial]:
-    return [Trial(ka, kb, None, rng, np.random.default_rng(0))]
+def one_trial(ka, kb, seed) -> list[Trial]:
+    return [Trial(ka, kb, None, seed)]
 
 
 def test_honest_auth_no_errors():
     config = small_config(m_auth_check=16)
     ka, kb = keys_for(config)
-    rng = np.random.default_rng(1)
-    res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, rng))
+    res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, seed=1))
     assert res.aborted.tolist() == [False]
     assert res.error_rates.tolist() == [0.0]
     assert len(res.surviving) == config.n_ghz - 16
@@ -206,7 +205,7 @@ def test_auth_restores_raw_triples():
     state, for random keys."""
     config = small_config(m_auth_check=0)
     ka, kb = keys_for(config, seed=9)
-    res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, np.random.default_rng(1)))
+    res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, seed=1))
     assert res.surviving.state.rows == config.n_ghz
     assert np.allclose(res.surviving.state.amplitudes, new_ghz3().amplitudes, atol=ATOL)
 
@@ -216,8 +215,7 @@ def test_auth_requires_key_coverage():
     with pytest.raises(InsufficientKeyError):
         auth_phase(
             config, NO_ATTACK,
-            one_trial(AuthKey(parse_bits("01")), AuthKey(parse_bits("0" * 48)),
-                      np.random.default_rng(0)),
+            one_trial(AuthKey(parse_bits("01")), AuthKey(parse_bits("0" * 48)), seed=0),
         )
 
 

@@ -630,9 +630,10 @@ ROW_CAP = 512
 class Tally:
     """Integer counts over a set of trials; tallies of disjoint sets add with `+`.
 
-    The auth tuples count check positions by (Alice's key bit a, Bob's key
-    bit b) at index 2a + b; `eve` counts Eve's message-phase outcomes by
-    (Alice's bit, Eve's outcome) at index 2 * bit + outcome.
+    The four verdict counts are named after the `Verdict` members. The auth
+    tuples count check positions by (Alice's key bit a, Bob's key bit b) at
+    index 2a + b; `eve` counts Eve's message-phase outcomes by (Alice's
+    bit, Eve's outcome) at index 2 * bit + outcome.
     """
 
     trials: int = 0

@@ -82,6 +82,18 @@ CONFIGS = {
         "--attack-coverage", "0.3", "--n-ghz", "24", "--auth-check-bits", "2",
         "--message-bits", "8", "--threshold-msg", "0.3", "--trials", "40", "--seed", "25",
     ],
+    "sweep_intercept_across_key_block": [
+        "sweep", "--attack", "intercept", "--attack-channels", "trent-alice,alice-bob",
+        "--attack-coverage", "0.5", "--n-ghz", "126", "--auth-check-bits", "2",
+        "--message-bits", "8", "--threshold-auth", "0.3", "--m-values", "1,4,8",
+        "--trials", "12", "--seed", "27",
+    ],
+    "sweep_general_unsorted_many_blocks": [
+        "sweep", "--attack", "entangle-general", "--attack-channels", "trent-bob",
+        "--attack-coverage", "0.7", "--n-ghz", "7", "--auth-check-bits", "1",
+        "--message-bits", "0", "--threshold-auth", "0.2", "--m-values", "20,1,5",
+        "--trials", "300", "--seed", "29",
+    ],
 }
 
 

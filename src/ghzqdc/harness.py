@@ -18,6 +18,10 @@ would, so the seed contract (v1) is unchanged and a report does not
 depend on the chunk size. Each chunk's `Tally` of counts is added up, and
 the report's rates come from the total.
 
+A detection sweep shares inputs per block of trials: it builds each
+trial's keys, message and seed once and runs every m row from them, each
+row adding up its own tally (see `sweep_detection_curve`).
+
 The JSON report schema (schema_version 1) is documented in the README.
 Alongside every empirical statistic the report carries the matching
 closed-form reference value where one exists, so a report is
@@ -44,6 +48,7 @@ from .protocol import (
     Trial,
     Verdict,
     check_capacity,
+    chunk_size,
     message_channel,
     run_session,  # only read by perfbench's tracer, which wraps harness.run_session
     run_trials,
@@ -77,6 +82,8 @@ class RunSpec:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
         self.config.validate()
@@ -340,24 +347,41 @@ class SweepReport:
 
 
 def sweep_detection_curve(base: RunSpec, m_values: list[int]) -> SweepReport:
-    """One run per m, keeping the number of surviving triples constant.
+    """One row per m, keeping the number of surviving triples constant.
 
-    Each run keeps base.seed so rows are reproducible independently.
+    Each row reports what `run` would for its m under base.seed. A trial's
+    keys, message and session seed do not depend on m (a longer counter-mode
+    key starts with every shorter one), so they are built once per block of
+    chunk_size(smallest n) trials, for the widest row. Every row runs fresh
+    `Trial`s from them, as a `Trial`'s generators are consumed when it runs.
     """
     if any(m < 1 for m in m_values):
         raise ConfigError("m values must be positive")
     surplus = base.config.n_ghz - base.config.m_auth_check
+    specs = [
+        replace(base, config=replace(base.config, m_auth_check=m, n_ghz=m + surplus))
+        for m in m_values
+    ]
     report = SweepReport(seed=base.seed, trials=base.trials)
-    for m in m_values:
-        config = replace(base.config, m_auth_check=m, n_ghz=m + surplus)
-        spec = replace(base, config=config)
-        result = run(spec)
+    if not specs:
+        return report
+    widest = max(specs, key=lambda spec: spec.config.n_ghz)
+    pinned = None if base.message is None else parse_bits(base.message)
+    block = chunk_size(min(spec.config.n_ghz for spec in specs))
+    tallies = [Tally() for _ in specs]
+    for start in range(0, base.trials, block):
+        inputs = [_trial(widest, t, pinned) for t in range(start, min(start + block, base.trials))]
+        for row, spec in enumerate(specs):
+            fresh = (Trial(t.alice_key, t.bob_key, t.message, t.seed) for t in inputs)
+            for chunk, _ in run_trials(spec.config, spec.attack, fresh):
+                tallies[row] += chunk
+    for spec, tally in zip(specs, tallies):
         report.rows.append(
             {
-                "m": m,
+                "m": spec.config.m_auth_check,
                 "trials": spec.trials,
-                "empirical_detection_rate": result.auth["detection_rate"],
-                "analytic_detection_rate": result.analytic.get("auth_detection_rate"),
+                "empirical_detection_rate": tally.auth_aborted / tally.trials,
+                "analytic_detection_rate": _analytic_references(spec).get("auth_detection_rate"),
             }
         )
     return report

@@ -814,14 +814,19 @@ def run_chunk(
     return tally, results
 
 
+def chunk_size(n_ghz: int) -> int:
+    """Most trials of n_ghz triples each that one chunk runs: max(1, ROW_CAP // n_ghz)."""
+    return max(1, ROW_CAP // n_ghz)
+
+
 def run_trials(
     config: SessionConfig, attack: AttackModel, trials: Iterable[Trial]
 ) -> Iterator[tuple[Tally, list[SessionResult]]]:
-    """Run `trials` in chunks of max(1, ROW_CAP // n_ghz) trials, yielding each chunk's results.
+    """Run `trials` in chunks of chunk_size(n_ghz) trials, yielding each chunk's results.
 
     Each chunk's trials are taken from `trials` only when the chunk starts.
     """
-    size = max(1, ROW_CAP // config.n_ghz)
+    size = chunk_size(config.n_ghz)
     trials = iter(trials)
     while chunk := list(islice(trials, size)):
         yield run_chunk(config, attack, chunk)

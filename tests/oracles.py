@@ -284,3 +284,27 @@ def reference_run(spec):
         eve=_normalize_eve_counts(eve_counts),
         analytic=_analytic_references(spec),
     )
+
+
+def reference_sweep(base, m_values):
+    """The report `harness.sweep_detection_curve` must reproduce: one full
+    `harness.run` per m, the way the sweep ran before trials shared their
+    keys, message and seed across rows."""
+    from dataclasses import replace
+
+    from ghzqdc.harness import SweepReport, run
+
+    surplus = base.config.n_ghz - base.config.m_auth_check
+    report = SweepReport(seed=base.seed, trials=base.trials)
+    for m in m_values:
+        config = replace(base.config, m_auth_check=m, n_ghz=m + surplus)
+        result = run(replace(base, config=config))
+        report.rows.append(
+            {
+                "m": m,
+                "trials": base.trials,
+                "empirical_detection_rate": result.auth["detection_rate"],
+                "analytic_detection_rate": result.analytic.get("auth_detection_rate"),
+            }
+        )
+    return report

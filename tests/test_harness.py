@@ -11,9 +11,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import reference_run
+from oracles import reference_run, reference_sweep
 
-from ghzqdc import protocol
+import ghzqdc.cli
+from ghzqdc import harness, protocol
 from ghzqdc.adversary import (
     NO_ATTACK,
     AttackModel,
@@ -91,6 +92,8 @@ def test_config_errors_raised_before_trials():
         run(spec(trials=0))
     with pytest.raises(ConfigError):
         run(spec(fmt="xml"))
+    with pytest.raises(ConfigError, match="seed"):
+        run(spec(seed=-5))
     with pytest.raises(ConfigError):
         run(spec(message="10", message_bits=16))
     with pytest.raises(ConfigError):
@@ -225,6 +228,14 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
     code = cli_main(["run", "--n-ghz", "4", "--auth-check-bits", "9", "--trials", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # A negative seed is a configuration error too, caught before --out is created.
+    out = tmp_path / "r.json"
+    for command in ("run", "sweep"):
+        code = cli_main([command, "--seed", "-1", "--n-ghz", "40", "--auth-check-bits", "2",
+                         "--message-bits", "2", "--trials", "3", "--out", str(out)])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
     # A malformed flag is a usage error, raised before --out is created.
     out = tmp_path / "r.csv"
     for m_values in ("0,1", "1,x", ","):
@@ -455,3 +466,71 @@ def test_chunks_stay_within_row_cap(monkeypatch):
              trials=20, message_bits=40))
     assert sum(rows) == 20 * 128
     assert max(rows) <= protocol.ROW_CAP
+
+
+# ---------------------------------------------------------------------------
+# Trial-block-major sweep against one run per m
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    base=run_specs(),
+    m_values=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    row_cap=st.sampled_from([1, 13, 30, 64, protocol.ROW_CAP]),
+)
+@example(  # rows of 125, 128 and 132 triples: only the widest row's key has a second block
+    base=RunSpec(
+        config=SessionConfig(n_ghz=126, m_auth_check=2, error_threshold_auth=0.3,
+                             record_transcript=False),
+        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB},
+                                       coverage=0.5),
+        trials=12, seed=27, message_bits=8,
+    ),
+    m_values=[8, 1, 4, 4],
+    row_cap=protocol.ROW_CAP,
+)
+def test_sweep_matches_one_run_per_m(base, m_values, row_cap):
+    with mock.patch.object(protocol, "ROW_CAP", row_cap):
+        got = sweep_detection_curve(base, m_values)
+    want = reference_sweep(base, m_values)
+    assert got.to_json() == want.to_json()
+    assert got.to_csv() == want.to_csv()
+
+
+def test_sweep_derives_each_trials_keys_once(monkeypatch):
+    calls = []
+    derive_key = harness.derive_key
+
+    def counting_derive_key(*args, **kwargs):
+        calls.append(kwargs["needed"])
+        return derive_key(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "derive_key", counting_derive_key)
+    base = spec(config=SessionConfig(n_ghz=8, m_auth_check=2, record_transcript=False),
+                attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}), trials=7,
+                message_bits=None)
+    sweep_detection_curve(base, [1, 3, 2])
+    # Alice's and Bob's key per trial, each long enough for the widest row.
+    assert calls == [9] * 14
+
+
+def test_perfbench_tracer_wraps_every_call_site(capsys):
+    """The benchmark's tracer rebinds library names by string; each must still exist."""
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    original_run = harness.run
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(ghzqdc)
+        common = ["--n-ghz", "24", "--auth-check-bits", "2", "--trials", "2", "--seed", "1"]
+        assert ghzqdc.cli.main(["run", "--message-bits", "4", *common]) == 0
+        assert ghzqdc.cli.main(["sweep", "--message-bits", "0", "--m-values", "1,3", *common]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counts = tracer.call_counts()
+    assert counts["authkeys.derive_key"] > 0
+    assert counts["protocol.plan"] > 0
+    assert harness.run is original_run

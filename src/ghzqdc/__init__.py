@@ -13,7 +13,7 @@ from .adversary import (
     entangle_general_attack,
     intercept_resend_attack,
 )
-from .authkeys import AuthKey, Counter, PatternHash, Shake256Hash, UserIdentity, derive_key
+from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
 from .ecc import Codec, codec_by_name, hamming74_codec, none_codec, repetition_codec
 from .harness import RunSpec, run, sweep_detection_curve
 from .protocol import SessionConfig, SessionResult, Verdict, run_session
@@ -25,7 +25,6 @@ from .statevector import (
     measure_x,
     measure_z,
     new_ghz3,
-    probability_of,
 )
 
 __version__ = "0.1.0"

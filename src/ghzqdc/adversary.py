@@ -247,42 +247,21 @@ def entangle_general_attack(channels, coverage: float = 1.0, **params) -> Attack
 # Attack operations
 
 
-def _measure_bit(state: PureState, qubit: int, basis: str, u, where=None):
-    """z or x measurement of one qubit per row; an x outcome reads 0 for |+>, 1 for |->."""
-    if basis == "z":
-        return measure_z(state, qubit, u, where)
-    if basis == "x":
-        return measure_x(state, qubit, u, where)
-    raise InvalidAttackError(f"unsupported measurement basis: {basis!r}")
-
-
 def attack_intercept_resend(
     state: PureState, qubit: int, u, basis: str = "z", where=None
 ) -> tuple[np.ndarray, PureState]:
-    """Eve measures the transiting qubit of each `where` row and forwards the collapsed state."""
-    return _measure_bit(state, qubit, basis, u, where)
-
-
-def attack_entangle_cnot(state: PureState, qubit: int, ancilla: int) -> PureState:
-    """Controlled flip of a |0>-prepared ancilla by the transiting qubit."""
-    return apply_two_qubit(state, _CNOT, qubit, ancilla)
-
-
-def attack_entangle_general(
-    state: PureState, qubit: int, ancilla: int, model: AttackModel
-) -> PureState:
-    """Apply the model's entangling unitary to (channel qubit, ancilla)."""
-    u = model.unitary()
-    if u is None:
-        raise InvalidAttackError("attack model has no entangling unitary")
-    return apply_two_qubit(state, u, qubit, ancilla)
+    """Eve measures the transiting qubit of each `where` row in z or x and forwards
+    the collapsed state; an x outcome reads 0 for |+>, 1 for |->."""
+    if basis not in ("z", "x"):
+        raise InvalidAttackError(f"unsupported measurement basis: {basis!r}")
+    return (measure_z if basis == "z" else measure_x)(state, qubit, u, where)
 
 
 def eve_measure_ancilla(
-    state: PureState, ancilla: int, basis: str, u, where=None
+    state: PureState, ancilla: int, u, where=None
 ) -> tuple[np.ndarray, PureState]:
-    """Measure one of Eve's ancilla slots in the `where` rows."""
-    return _measure_bit(state, ancilla, basis, u, where)
+    """z-measure one of Eve's ancilla slots in the `where` rows."""
+    return measure_z(state, ancilla, u, where)
 
 
 def attack_draws(

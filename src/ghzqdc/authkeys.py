@@ -5,8 +5,7 @@ hash blocks, extended by incrementing the counter until the key covers the
 requested number of positions. The hash itself is a pluggable contract:
 any deterministic callable (id_bits, counter_bits) -> bit array of
 constant width, both inputs being "0"/"1" text. Shake256Hash is the
-production choice; PatternHash is a deterministic stub for tests and
-fixtures.
+production choice; tests substitute a deterministic pattern stub.
 
 Key bit k drives the encode/decode unitary on the matching GHZ particle:
 0 selects the identity, 1 selects the Hadamard. Both are self-inverse, so
@@ -83,21 +82,6 @@ class Shake256Hash:
         return np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[: self.output_bits]
 
 
-class PatternHash:
-    """Deterministic test stub: repeats a fixed pattern, ignoring inputs."""
-
-    def __init__(self, pattern: str = "0110", output_bits: int = 8):
-        self.pattern = parse_bits(pattern, "pattern")
-        if not len(self.pattern):
-            raise ValueError("pattern must be non-empty")
-        if output_bits < 1:
-            raise ValueError("output_bits must be positive")
-        self.output_bits = output_bits
-
-    def __call__(self, id_bits: str, counter_bits: str) -> np.ndarray:
-        return np.resize(self.pattern, self.output_bits)
-
-
 @dataclass(frozen=True, eq=False)
 class AuthKey:
     """Derived key bits (read-only uint8) plus the counters of the hash blocks
@@ -146,13 +130,6 @@ def derive_key(
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniformly random bits as a uint8 array, from one integers() draw."""
     return rng.integers(0, 2, size=n).astype(np.uint8)
-
-
-def random_key(rng: np.random.Generator, length: int) -> AuthKey:
-    """Uniformly random key bits (experiment convenience, no counters)."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return AuthKey(bits=random_bits(rng, length))
 
 
 def unitary_for_key_bit(bit: int) -> Gate1Q:

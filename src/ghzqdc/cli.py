@@ -4,9 +4,10 @@ Two subcommands:
   run    repeated sessions under one configuration, JSON/CSV report
   sweep  detection-rate curve over a list of auth check counts
 
-Exit status is 0 for a completed run, 1 for a configuration error or an
-unwritable output path, and 2 for a malformed flag (raised before the
-output file is created).
+Exit status is 0 for a completed run, 1 for a configuration error (an
+attack flag the chosen --attack ignores among them) or an unwritable output
+path, and 2 for a malformed flag such as an empty channel list. Both kinds
+of error are raised before the output file is created.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK
 from .ecc import check_distance_rule, codec_by_name, format_bits, parse_bits
 from .harness import RunSpec, run, sweep_detection_curve
-from .protocol import SessionConfig, message_channel
+from .protocol import ConfigError, SessionConfig, message_channel
 
 
 def parse_complex(text: str) -> complex:
@@ -62,6 +63,7 @@ def parse_message_bits(text: str) -> int:
 
 
 def parse_channels(text: str) -> frozenset[Channel]:
+    """Comma list of one or more channel names."""
     out = set()
     for name in text.split(","):
         name = name.strip()
@@ -72,6 +74,8 @@ def parse_channels(text: str) -> frozenset[Channel]:
         except ValueError:
             valid = ", ".join(c.value for c in Channel)
             raise argparse.ArgumentTypeError(f"unknown channel {name!r}; one of: {valid}") from None
+    if not out:
+        raise argparse.ArgumentTypeError(f"expected at least one channel, got {text!r}")
     return frozenset(out)
 
 
@@ -107,7 +111,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=[v.value for v in AttackVariant], default="none")
     p.add_argument("--attack-channels", type=parse_channels, default=None,
                    help="comma list of trent-alice, trent-bob, alice-bob, alice-trent")
-    p.add_argument("--attack-coverage", type=float, default=1.0)
+    p.add_argument("--attack-coverage", type=float, default=None, help="default 1.0")
     p.add_argument("--alpha", type=parse_complex, default=None, help='complex as "re,im"')
     p.add_argument("--beta", type=parse_complex, default=None, help='complex as "re,im"')
     p.add_argument("--alpha-p", type=parse_complex, default=None, help='complex as "re,im"')
@@ -136,24 +140,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_attack(args) -> AttackModel:
+    """The attack the flags describe; a flag the chosen --attack would ignore is a ConfigError."""
     variant = AttackVariant(args.attack)
+    params = {name: getattr(args, name) for name in ("alpha", "beta", "alpha_p", "beta_p")}
+    ignored = {} if variant == AttackVariant.ENTANGLE_GENERAL else dict(params)
+    if variant == AttackVariant.NONE:
+        ignored.update(attack_channels=args.attack_channels, attack_coverage=args.attack_coverage)
+    for name, value in ignored.items():
+        if value is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} has no effect with --attack {args.attack}")
     if variant == AttackVariant.NONE:
         return NO_ATTACK
     channels = args.attack_channels
     if channels is None:
         channels = _default_channels(args.attack, args.protocol)
-    extra = {}
-    for name, flag in (
-        ("alpha", args.alpha),
-        ("beta", args.beta),
-        ("alpha_p", args.alpha_p),
-        ("beta_p", args.beta_p),
-    ):
-        if flag is not None:
-            extra[name] = flag
-    return AttackModel(
-        variant=variant, channels=channels, coverage=args.attack_coverage, **extra
-    )
+    coverage = 1.0 if args.attack_coverage is None else args.attack_coverage
+    extra = {name: value for name, value in params.items() if value is not None}
+    return AttackModel(variant=variant, channels=channels, coverage=coverage, **extra)
 
 
 def _build_spec(args) -> RunSpec:
@@ -166,7 +170,6 @@ def _build_spec(args) -> RunSpec:
         error_threshold_msg=args.threshold_msg,
         codec=codec,
         protocol_variant=args.protocol,
-        record_transcript=False,
     )
     message = args.message
     message_bits = len(message) if message is not None else args.message_bits
@@ -177,8 +180,6 @@ def _build_spec(args) -> RunSpec:
         seed=args.seed,
         message_bits=message_bits if message_bits > 0 else None,
         message=message,
-        out=args.out,
-        fmt=args.format,
     )
 
 
@@ -206,14 +207,14 @@ def main(argv=None) -> int:
     try:
         spec = _build_spec(args)  # validates the spec
         # Opened before the first trial, so an unwritable path fails fast.
-        out = nullcontext(sys.stdout) if spec.out is None else open(spec.out, "w", encoding="ascii")
+        out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="ascii")
         with out as fh:
             if args.command == "run":
                 _warn_distance_rule(spec)
                 report = run(spec)
             else:
                 report = sweep_detection_curve(spec, args.m_values)
-            fh.write(report.to_json() if spec.fmt == "json" else report.to_csv())
+            fh.write(report.to_json() if args.format == "json" else report.to_csv())
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and InvalidAttackError
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -40,9 +40,6 @@ class Codec:
         if self.name not in ("none", "repetition", "hamming74"):
             raise ValueError(f"unknown codec: {self.name!r}")
 
-    def correctable_per_block(self) -> int:
-        return (self.d - 1) // 2
-
 
 def none_codec() -> Codec:
     return Codec("none", n=1, k=1, d=1)

@@ -73,8 +73,6 @@ class RunSpec:
     seed: int = 0
     message_bits: int | None = 64  # None: authentication-only trials
     message: str | None = None  # pinned message; None draws one per trial
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         self.validate()
@@ -84,8 +82,6 @@ class RunSpec:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError("format must be 'json' or 'csv'")
         self.config.validate()
         if self.message is not None:
             try:

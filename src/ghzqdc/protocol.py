@@ -62,9 +62,7 @@ from .statevector import (
     H,
     HX,
     X_OUTCOMES,
-    BellOutcome,
     PureState,
-    XOutcome,
     apply_gate,
     measure_bell,
     measure_x,
@@ -466,23 +464,6 @@ def _decode(trent_bit, x):
     return 1 ^ trent_bit ^ x
 
 
-def qdc1_decode(bell: BellOutcome, x: XOutcome) -> int:
-    """Bob's bit from his Bell outcome on (A, B) and Trent's published x."""
-    return _decode(trent_publish(bell), X_OUTCOMES.index(x))
-
-
-def trent_publish(bell: BellOutcome) -> int:
-    """Trent's one-bit publication: 0 for Phi+/Psi-, 1 for Phi-/Psi+."""
-    return int(_BELL_BIT[BELL_OUTCOMES.index(bell)])
-
-
-def qdc2_decode(trent_bit: int, x: XOutcome) -> int:
-    """Bob's bit from Trent's published bit and his own x outcome on B."""
-    if trent_bit not in (0, 1):
-        raise ValueError(f"trent bit must be 0 or 1, got {trent_bit!r}")
-    return _decode(trent_bit, X_OUTCOMES.index(x))
-
-
 def _measure_eve_ancillas(
     attached: np.ndarray, state: PureState, u: np.ndarray
 ) -> tuple[np.ndarray, PureState]:
@@ -493,7 +474,7 @@ def _measure_eve_ancillas(
     outcomes = np.full(attached.shape, -1)
     for slot in range(attached.shape[1]):
         outcomes[:, slot], state = eve_measure_ancilla(
-            state, IDX_B + 1 + slot, "z", u[:, slot], where=attached[:, slot]
+            state, IDX_B + 1 + slot, u[:, slot], where=attached[:, slot]
         )
     return outcomes, state
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import sqrt
-from typing import Union
 
 import numpy as np
 
@@ -97,8 +96,6 @@ I = Gate1Q("I", np.eye(2))
 H = Gate1Q("H", np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2)
 X = Gate1Q("X", np.array([[0.0, 1.0], [1.0, 0.0]]))
 HX = Gate1Q("HX", H.matrix @ X.matrix)
-
-GATES = {g.name: g for g in (I, H, X, HX)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,16 +156,6 @@ _GHZ3[0b111] = _INV_SQRT2
 def new_ghz3(rows: int = 1) -> PureState:
     """`rows` fresh (|000> + |111>)/sqrt(2) registers with labels (A, T, B)."""
     return _wrap(np.tile(_GHZ3, (rows, 1)), ("A", "T", "B"))
-
-
-def basis_state(bits: str, labels=None) -> PureState:
-    """Computational basis state |bits>, e.g. basis_state("010"), as one row."""
-    n = len(bits)
-    if labels is None:
-        labels = tuple(f"q{i}" for i in range(n))
-    amps = np.zeros(2**n, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return make_state(amps, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +256,7 @@ def append_qubit(state: PureState, amplitudes, label: str) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# Projectors and measurement
-
-
-@dataclass(frozen=True)
-class ZProjector:
-    qubit: int
-    outcome: int
-
-    def __post_init__(self):
-        if self.outcome not in (0, 1):
-            raise ValueError("z outcome must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class XProjector:
-    qubit: int
-    outcome: XOutcome
-
-    def __post_init__(self):
-        if not isinstance(self.outcome, XOutcome):
-            raise TypeError("x outcome must be an XOutcome")
-
-
-@dataclass(frozen=True)
-class BellProjector:
-    qubit_a: int
-    qubit_b: int
-    outcome: BellOutcome
-
-    def __post_init__(self):
-        if not isinstance(self.outcome, BellOutcome):
-            raise TypeError("bell outcome must be a BellOutcome")
-        if self.qubit_a == self.qubit_b:
-            raise ValueError("Bell projector needs two distinct qubits")
-
-
-Projector = Union[ZProjector, XProjector, BellProjector]
+# Measurement
 
 
 def _basis(*vectors) -> np.ndarray:
@@ -348,11 +299,6 @@ def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((u[:, None] >= acc).sum(axis=1), probs.shape[1] - 1)
 
 
-def _guard(prob: np.ndarray) -> None:
-    if (prob < _DEGENERATE).any():
-        raise RuntimeError("projection onto a (near-)zero branch; internal logic error")
-
-
 def _collapse(residual: np.ndarray, vecs: np.ndarray, prob: np.ndarray) -> np.ndarray:
     """Per row, |vec> on the measured qubits times the renormalised (rows, rest) residual."""
     scaled = residual / np.sqrt(prob)[:, None]
@@ -366,7 +312,8 @@ def _measure_rows(amps, n, qubits, basis, u):
     k = _pick(probs, u)
     rows = np.arange(amps.shape[0])
     prob = probs[rows, k]
-    _guard(prob)
+    if (prob < _DEGENERATE).any():
+        raise RuntimeError("projection onto a (near-)zero branch; internal logic error")
     return k, _qubits_back(_collapse(residuals[rows, :, k], basis[k], prob), n, qubits)
 
 
@@ -403,52 +350,3 @@ def measure_bell(state: PureState, q1: int, q2: int, u, where=None) -> tuple[np.
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
     return _measure(state, (q1, q2), _BELL_BASIS, u, where)
-
-
-def _resolve(state: PureState, projector: Projector) -> tuple[tuple[int, ...], np.ndarray]:
-    """(qubits, projector vector) of a z / x / Bell projector on a one-row state."""
-    if isinstance(projector, ZProjector):
-        qubits, vec = (projector.qubit,), _Z_BASIS[projector.outcome]
-    elif isinstance(projector, XProjector):
-        qubits, vec = (projector.qubit,), _X_BASIS[X_OUTCOMES.index(projector.outcome)]
-    elif isinstance(projector, BellProjector):
-        qubits = (projector.qubit_a, projector.qubit_b)
-        vec = _BELL_BASIS[BELL_OUTCOMES.index(projector.outcome)]
-    else:
-        raise TypeError(f"malformed projector: {projector!r}")
-    for q in qubits:
-        _check_qubit(state, q)
-    if state.rows != 1:
-        raise ValueError(f"projection is a one-row oracle, got {state.rows} rows")
-    return qubits, vec
-
-
-def project(state: PureState, projector: Projector) -> tuple[float, PureState | None]:
-    """Deterministic projection: (Born probability, collapsed state or None).
-
-    The collapsed state is None when the probability is numerically zero.
-    Useful as an exact oracle that avoids sampling noise.
-    """
-    qubits, vec = _resolve(state, projector)
-    residual = _residuals(state.amplitudes, state.num_qubits, qubits, vec[None, :])
-    prob = _probs(residual)[:, 0]
-    if prob[0] < _DEGENERATE:
-        return float(prob[0]), None
-    out = _collapse(residual[:, :, 0], vec[None, :], prob)
-    return float(prob[0]), _wrap(_qubits_back(out, state.num_qubits, qubits), state.labels)
-
-
-def probability_of(state: PureState, projector: Projector) -> float:
-    """Exact Born probability of a z / x / Bell projector on a one-row state."""
-    qubits, vec = _resolve(state, projector)
-    return float(_probs(_residuals(state.amplitudes, state.num_qubits, qubits, vec[None, :]))[0, 0])
-
-
-def states_equal_up_to_global_phase(a, b, tol: float = ATOL) -> bool:
-    """True when two normalized states differ row by row only by a global phase."""
-    va = np.atleast_2d(a.amplitudes if isinstance(a, PureState) else np.asarray(a, dtype=complex))
-    vb = np.atleast_2d(b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex))
-    if va.shape != vb.shape:
-        return False
-    overlap = np.abs(np.einsum("ij,ij->i", va.conj(), vb))
-    return bool(np.all(np.abs(overlap - 1.0) <= tol))

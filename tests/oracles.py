@@ -2,7 +2,8 @@
 
 Everything here is computed from scratch with full 2^n x 2^n matrices and
 explicit projectors, deliberately avoiding the library's tensor-network
-code paths, so the two routes can check each other.
+code paths, so the two routes can check each other. A few fixtures ride
+along: a basis-state constructor, a global-phase comparison and a hash stub.
 """
 from __future__ import annotations
 
@@ -29,6 +30,17 @@ BELL = {
 
 X_VEC = {"plus": KET_PLUS, "minus": KET_MINUS}
 Z_VEC = {0: KET0, 1: KET1}
+
+# The paper's decoding table, keyed by (Bell outcome, x outcome): qdc1 pairs
+# Bob's Bell outcome on (A, B) with Trent's x on T, qdc2 Trent's Bell outcome
+# on (A, T) with Bob's x on B. Trent publishes 0 for Phi+/Psi-, 1 for Phi-/Psi+.
+DECODE = {
+    ("phi_plus", "plus"): 1, ("phi_plus", "minus"): 0,
+    ("phi_minus", "plus"): 0, ("phi_minus", "minus"): 1,
+    ("psi_plus", "plus"): 0, ("psi_plus", "minus"): 1,
+    ("psi_minus", "plus"): 1, ("psi_minus", "minus"): 0,
+}
+TRENT_BIT = {"phi_plus": 0, "phi_minus": 1, "psi_plus": 1, "psi_minus": 0}
 
 
 def ghz3() -> np.ndarray:
@@ -81,16 +93,55 @@ def pair_projector(vec4: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
     return out
 
 
-def prob(state: np.ndarray, projector: np.ndarray) -> float:
+def z_proj(q: int, bit: int, n: int = 3) -> np.ndarray:
+    return single_qubit_projector(Z_VEC[bit], q, n)
+
+
+def x_proj(q: int, outcome, n: int = 3) -> np.ndarray:
+    """Projector onto an x outcome (an XOutcome, read by value) of qubit q."""
+    return single_qubit_projector(X_VEC[outcome.value], q, n)
+
+
+def bell_proj(q1: int, q2: int, outcome, n: int = 3) -> np.ndarray:
+    """Projector onto a Bell outcome (a BellOutcome, read by value) of the pair (q1, q2)."""
+    return pair_projector(BELL[outcome.value], q1, q2, n)
+
+
+def _vec(state) -> np.ndarray:
+    """A one-row PureState's amplitudes, or an amplitude vector, as 1-D."""
+    return np.ravel(getattr(state, "amplitudes", state))
+
+
+def prob(state, projector: np.ndarray) -> float:
+    state = _vec(state)
     return float(np.real(np.vdot(state, projector @ state)))
 
 
-def collapse(state: np.ndarray, projector: np.ndarray) -> tuple[float, np.ndarray | None]:
+def collapse(state, projector: np.ndarray) -> tuple[float, np.ndarray | None]:
     p = prob(state, projector)
     if p < 1e-12:
         return p, None
-    v = projector @ state
+    v = projector @ _vec(state)
     return p, v / np.linalg.norm(v)
+
+
+def basis_state(bits: str, labels=None):
+    """Computational basis state |bits>, e.g. basis_state("010"), as a one-row PureState."""
+    from ghzqdc.statevector import make_state
+
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return make_state(amps, labels or tuple(f"q{i}" for i in range(len(bits))))
+
+
+def states_equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
+    """True when two normalised states (PureStates or amplitude arrays) differ
+    row by row only by a global phase."""
+    va, vb = (np.atleast_2d(getattr(s, "amplitudes", s)) for s in (a, b))
+    if va.shape != vb.shape:
+        return False
+    overlap = np.abs(np.einsum("ij,ij->i", va.conj(), vb))
+    return bool(np.all(np.abs(overlap - 1.0) <= tol))
 
 
 def bell_x_joint(state8: np.ndarray, bell_pair=(0, 2), x_qubit=1) -> dict:
@@ -119,6 +170,17 @@ def joint_prob(state: np.ndarray, projectors: list[np.ndarray]) -> float:
         if v is None:
             return 0.0
     return p_total
+
+
+class PatternHash:
+    """Key-derivation hash stub: repeats a fixed pattern to `output_bits`, ignoring its inputs."""
+
+    def __init__(self, pattern: str = "0110", output_bits: int = 8):
+        self.pattern = np.array([int(b) for b in pattern], dtype=np.uint8)
+        self.output_bits = output_bits
+
+    def __call__(self, id_bits: str, counter_bits: str) -> np.ndarray:
+        return np.resize(self.pattern, self.output_bits)
 
 
 # Hamming(7,4) oracle via generator / parity-check matrices over GF(2).

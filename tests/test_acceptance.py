@@ -12,47 +12,38 @@ import pytest
 
 from ghzqdc.adversary import (
     Channel,
-    attack_entangle_cnot,
     entangle_cnot_attack,
     entangle_general_attack,
     intercept_resend_attack,
 )
-from ghzqdc.authkeys import AuthKey, random_key, unitary_for_key_bit
+from ghzqdc.authkeys import AuthKey, random_bits, unitary_for_key_bit
 from ghzqdc.ecc import (
     decode as ecc_decode, encode as ecc_encode, format_bits, hamming74_codec, parse_bits,
     repetition_codec,
 )
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
-from ghzqdc.protocol import (
-    SessionConfig,
-    Verdict,
-    qdc2_decode,
-    run_session,
-    trent_publish,
-)
+from ghzqdc.protocol import SessionConfig, Verdict, run_session, _decode
 from ghzqdc.statevector import (
     ATOL,
     BELL_OUTCOMES,
     X_OUTCOMES,
     BellOutcome,
-    BellProjector,
-    GATES,
     H,
     HX,
+    I,
     X,
     XOutcome,
-    XProjector,
-    ZProjector,
     append_qubit,
     apply_gate,
+    apply_two_qubit,
     make_state,
     measure_bell,
     measure_x,
     new_ghz3,
-    probability_of,
-    project,
-    states_equal_up_to_global_phase,
 )
+
+import oracles
+from oracles import states_equal_up_to_global_phase
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -120,9 +111,8 @@ def test_02_bell_x_joint_statistics(bit):
 
     # exact side: allowed pairs at 1/4, forbidden pairs at probability zero
     for bell in BellOutcome:
-        p_bell, collapsed = project(state, BellProjector(0, 2, bell))
         for x in XOutcome:
-            joint = p_bell * probability_of(collapsed, XProjector(1, x)) if collapsed else 0.0
+            joint = oracles.joint_prob(state, [oracles.bell_proj(0, 2, bell), oracles.x_proj(1, x)])
             if (bell, x) in allowed:
                 assert joint == pytest.approx(0.25, abs=ATOL)
             else:
@@ -158,10 +148,9 @@ def test_03_trent_bit_x_joint_statistics(bit):
     # four allowed pairs at 1/4, the rest at probability zero
     fine_allowed = set()
     for bell in BellOutcome:
-        p_bell, collapsed = project(state, BellProjector(0, 1, bell))
         for x in XOutcome:
-            joint = p_bell * probability_of(collapsed, XProjector(2, x)) if collapsed else 0.0
-            if (trent_publish(bell), x) in compatible:
+            joint = oracles.joint_prob(state, [oracles.bell_proj(0, 1, bell), oracles.x_proj(2, x)])
+            if (oracles.TRENT_BIT[bell.value], x) in compatible:
                 assert joint == pytest.approx(0.25, abs=ATOL)
                 fine_allowed.add((bell, x))
             else:
@@ -174,10 +163,10 @@ def test_03_trent_bit_x_joint_statistics(bit):
     fine_counts = {}
     coarse_counts = {}
     for bell, x in sampled_bell_x(state, (0, 1), 2, rng):
-        pair = (trent_publish(bell), x)
+        pair = (oracles.TRENT_BIT[bell.value], x)
         fine_counts[(bell, x)] = fine_counts.get((bell, x), 0) + 1
         coarse_counts[pair] = coarse_counts.get(pair, 0) + 1
-        assert qdc2_decode(*pair) == bit
+        assert _decode(pair[0], X_OUTCOMES.index(x)) == bit
     assert set(fine_counts) == fine_allowed
     for pair in fine_allowed:
         assert fine_counts[pair] / 10_000 == pytest.approx(0.25, abs=0.02)
@@ -185,7 +174,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
     for pair in compatible:
         assert coarse_counts[pair] / 10_000 == pytest.approx(0.5, abs=0.02)
     # worked example: 0 published and |+> measured decodes to 1
-    assert qdc2_decode(0, XOutcome.PLUS) == 1
+    assert _decode(0, X_OUTCOMES.index(XOutcome.PLUS)) == 1
     report(
         f"published-bit/x statistics (bit {bit})",
         "fine pairs at 1/4, compatible published pairs at 1/2; (0, plus) decodes to 1",
@@ -210,17 +199,11 @@ def test_04_intercept_resend_auth_error_rate():
     # oracle side: with key bit 0 the intercept leaves the three-way z
     # correlation intact in both of Eve's collapse branches
     for eve_outcome in (0, 1):
-        _, branch = project(new_ghz3(), ZProjector(0, eve_outcome))
-        p_consistent = 0.0
-        for bits in ("000", "111"):
-            sub, p = branch, 1.0
-            for q, b in enumerate(int(c) for c in bits):
-                pq, sub = project(sub, ZProjector(q, b))
-                p *= pq
-                if sub is None:
-                    p = 0.0
-                    break
-            p_consistent += p
+        _, branch = oracles.collapse(new_ghz3(), oracles.z_proj(0, eve_outcome))
+        p_consistent = sum(
+            oracles.joint_prob(branch, [oracles.z_proj(q, b) for q, b in enumerate(bits)])
+            for bits in ((0, 0, 0), (1, 1, 1))
+        )
         assert 1.0 - p_consistent <= 1e-12
     report(
         "intercept-resend auth",
@@ -256,7 +239,7 @@ def test_05_cnot_entangle_auth():
     errors = checked = 0
     for t in range(313):
         ka = AuthKey(parse_bits("1" * 40))
-        kb = random_key(np.random.default_rng(50_000 + t), 40)
+        kb = AuthKey(random_bits(np.random.default_rng(50_000 + t), 40))
         res = run_session(replace(config, rng_seed=t), ka, kb, None, attack)
         errors += sum(c.error for c in res.auth_checks)
         checked += len(res.auth_checks)
@@ -268,7 +251,7 @@ def test_05_cnot_entangle_auth():
     # decode; amplitude-wise match up to global phase
     s = apply_gate(new_ghz3(), H, 0)
     s = append_qubit(s, [1, 0], "E0")
-    s = attack_entangle_cnot(s, 0, 3)
+    s = apply_two_qubit(s, attack.unitary(), 0, 3)
     s = apply_gate(s, H, 0)
     assert states_equal_up_to_global_phase(s, expected_post_decode_state(), tol=ATOL)
     report(
@@ -334,8 +317,8 @@ def test_07_message_attack_error_rate_order_invariant():
     for order in itertools.permutations(("bob", "trent", "eve")):
         errors = checked = 0
         for t in range(350):
-            ka = random_key(np.random.default_rng(70_000 + t), 48)
-            kb = random_key(np.random.default_rng(80_000 + t), 48)
+            ka = AuthKey(random_bits(np.random.default_rng(70_000 + t), 48))
+            kb = AuthKey(random_bits(np.random.default_rng(80_000 + t), 48))
             cfg = replace(config, measure_order=order, rng_seed=t)
             res = run_session(cfg, ka, kb, parse_bits("10110010"), attack)
             errors += res.msg.errors
@@ -370,25 +353,21 @@ def eve_public_joint(bit: int, variant: str, params: dict) -> dict:
     )
     state = apply_gate(new_ghz3(), HX if bit else H, 0)
     state = append_qubit(state, model.ancilla_state(), "E0")
-    from ghzqdc.adversary import attack_entangle_general
-
-    state = attack_entangle_general(state, 0, 3, model)
+    state = apply_two_qubit(state, model.unitary(), 0, 3)
     dist = {}
     for ez in (0, 1):
-        p_e, after = project(state, ZProjector(3, ez))
+        eve = oracles.z_proj(3, ez, 4)
         if variant == "qdc1":
             for x in XOutcome:
-                p = p_e * probability_of(after, XProjector(1, x)) if after else 0.0
-                dist[(ez, x.value)] = p
+                dist[(ez, x.value)] = oracles.joint_prob(state, [eve, oracles.x_proj(1, x, 4)])
         else:
             for tbit, group in (
                 (0, (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS)),
                 (1, (BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS)),
             ):
-                p = 0.0
-                if after is not None:
-                    p = p_e * sum(probability_of(after, BellProjector(0, 1, b)) for b in group)
-                dist[(ez, tbit)] = p
+                dist[(ez, tbit)] = sum(
+                    oracles.joint_prob(state, [eve, oracles.bell_proj(0, 1, b, 4)]) for b in group
+                )
     return dist
 
 
@@ -440,12 +419,12 @@ def test_09b_partial_coverage_attack_with_repetition_code():
     )
     attack = intercept_resend_attack({Channel.ALICE_TO_BOB}, coverage=0.1)
     message = "101100111000111101010011"  # 24 bits -> 8 + 120 frame bits
-    bound = codec.correctable_per_block()
+    bound = (codec.d - 1) // 2
     predicted_ok = 0
     outcomes = []
     for t in range(12):
-        ka = random_key(np.random.default_rng(90_000 + t), 160)
-        kb = random_key(np.random.default_rng(91_000 + t), 160)
+        ka = AuthKey(random_bits(np.random.default_rng(90_000 + t), 160))
+        kb = AuthKey(random_bits(np.random.default_rng(91_000 + t), 160))
         res = run_session(replace(config, rng_seed=500 + t), ka, kb, parse_bits(message), attack)
         frame = ~res.plan.is_check
         sent = format_bits(res.plan.bits[frame])
@@ -483,7 +462,7 @@ def test_09b_partial_coverage_attack_with_repetition_code():
 def test_10_algebraic_suite():
     rng = np.random.default_rng(1010)
     worst_norm = worst_restore = 0.0
-    for gate in GATES.values():
+    for gate in (I, H, X, HX):
         assert np.allclose(gate.matrix @ gate.matrix.conj().T, np.eye(2), atol=ATOL)
     for _ in range(1000):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)

@@ -11,8 +11,6 @@ from ghzqdc.adversary import (
     Channel,
     InvalidAttackError,
     NO_ATTACK,
-    attack_entangle_cnot,
-    attack_entangle_general,
     attack_intercept_resend,
     build_entangling_unitary,
     entangle_cnot_attack,
@@ -20,26 +18,23 @@ from ghzqdc.adversary import (
     eve_measure_ancilla,
     intercept_resend_attack,
 )
-from ghzqdc.authkeys import AuthKey, random_key
+from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import parse_bits
 from ghzqdc.protocol import SessionConfig, Verdict, run_session
 from ghzqdc.statevector import (
     ATOL,
     BellOutcome,
-    BellProjector,
     H,
     HX,
     XOutcome,
-    XProjector,
-    ZProjector,
     append_qubit,
     apply_gate,
-    basis_state,
+    apply_two_qubit,
     new_ghz3,
-    probability_of,
-    project,
-    states_equal_up_to_global_phase,
 )
+
+import oracles
+from oracles import basis_state, states_equal_up_to_global_phase
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -57,14 +52,14 @@ def run_auth_trials(attack, trials, alice_key_fn, seed0=0, cfg=None):
     checks = []
     for t in range(trials):
         ka = alice_key_fn(t, cfg.n_ghz)
-        kb = random_key(np.random.default_rng(90_000 + t), cfg.n_ghz)
+        kb = AuthKey(random_bits(np.random.default_rng(90_000 + t), cfg.n_ghz))
         res = run_session(replace(cfg, rng_seed=seed0 + t), ka, kb, None, attack)
         checks.extend(res.auth_checks)
     return checks
 
 
 def uniform_alice(t, n):
-    return random_key(np.random.default_rng(10_000 + t), n)
+    return AuthKey(random_bits(np.random.default_rng(10_000 + t), n))
 
 
 def ones_alice(t, n):
@@ -94,18 +89,12 @@ def test_intercept_key_bit_zero_never_errs_exact():
     """With no Hadamard on the transit qubit, an intercept leaves the
     three-way z correlation intact in both collapse branches."""
     for z in (0, 1):
-        p, collapsed = project(new_ghz3(), ZProjector(0, z))  # Eve's branch
+        p, collapsed = oracles.collapse(new_ghz3(), oracles.z_proj(0, z))  # Eve's branch
         assert p == pytest.approx(0.5, abs=ATOL)
         p_err = 1.0
-        for all_equal in ("000", "111"):
-            branch = collapsed
-            p_branch = 1.0
-            for q, bit in enumerate(int(b) for b in all_equal):
-                pq, branch = project(branch, ZProjector(q, int(bit)))
-                p_branch *= pq
-                if branch is None:
-                    break
-            p_err -= p_branch
+        for all_equal in ((0, 0, 0), (1, 1, 1)):
+            projectors = [oracles.z_proj(q, b) for q, b in enumerate(all_equal)]
+            p_err -= oracles.joint_prob(collapsed, projectors)
         assert p_err == pytest.approx(0.0, abs=1e-12)
 
 
@@ -139,7 +128,7 @@ def cnot_auth_scenario_state():
     """Key bit 1 on the A channel: encode, entangle, decode."""
     s = apply_gate(new_ghz3(), H, 0)
     s = append_qubit(s, [1, 0], "E0")
-    s = attack_entangle_cnot(s, 0, 3)
+    s = apply_two_qubit(s, entangle_cnot_attack(set()).unitary(), 0, 3)
     return apply_gate(s, H, 0)
 
 
@@ -150,16 +139,10 @@ def test_cnot_attack_reproduces_displayed_state():
 
 def test_cnot_attack_error_half_exact():
     s = cnot_auth_scenario_state()
-    p_ok = 0.0
-    for bits in ("000", "111"):
-        branch, p_branch = s, 1.0
-        for q, bit in enumerate(int(b) for b in bits):
-            pq, branch = project(branch, ZProjector(q, bit))
-            p_branch *= pq
-            if branch is None:
-                p_branch = 0.0
-                break
-        p_ok += p_branch
+    p_ok = sum(
+        oracles.joint_prob(s, [oracles.z_proj(q, b, 4) for q, b in enumerate(bits)])
+        for bits in ((0, 0, 0), (1, 1, 1))
+    )
     assert 1.0 - p_ok == pytest.approx(0.5, abs=ATOL)
 
 
@@ -177,7 +160,7 @@ def test_cnot_detection_rate_follows_formula():
     trials = 1500
     for t in range(trials):
         ka = uniform_alice(t, cfg.n_ghz)
-        kb = random_key(np.random.default_rng(90_000 + t), cfg.n_ghz)
+        kb = AuthKey(random_bits(np.random.default_rng(90_000 + t), cfg.n_ghz))
         res = run_session(replace(cfg, rng_seed=t), ka, kb, None, attack)
         detected += res.auth_verdict is Verdict.AUTH_ABORTED
     assert detected / trials == pytest.approx(1 - 0.75**4, abs=0.04)
@@ -185,7 +168,7 @@ def test_cnot_detection_rate_follows_formula():
 
 def test_eve_z_outcome_uniform_after_cnot_auth():
     s = cnot_auth_scenario_state()
-    assert probability_of(s, ZProjector(3, 0)) == pytest.approx(0.5, abs=ATOL)
+    assert oracles.prob(s, oracles.z_proj(3, 0, 4)) == pytest.approx(0.5, abs=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +207,8 @@ def test_degenerate_parameters_act_as_identity():
     # alpha = alpha' = 1 with e00 = e11 = |0> makes the attack invisible
     s = apply_gate(new_ghz3(), H, 0)
     s = append_qubit(s, [1, 0], "E0")
-    after = attack_entangle_general(
+    after = apply_two_qubit(
         s,
-        0,
-        3,
         AttackModel(
             variant=AttackVariant.ENTANGLE_GENERAL,
             channels=frozenset({Channel.ALICE_TO_BOB}),
@@ -239,7 +220,9 @@ def test_degenerate_parameters_act_as_identity():
             e01=(0, 1),
             e10=(0, 1),
             e11=(1, 0),
-        ),
+        ).unitary(),
+        0,
+        3,
     )
     assert np.allclose(after.amplitudes, s.amplitudes, atol=ATOL)
 
@@ -262,41 +245,30 @@ def test_general_with_cnot_parameters_equals_cnot_matrix():
     # amplitude-wise agreement on every basis input
     for k in range(4):
         s = basis_state(format(k, "02b"))
-        via_general = attack_entangle_general(s, 0, 1, model)
-        via_cnot = attack_entangle_cnot(s, 0, 1)
+        via_general = apply_two_qubit(s, model.unitary(), 0, 1)
+        via_cnot = apply_two_qubit(s, entangle_cnot_attack(set()).unitary(), 0, 1)
         assert np.allclose(via_general.amplitudes, via_cnot.amplitudes, atol=ATOL)
 
 
 def message_attack_state(bit: int, model: AttackModel):
     s = apply_gate(new_ghz3(), HX if bit else H, 0)
     s = append_qubit(s, model.ancilla_state(), "E0")
-    return attack_entangle_general(s, 0, 3, model)
+    return apply_two_qubit(s, model.unitary(), 0, 3)
 
 
 def exact_msg_error(bit: int, model: AttackModel, order) -> float:
     """Decode-error probability computed by sequential exact projection in
     the given order of (bob, trent, eve)."""
-    from ghzqdc.protocol import qdc1_decode
-
     state = message_attack_state(bit, model)
     total_err = 0.0
-    for bell in BellOutcome:
-        for x in XOutcome:
-            for ez in (0, 1):
-                projs = {
-                    "bob": BellProjector(0, 2, bell),
-                    "trent": XProjector(1, x),
-                    "eve": ZProjector(3, ez),
-                }
-                branch, p = state, 1.0
-                for step in order:
-                    pq, branch = project(branch, projs[step])
-                    p *= pq
-                    if branch is None:
-                        p = 0.0
-                        break
-                if p > 0 and qdc1_decode(bell, x) != bit:
-                    total_err += p
+    for bell, x, ez in itertools.product(BellOutcome, XOutcome, (0, 1)):
+        projs = {
+            "bob": oracles.bell_proj(0, 2, bell, 4),
+            "trent": oracles.x_proj(1, x, 4),
+            "eve": oracles.z_proj(3, ez, 4),
+        }
+        if oracles.DECODE[bell.value, x.value] != bit:
+            total_err += oracles.joint_prob(state, [projs[step] for step in order])
     return total_err
 
 
@@ -316,25 +288,24 @@ def test_general_message_attack_secrecy_exact():
         state = message_attack_state(bit, model)
         dist = {}
         for ez in (0, 1):
-            p_e, after = project(state, ZProjector(3, ez))
             for x in XOutcome:
-                p = p_e * probability_of(after, XProjector(1, x)) if after is not None else 0.0
-                dist[(ez, x.value)] = p
+                dist[(ez, x.value)] = oracles.joint_prob(
+                    state, [oracles.z_proj(3, ez, 4), oracles.x_proj(1, x, 4)]
+                )
         return dist
 
     def qdc2_dist(bit):
         state = message_attack_state(bit, model)
         dist = {}
         for ez in (0, 1):
-            p_e, after = project(state, ZProjector(3, ez))
             for tbit, group in (
                 (0, (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS)),
                 (1, (BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS)),
             ):
-                p = 0.0
-                if after is not None:
-                    p = p_e * sum(probability_of(after, BellProjector(0, 1, b)) for b in group)
-                dist[(ez, tbit)] = p
+                eve = oracles.z_proj(3, ez, 4)
+                dist[(ez, tbit)] = sum(
+                    oracles.joint_prob(state, [eve, oracles.bell_proj(0, 1, b, 4)]) for b in group
+                )
         return dist
 
     for dist_fn in (qdc1_dist, qdc2_dist):
@@ -346,7 +317,7 @@ def test_general_message_attack_secrecy_exact():
 def test_zero_coverage_matches_no_attack_exactly():
     cfg = config(n_ghz=24, m_auth_check=4, record_transcript=True, rng_seed=9)
     ka = uniform_alice(1, cfg.n_ghz)
-    kb = random_key(np.random.default_rng(91_000), cfg.n_ghz)
+    kb = AuthKey(random_bits(np.random.default_rng(91_000), cfg.n_ghz))
     message = parse_bits("110010")
     baseline = run_session(cfg, ka, kb, message, NO_ATTACK)
     covered = run_session(
@@ -365,13 +336,14 @@ def test_intercept_x_basis_option():
     # and it runs end to end inside a session
     cfg = config(n_ghz=12, m_auth_check=4, rng_seed=2)
     attack = intercept_resend_attack({Channel.TRENT_TO_ALICE}, basis="x")
-    res = run_session(cfg, uniform_alice(0, 12), random_key(np.random.default_rng(1), 12), None, attack)
+    kb = AuthKey(random_bits(np.random.default_rng(1), 12))
+    res = run_session(cfg, uniform_alice(0, 12), kb, None, attack)
     assert res.auth_verdict in (Verdict.AUTHENTICATED, Verdict.AUTH_ABORTED)
 
 
 def test_eve_measure_ancilla_product_state():
     s = append_qubit(new_ghz3(), [1, 0], "E0")
-    outcome, _ = eve_measure_ancilla(s, 3, "z", np.random.default_rng(0).random(1))
+    outcome, _ = eve_measure_ancilla(s, 3, np.random.default_rng(0).random(1))
     assert outcome.tolist() == [0]
 
 

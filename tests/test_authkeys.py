@@ -10,15 +10,16 @@ from ghzqdc.authkeys import (
     AuthKey,
     Counter,
     CounterOverflowError,
-    PatternHash,
     Shake256Hash,
     UserIdentity,
     derive_key,
-    random_key,
+    random_bits,
     unitary_for_key_bit,
 )
 from ghzqdc.ecc import format_bits, parse_bits
 from ghzqdc.statevector import ATOL, H, I, apply_gate, make_state
+
+from oracles import PatternHash
 
 ALICE = UserIdentity(id_bits="1011", role="alice")
 
@@ -92,7 +93,7 @@ def test_identity_and_counter_validation():
 
 
 def test_random_key_shape():
-    key = random_key(np.random.default_rng(0), 33)
+    key = AuthKey(random_bits(np.random.default_rng(0), 33))
     assert len(key.bits) == 33
     assert key.bits.dtype == np.uint8 and set(key.bits.tolist()) <= {0, 1}
     assert key.counters == ()

@@ -137,7 +137,7 @@ def test_round_trip_under_correctable_errors(data, name):
     codec = codec_by_name(name)
     frame = encode_text(codec, data)
     body = frame[8:]
-    t = codec.correctable_per_block()
+    t = (codec.d - 1) // 2
     corrupted = ""
     expected_fixes = 0
     for i in range(0, len(body), codec.n):
@@ -157,7 +157,7 @@ def test_repetition_exhaustive_correctable_patterns(r):
     from itertools import combinations
 
     codec = repetition_codec(r)
-    t = codec.correctable_per_block()
+    t = (codec.d - 1) // 2
     for data in ("0", "1"):
         word = encode_text(codec, data)[8:]
         for k in range(t + 1):

@@ -90,8 +90,6 @@ def test_pinned_message_is_used_every_trial():
 def test_config_errors_raised_before_trials():
     with pytest.raises(ConfigError):
         run(spec(trials=0))
-    with pytest.raises(ConfigError):
-        run(spec(fmt="xml"))
     with pytest.raises(ConfigError, match="seed"):
         run(spec(seed=-5))
     with pytest.raises(ConfigError):
@@ -236,6 +234,21 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
         assert code == 1
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+    # So is an attack flag that the chosen --attack would ignore.
+    for flag, extra in (
+        ("--attack-coverage", ["--attack-coverage", "5"]),
+        ("--attack-channels", ["--attack-channels", "trent-alice"]),
+        ("--alpha", ["--attack-channels", "alice-bob", "--alpha", "3"]),
+        ("--beta-p", ["--beta-p", "1"]),
+        ("--alpha", ["--attack", "entangle-cnot", "--alpha", "5"]),
+        ("--alpha-p", ["--attack", "intercept", "--alpha-p", "0.5"]),
+        ("--beta", ["--attack", "entangle-cnot", "--beta", "0,1"]),
+    ):
+        code = cli_main(["run", "--n-ghz", "20", "--auth-check-bits", "2", "--message-bits", "4",
+                         "--trials", "2", *extra, "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
     # A malformed flag is a usage error, raised before --out is created.
     out = tmp_path / "r.csv"
     for m_values in ("0,1", "1,x", ","):
@@ -251,6 +264,14 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
                       "--out", str(out)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+    # An empty channel list would attack nothing.
+    for channels in ("", ","):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--attack", "intercept", "--attack-channels", channels,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--attack-channels" in capsys.readouterr().err
         assert not out.exists()
 
 

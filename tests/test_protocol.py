@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, entangle_general_attack
-from ghzqdc.authkeys import AuthKey, random_key
+from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import encode as ecc_encode, format_bits, hamming74_codec, parse_bits
 from ghzqdc.protocol import (
     CapacityError,
@@ -20,24 +20,23 @@ from ghzqdc.protocol import (
     auth_phase,
     message_check_and_deliver,
     plan_message_positions,
-    qdc1_decode,
-    qdc2_decode,
     run_session,
-    trent_publish,
+    _BELL_BIT,
+    _decode,
 )
 from ghzqdc.statevector import (
     ATOL,
+    BELL_OUTCOMES,
+    X_OUTCOMES,
     BellOutcome,
-    BellProjector,
     H,
     HX,
     XOutcome,
-    XProjector,
     apply_gate,
     new_ghz3,
-    probability_of,
-    project,
 )
+
+import oracles
 
 
 def small_config(**overrides) -> SessionConfig:
@@ -48,7 +47,7 @@ def small_config(**overrides) -> SessionConfig:
 
 def keys_for(config, seed=0):
     rng = np.random.default_rng(seed)
-    return random_key(rng, config.n_ghz), random_key(rng, config.n_ghz)
+    return AuthKey(random_bits(rng, config.n_ghz)), AuthKey(random_bits(rng, config.n_ghz))
 
 
 # ---------------------------------------------------------------------------
@@ -59,92 +58,76 @@ def encoded_state(bit: int):
     return apply_gate(new_ghz3(), HX if bit else H, 0)
 
 
-def joint_outcomes_qdc1(state):
-    """(bell on (A,B), x on T) pairs with their exact probabilities."""
-    for bell in BellOutcome:
-        p1, collapsed = project(state, BellProjector(0, 2, bell))
-        if collapsed is None:
-            continue
-        for x in XOutcome:
-            p2 = probability_of(collapsed, XProjector(1, x))
-            if p1 * p2 > 1e-12:
-                yield bell, x, p1 * p2
+def decode(bell: BellOutcome, x: XOutcome) -> int:
+    """The engine's bit for a Bell outcome, read as Trent's published bit, and an x outcome."""
+    return int(_decode(_BELL_BIT[BELL_OUTCOMES.index(bell)], X_OUTCOMES.index(x)))
 
 
-def joint_outcomes_qdc2(state):
-    """(bell on (A,T), x on B) pairs with their exact probabilities."""
+def joint_outcomes(state, bell_pair, x_qubit):
+    """(Bell on `bell_pair`, x on `x_qubit`) pairs with their exact probabilities."""
     for bell in BellOutcome:
-        p1, collapsed = project(state, BellProjector(0, 1, bell))
-        if collapsed is None:
-            continue
         for x in XOutcome:
-            p2 = probability_of(collapsed, XProjector(2, x))
-            if p1 * p2 > 1e-12:
-                yield bell, x, p1 * p2
+            projectors = [oracles.bell_proj(*bell_pair, bell), oracles.x_proj(x_qubit, x)]
+            p = oracles.joint_prob(state, projectors)
+            if p > 1e-12:
+                yield bell, x, p
 
 
 @pytest.mark.parametrize("bit", [0, 1])
 def test_qdc1_decode_agrees_with_state_expansion(bit):
     """Every outcome pair that can occur decodes back to the encoded bit."""
-    outcomes = list(joint_outcomes_qdc1(encoded_state(bit)))
+    outcomes = list(joint_outcomes(encoded_state(bit), (0, 2), 1))
     assert len(outcomes) == 4
     for bell, x, p in outcomes:
         assert p == pytest.approx(0.25, abs=ATOL)
-        assert qdc1_decode(bell, x) == bit
+        assert decode(bell, x) == bit
 
 
 @pytest.mark.parametrize("bit", [0, 1])
 def test_qdc2_decode_agrees_with_state_expansion(bit):
-    outcomes = list(joint_outcomes_qdc2(encoded_state(bit)))
+    outcomes = list(joint_outcomes(encoded_state(bit), (0, 1), 2))
     assert len(outcomes) == 4
     for bell, x, p in outcomes:
         assert p == pytest.approx(0.25, abs=ATOL)
-        assert qdc2_decode(trent_publish(bell), x) == bit
+        assert decode(bell, x) == bit
 
 
 def test_qdc1_decode_worked_examples():
-    assert qdc1_decode(BellOutcome.PHI_PLUS, XOutcome.PLUS) == 1
-    assert qdc1_decode(BellOutcome.PHI_PLUS, XOutcome.MINUS) == 0
+    assert decode(BellOutcome.PHI_PLUS, XOutcome.PLUS) == 1
+    assert decode(BellOutcome.PHI_PLUS, XOutcome.MINUS) == 0
 
 
 def test_qdc1_decode_total_and_balanced():
-    table = {
-        (b, x): qdc1_decode(b, x) for b in BellOutcome for x in XOutcome
-    }
-    assert len(table) == 8
+    table = {(b.value, x.value): decode(b, x) for b in BellOutcome for x in XOutcome}
+    assert table == oracles.DECODE
     assert sorted(table.values()).count(0) == 4
 
 
 def test_trent_publish_mapping():
-    assert trent_publish(BellOutcome.PHI_PLUS) == 0
-    assert trent_publish(BellOutcome.PSI_MINUS) == 0
-    assert trent_publish(BellOutcome.PHI_MINUS) == 1
-    assert trent_publish(BellOutcome.PSI_PLUS) == 1
+    published = {bell.value: int(_BELL_BIT[k]) for k, bell in enumerate(BELL_OUTCOMES)}
+    assert published == oracles.TRENT_BIT
+    assert published == {"phi_plus": 0, "psi_minus": 0, "phi_minus": 1, "psi_plus": 1}
 
 
 def test_qdc2_decode_worked_examples():
-    assert qdc2_decode(0, XOutcome.PLUS) == 1
-    assert qdc2_decode(0, XOutcome.MINUS) == 0
-    assert qdc2_decode(1, XOutcome.PLUS) == 0
-    assert qdc2_decode(1, XOutcome.MINUS) == 1
-    with pytest.raises(ValueError):
-        qdc2_decode(2, XOutcome.PLUS)
+    plus, minus = X_OUTCOMES.index(XOutcome.PLUS), X_OUTCOMES.index(XOutcome.MINUS)
+    assert _decode(0, plus) == 1
+    assert _decode(0, minus) == 0
+    assert _decode(1, plus) == 0
+    assert _decode(1, minus) == 1
 
 
 def test_measurement_order_does_not_change_joint_distribution():
     """Trent measuring before Bob gives the same joint statistics."""
     for bit in (0, 1):
         state = encoded_state(bit)
-        bob_first = {(b.value, x.value): p for b, x, p in joint_outcomes_qdc1(state)}
+        bob_first = {(b.value, x.value): p for b, x, p in joint_outcomes(state, (0, 2), 1)}
         trent_first = {}
         for x in XOutcome:
-            p1, collapsed = project(state, XProjector(1, x))
-            if collapsed is None:
-                continue
             for bell in BellOutcome:
-                p2 = probability_of(collapsed, BellProjector(0, 2, bell))
-                if p1 * p2 > 1e-12:
-                    trent_first[(bell.value, x.value)] = p1 * p2
+                p = oracles.joint_prob(state, [oracles.x_proj(1, x), oracles.bell_proj(0, 2, bell)])
+                if p > 1e-12:
+                    trent_first[(bell.value, x.value)] = p
         assert set(bob_first) == set(trent_first)
         for k in bob_first:
             assert bob_first[k] == pytest.approx(trent_first[k], abs=1e-12)
@@ -152,15 +135,15 @@ def test_measurement_order_does_not_change_joint_distribution():
 
 def test_bob_x_before_alice_encoding_keeps_qdc2_statistics():
     """In qdc2, Bob's x measurement commutes past Alice's encoding."""
-    rng = np.random.default_rng(3)
     for bit in (0, 1):
-        normal = {(b.value, x.value): p for b, x, p in joint_outcomes_qdc2(encoded_state(bit))}
+        normal = joint_outcomes(encoded_state(bit), (0, 1), 2)
+        normal = {(b.value, x.value): p for b, x, p in normal}
         early = {}
         for x in XOutcome:
-            p1, collapsed = project(new_ghz3(), XProjector(2, x))
-            encoded = apply_gate(collapsed, HX if bit else H, 0)
+            p1, collapsed = oracles.collapse(new_ghz3(), oracles.x_proj(2, x))
+            encoded = oracles.embed_1q(oracles.M_HX if bit else oracles.M_H, 0, 3) @ collapsed
             for bell in BellOutcome:
-                p2 = probability_of(encoded, BellProjector(0, 1, bell))
+                p2 = oracles.prob(encoded, oracles.bell_proj(0, 1, bell))
                 if p1 * p2 > 1e-12:
                     early[(bell.value, x.value)] = p1 * p2
         assert set(normal) == set(early)
@@ -173,10 +156,10 @@ def test_trent_marginals_leak_nothing():
     for bit in (0, 1):
         state = encoded_state(bit)
         # qdc1: Trent's x outcome
-        assert probability_of(state, XProjector(1, XOutcome.PLUS)) == pytest.approx(0.5, abs=ATOL)
+        assert oracles.prob(state, oracles.x_proj(1, XOutcome.PLUS)) == pytest.approx(0.5, abs=ATOL)
         # qdc2: Trent's published bit
         p_zero = sum(
-            probability_of(state, BellProjector(0, 1, b))
+            oracles.prob(state, oracles.bell_proj(0, 1, b))
             for b in (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS)
         )
         assert p_zero == pytest.approx(0.5, abs=ATOL)

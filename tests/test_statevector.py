@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzqdc import statevector
 from ghzqdc.statevector import (
     ATOL,
     BELL_OUTCOMES,
     X_OUTCOMES,
     BellOutcome,
-    BellProjector,
     Gate1Q,
     H,
     PureState,
@@ -17,23 +17,18 @@ from ghzqdc.statevector import (
     I,
     X,
     XOutcome,
-    XProjector,
-    ZProjector,
     append_qubit,
     apply_gate,
     apply_two_qubit,
-    basis_state,
     make_state,
     measure_bell,
     measure_x,
     measure_z,
     new_ghz3,
-    probability_of,
-    project,
-    states_equal_up_to_global_phase,
 )
 
 import oracles
+from oracles import basis_state, states_equal_up_to_global_phase
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -80,15 +75,15 @@ def test_ghz_amplitudes():
 def test_ghz_single_qubit_z_is_unbiased():
     s = new_ghz3()
     for q in range(3):
-        assert probability_of(s, ZProjector(q, 0)) == pytest.approx(0.5, abs=ATOL)
+        assert oracles.prob(s, oracles.z_proj(q, 0)) == pytest.approx(0.5, abs=ATOL)
 
 
 def test_ghz_perfect_correlation_after_collapse():
     s = new_ghz3()
-    p, collapsed = project(s, ZProjector(0, 0))
+    p, collapsed = oracles.collapse(s, oracles.z_proj(0, 0))
     assert p == pytest.approx(0.5, abs=ATOL)
     for q in (1, 2):
-        assert probability_of(collapsed, ZProjector(q, 0)) == pytest.approx(1.0, abs=ATOL)
+        assert oracles.prob(collapsed, oracles.z_proj(q, 0)) == pytest.approx(1.0, abs=ATOL)
 
 
 def test_h_twice_restores_state():
@@ -203,8 +198,8 @@ def test_measure_x_eigenstate():
 
 def test_measure_x_unbiased_on_z_eigenstate():
     s = basis_state("0")
-    assert probability_of(s, XProjector(0, XOutcome.PLUS)) == pytest.approx(0.5, abs=ATOL)
-    assert probability_of(s, XProjector(0, XOutcome.MINUS)) == pytest.approx(0.5, abs=ATOL)
+    assert oracles.prob(s, oracles.x_proj(0, XOutcome.PLUS, 1)) == pytest.approx(0.5, abs=ATOL)
+    assert oracles.prob(s, oracles.x_proj(0, XOutcome.MINUS, 1)) == pytest.approx(0.5, abs=ATOL)
 
 
 @given(random_states(2), st.integers(min_value=0, max_value=1), st.integers(0, 2**32 - 1))
@@ -244,11 +239,8 @@ def test_bell_x_joint_after_h_on_ghz():
         ("psi_minus", "minus"),
     }
     for bell in BellOutcome:
-        p_bell, collapsed = project(s, BellProjector(0, 2, bell))
         for x in XOutcome:
-            joint = 0.0
-            if collapsed is not None:
-                joint = p_bell * probability_of(collapsed, XProjector(1, x))
+            joint = oracles.joint_prob(s, [oracles.bell_proj(0, 2, bell), oracles.x_proj(1, x)])
             assert joint == pytest.approx(oracle[(bell.value, x.value)], abs=1e-12)
             if (bell.value, x.value) in allowed:
                 assert joint == pytest.approx(0.25, abs=ATOL)
@@ -266,53 +258,22 @@ def test_bell_measurement_sampling_matches_probabilities():
 
 
 # ---------------------------------------------------------------------------
-# probability_of oracle examples
-
-
-def test_probability_of_examples():
-    ghz = new_ghz3()
-    assert probability_of(ghz, ZProjector(0, 0)) == pytest.approx(0.5, abs=ATOL)
-    # expand GHZ in the Bell basis of (A, B): |00>_AB|0>_T + |11>_AB|1>_T
-    # both overlap Phi+ with amplitude 1/sqrt(2) * 1/sqrt(2)
-    assert probability_of(ghz, BellProjector(0, 2, BellOutcome.PHI_PLUS)) == pytest.approx(
-        0.5, abs=ATOL
-    )
-    zero = basis_state("000")
-    assert probability_of(zero, BellProjector(0, 2, BellOutcome.PSI_PLUS)) == pytest.approx(
-        0.0, abs=1e-12
-    )
-
-
-def test_probability_of_malformed_projector():
-    with pytest.raises(TypeError):
-        probability_of(new_ghz3(), "z0")
-    with pytest.raises(ValueError):
-        ZProjector(0, 2)
-    with pytest.raises(ValueError):
-        BellProjector(1, 1, BellOutcome.PHI_PLUS)
-
-
-# ---------------------------------------------------------------------------
 # Property-style invariants
 
 
-@given(random_states(3), st.sampled_from(["H", "X", "HX"]), st.integers(0, 2))
+@given(random_states(3), st.sampled_from([H, X, HX]), st.integers(0, 2))
 @settings(max_examples=80, deadline=None)
-def test_normalization_preserved_by_gates(amps, name, target):
-    from ghzqdc.statevector import GATES
-
+def test_normalization_preserved_by_gates(amps, gate, target):
     s = make_state(amps, ("a", "b", "c"))
-    out = apply_gate(s, GATES[name], target)
+    out = apply_gate(s, gate, target)
     assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) <= ATOL
 
 
-@given(random_states(2), st.sampled_from(["H", "X"]), st.integers(0, 1))
+@given(random_states(2), st.sampled_from([H, X]), st.integers(0, 1))
 @settings(max_examples=80, deadline=None)
-def test_h_and_x_are_involutions(amps, name, target):
-    from ghzqdc.statevector import GATES
-
+def test_h_and_x_are_involutions(amps, gate, target):
     s = make_state(amps, ("a", "b"))
-    out = apply_gate(apply_gate(s, GATES[name], target), GATES[name], target)
+    out = apply_gate(apply_gate(s, gate, target), gate, target)
     assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
 
 
@@ -320,10 +281,13 @@ def test_h_and_x_are_involutions(amps, name, target):
 @settings(max_examples=60, deadline=None)
 def test_measurement_completeness(amps, target):
     s = make_state(amps, ("a", "b", "c"))
-    z_total = sum(probability_of(s, ZProjector(target, o)) for o in (0, 1))
-    x_total = sum(probability_of(s, XProjector(target, o)) for o in XOutcome)
-    pair = (target, (target + 1) % 3)
-    bell_total = sum(probability_of(s, BellProjector(*pair, o)) for o in BellOutcome)
+
+    def total(qubits, basis):
+        return statevector._probs(statevector._residuals(s.amplitudes, 3, qubits, basis)).sum()
+
+    z_total = total((target,), statevector._Z_BASIS)
+    x_total = total((target,), statevector._X_BASIS)
+    bell_total = total((target, (target + 1) % 3), statevector._BELL_BASIS)
     assert z_total == pytest.approx(1.0, abs=ATOL)
     assert x_total == pytest.approx(1.0, abs=ATOL)
     assert bell_total == pytest.approx(1.0, abs=ATOL)
@@ -341,6 +305,40 @@ def test_measurement_repeatability(amps, seed):
     bout1, after = measure_bell(s, 0, 2, rng.random(1))
     bout2, _ = measure_bell(after, 0, 2, rng.random(1))
     assert bout1.tolist() == bout2.tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), sparse=st.booleans(),
+       basis=st.sampled_from(["z", "x", "bell"]), data=st.data())
+def test_branch_probabilities_and_collapse_match_oracle(n, seed, sparse, basis, data):
+    """The engine's exact branch probabilities, and the state each branch
+    collapses to, agree with brute-force projectors on one-row states."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    if sparse:  # some branches then have probability zero
+        amps[rng.random(2**n) < 0.6] = 0.0
+        amps[rng.integers(2**n)] += 1.0
+    state = make_state(amps / np.linalg.norm(amps), tuple(f"q{i}" for i in range(n)))
+    qubits = tuple(data.draw(st.permutations(range(n)))[: 2 if basis == "bell" else 1])
+    if basis == "z":
+        measure, vecs = measure_z, statevector._Z_BASIS
+        projectors = [oracles.z_proj(*qubits, k, n) for k in (0, 1)]
+    elif basis == "x":
+        measure, vecs = measure_x, statevector._X_BASIS
+        projectors = [oracles.x_proj(*qubits, o, n) for o in X_OUTCOMES]
+    else:
+        measure, vecs = measure_bell, statevector._BELL_BASIS
+        projectors = [oracles.bell_proj(*qubits, o, n) for o in BELL_OUTCOMES]
+    probs = statevector._probs(statevector._residuals(state.amplitudes, n, qubits, vecs))[0]
+    want = [oracles.prob(state, p) for p in projectors]
+    assert np.allclose(probs, want, rtol=0, atol=1e-12)
+    below = 0.0
+    for k, p in enumerate(want):
+        if p > 1e-9:  # the midpoint of k's cumulative interval picks k
+            code, after = measure(state, *qubits, np.array([below + p / 2]))
+            assert code.tolist() == [k]
+            assert states_equal_up_to_global_phase(after, oracles.collapse(state, projectors[k])[1])
+        below += p
 
 
 def test_global_phase_equality_helper():

@@ -94,6 +94,18 @@ CONFIGS = {
         "--message-bits", "0", "--threshold-auth", "0.2", "--m-values", "20,1,5",
         "--trials", "300", "--seed", "29",
     ],
+    "general_complex_all_channels_qdc1": [
+        "run", "--attack", "entangle-general", "--alpha", "0,0.8", "--beta", "0.6,0",
+        "--alpha-p", "0.8,0", "--beta-p=0,-0.6",
+        "--attack-channels", "trent-alice,trent-bob,alice-bob", "--n-ghz", "40",
+        "--auth-check-bits", "8", "--message-bits", "8", "--threshold-auth", "1.0",
+        "--threshold-msg", "1.0", "--trials", "6", "--seed", "31",
+    ],
+    "intercept_both_auth_legs_full": [
+        "run", "--attack", "intercept", "--attack-channels", "trent-alice,trent-bob",
+        "--n-ghz", "40", "--auth-check-bits", "8", "--message-bits", "8",
+        "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--trials", "6", "--seed", "33",
+    ],
 }
 
 

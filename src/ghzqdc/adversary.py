@@ -182,19 +182,10 @@ class AttackModel:
         if self.variant == AttackVariant.ENTANGLE_CNOT:
             unitary, ancilla = _CNOT, _CNOT_ANCILLA
         elif self.variant == AttackVariant.ENTANGLE_GENERAL:
-            unitary = _read_only(
-                build_entangling_unitary(
-                    self.alpha,
-                    self.beta,
-                    self.alpha_p,
-                    self.beta_p,
-                    self.e00,
-                    self.e01,
-                    self.e10,
-                    self.e11,
-                    self.eve_state,
-                )
-            )
+            unitary = _read_only(build_entangling_unitary(
+                self.alpha, self.beta, self.alpha_p, self.beta_p,
+                self.e00, self.e01, self.e10, self.e11, self.eve_state,
+            ))
             ancilla = _read_only(_vec2(self.eve_state))
         object.__setattr__(self, "_unitary", unitary)
         object.__setattr__(self, "_ancilla", ancilla)
@@ -291,29 +282,21 @@ def attack_draws(
 
 
 def apply_channel_attack(
-    model: AttackModel,
-    state: PureState,
-    qubit: int,
-    channel: Channel,
-    hit: np.ndarray,
-    u: np.ndarray,
-) -> tuple[PureState, np.ndarray | None]:
-    """Channel hook: every row's `qubit` crosses `channel`; Eve acts on the `hit` rows.
+    model: AttackModel, state: PureState, qubit: int, channel: Channel, hit: np.ndarray
+) -> PureState:
+    """Channel hook for the unitary part of an attack: every row's `qubit` crosses `channel`.
 
-    Returns the state and, for an intercept, Eve's outcome per row (-1
-    where she did not attack), using the row's uniform from `u`. An
-    entangling attack appends one ancilla slot to every row as the last
-    qubit, labelled E0, E1, ... by slot, and entangles it in the `hit`
-    rows only. `hit` and `u` come from attack_draws.
+    An entangling attack on the channel appends one ancilla slot to every
+    row as the last qubit, labelled E0, E1, ... by slot, and entangles it
+    in the `hit` rows only. Any other attack leaves the state as it is: an
+    intercept is a measurement in `model.intercept_basis` of the `hit`
+    rows, which the caller makes.
     """
-    if not model.targets(channel):
-        return state, None
-    if model.variant == AttackVariant.INTERCEPT_RESEND:
-        outcomes, state = attack_intercept_resend(state, qubit, u, model.intercept_basis, hit)
-        return state, outcomes
+    if not model.targets(channel) or model.unitary() is None:
+        return state
     label = f"E{sum(lbl.startswith('E') for lbl in state.labels)}"
     state = append_qubit(state, model.ancilla_state(), label)
-    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1, where=hit), None
+    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1, where=hit)
 
 
 def attack_to_dict(model: AttackModel) -> dict:

@@ -11,12 +11,11 @@ so reports are byte-identical across runs of the same RunSpec, the
 timestamp field aside, no matter how trials are scheduled.
 
 Trials run trial-major through `protocol.run_trials`, in chunks of at
-most max(1, ROW_CAP // n_ghz) trials: each kernel runs once per chunk,
-while the cap (`protocol.ROW_CAP` rows) bounds the memory a chunk holds.
-Each trial still reads its own generators in the order a lone session
-would, so the seed contract (v1) is unchanged and a report does not
-depend on the chunk size. Each chunk's `Tally` of counts is added up, and
-the report's rates come from the total.
+most max(1, ROW_CAP // n_ghz) trials whose rows walk the run's cached
+`protocol.branch_table` as integer nodes; the statevector kernels run only
+when that table is built. Each trial reads its own generators in the order
+a lone session would, so the seed contract (v1) is unchanged and a report
+does not depend on the chunk size. Chunk `Tally`s add up to the report.
 
 A detection sweep shares inputs per block of trials: it builds each
 trial's keys, message and seed once and runs every m row from them, each
@@ -317,19 +316,9 @@ class SweepReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return (
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "seed": self.seed,
-                    "trials": self.trials,
-                    "rows": self.rows,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        doc = {"schema_version": SCHEMA_VERSION, "seed": self.seed, "trials": self.trials,
+               "rows": self.rows}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

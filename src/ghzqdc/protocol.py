@@ -24,10 +24,14 @@ completion, and only then does Alice reveal the check positions for
 comparison. A check error rate above the threshold discards the message;
 otherwise the codec decodes the surviving frame.
 
-Transmission is modelled as ownership transfer inside the in-memory joint
-state; channels are hook points where an adversary may act. Classical
-announcements are public, append-only, and readable (not forgeable) by
-the adversary.
+A triple's state is fixed by its key bits, Eve's hits, Alice's bit and
+the outcomes so far, so `branch_table` enumerates every state once per
+(variant, measurement order, attack), with each measurement's Born
+probabilities. A row carries only its node in that table: a gate or a
+transmission moves it to a child node, and a measurement picks an outcome
+with the row's uniform. Channels are hook points where an adversary may
+act. Classical announcements are public, append-only, and readable (not
+forgeable) by the adversary.
 
 The transcript serializes to JSON lines, one event per line with keys
 ordinal / actor / kind / payload; see the README for the event catalogue.
@@ -38,37 +42,28 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import (
-    AttackModel,
-    Channel,
-    NO_ATTACK,
-    apply_channel_attack,
-    attack_draws,
-    eve_measure_ancilla,
-)
+from .adversary import AttackModel, Channel, NO_ATTACK, apply_channel_attack, attack_draws
 from .authkeys import AuthKey, random_bits, unitary_for_key_bit
 from .ecc import (
     Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits, none_codec
 )
 from .statevector import (
-    BELL_OUTCOMES,
-    H,
-    HX,
-    X_OUTCOMES,
-    PureState,
-    apply_gate,
-    measure_bell,
-    measure_x,
-    measure_z,
-    new_ghz3,
+    BELL_OUTCOMES, H, HX, X_OUTCOMES, PureState, apply_gate, make_state, measure_branches,
+    new_ghz3, pick,
 )
+
+# Not called here since the branch table replaced per-chunk kernels; perfbench's
+# tracer rebinds these names of this module.
+from .adversary import eve_measure_ancilla  # noqa: F401
+from .statevector import measure_bell, measure_x, measure_z  # noqa: F401
 
 # Qubit slots inside a triple's register; Eve's ancilla slots follow.
 IDX_A, IDX_T, IDX_B = 0, 1, 2
@@ -103,15 +98,7 @@ class Event:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ordinal": self.ordinal,
-                "actor": self.actor,
-                "kind": self.kind,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 class Transcript:
@@ -192,37 +179,165 @@ class SessionConfig:
         }
 
 
-@dataclass(frozen=True)
-class Triples:
-    """GHZ triples as one register, one row per triple.
+# ---------------------------------------------------------------------------
+# Branch table: every state a row can reach, as integer nodes
 
-    Qubits are (A, T, B), then one slot per attacked channel the triples
-    crossed, in crossing order. `attached[r, s]` marks an ancilla Eve
-    entangled in slot s of row r; she labels a row's attached ancillas
-    E0, E1, ... in slot order.
+
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """A measurement as a step between nodes: each node's Born probabilities
+    and the node each outcome leads to. Rows at nodes outside `acts` are
+    not measured: they move to `child[node, 0]` and read outcome -1."""
+
+    acts: np.ndarray  # (nodes,) bool
+    probs: np.ndarray  # (nodes, outcomes)
+    child: np.ndarray  # (nodes, outcomes); -1 past a branch no uniform can pick
+
+    def __call__(self, node: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(outcome code, next node) of each row, picked with the row's uniform from `u`."""
+        act = self.acts[node]
+        k = np.zeros(len(node), dtype=np.intp)
+        k[act] = pick(self.probs[node[act]], u[act])
+        return np.where(act, k, -1), self.child[node, k]
+
+
+@dataclass(frozen=True, eq=False)
+class BranchTable:
+    """A session's steps over the states its rows can reach, as integer nodes.
+
+    A fresh GHZ triple moves to `keyed[0, 2a + b]` for key bits (a, b) and
+    crosses `legs`, to Alice and to Bob (the owners' decoding is folded into
+    the nodes after). A checked row meets `checks`, z of A, B and T; a used
+    row moves to `encode[node, bit]`, crosses `send` and meets `measure`,
+    (basis or "eve", step) pairs in measurement order, one Eve step per ancilla
+    slot. A crossing is empty when Eve ignores the channel, else the
+    (nodes, 2) children by her hit, then an intercept's Measurement.
+    `attached[node]` marks, after `send`, the slots whose ancilla Eve
+    entangled; `message_ancilla`: the last slot is the message-phase one.
     """
 
+    keyed: np.ndarray  # (1, 4)
+    legs: tuple[tuple, tuple]
+    checks: tuple[Measurement, Measurement, Measurement]
+    encode: np.ndarray  # (nodes, 2)
+    send: tuple
+    measure: tuple[tuple[str, Measurement], ...]
+    attached: np.ndarray  # (nodes, slots) bool
+    message_ancilla: bool
+
+
+def cross(crossing: tuple, node, hit, u) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows crossing a channel with Eve's `hit` and intercept uniforms `u`:
+    (next nodes, intercept outcomes with -1 where she skipped, or None)."""
+    outcomes = None
+    if crossing:
+        node = crossing[0][node, hit.astype(np.intp)]
+    if len(crossing) > 1:
+        outcomes, node = crossing[1](node, u)
+    return node, outcomes
+
+
+class _Nodes(NamedTuple):
+    """The nodes a step reaches: a register row each, and the code each choice took."""
+
     state: PureState
-    positions: np.ndarray  # GHZ position of each row
-    attached: np.ndarray  # (rows, slots) bool
-
-    def __len__(self) -> int:
-        return self.state.rows
-
-    def take(self, rows) -> Triples:
-        return Triples(self.state.take(rows), self.positions[rows], self.attached[rows])
+    codes: dict[str, np.ndarray]
 
 
-def _transmit(
-    triples: Triples, attack: AttackModel, qubit: int, channel: Channel, hit, u
-) -> tuple[Triples, np.ndarray | None]:
-    """Send every row's `qubit` over `channel`; returns the intercept outcomes, if any."""
-    width = triples.state.num_qubits
-    state, outcomes = apply_channel_attack(attack, triples.state, qubit, channel, hit, u)
-    attached = triples.attached
-    if state.num_qubits > width:
-        attached = np.column_stack([attached, hit])
-    return Triples(state, triples.positions, attached), outcomes
+def _choose(front: _Nodes, name: str, count: int, act) -> tuple[_Nodes, np.ndarray]:
+    """Branch every node on a code in range(count), applied by act(state, codes);
+    node r with code c leads to node c * (number of nodes) + r."""
+    rows = np.tile(np.arange(front.state.rows), count)
+    code = np.repeat(np.arange(count), front.state.rows)
+    codes = {key: v[rows] for key, v in front.codes.items()} | {name: code}
+    child = np.arange(len(rows)).reshape(count, -1).T
+    return _Nodes(act(front.state.take(rows), codes), codes), child
+
+
+def _branch(front: _Nodes, qubits, basis: str, acts=None) -> tuple[_Nodes, Measurement]:
+    """Expand the `acts` nodes (all by default) into every branch of a measurement;
+    the other nodes pass through."""
+    state = front.state
+    acts = np.ones(state.rows, dtype=bool) if acts is None else acts
+    probs, reached, branches = measure_branches(state.take(acts), qubits, basis)
+    at, k = np.nonzero(reached)
+    passing, parents = np.flatnonzero(~acts), np.flatnonzero(acts)[at]
+    shape = (state.rows, probs.shape[1])
+    step = Measurement(acts, np.zeros(shape), np.full(shape, -1))
+    step.probs[acts] = probs
+    step.child[passing] = np.arange(len(passing))[:, None]
+    step.child[parents, k] = len(passing) + np.arange(len(k))
+    rows = np.concatenate([passing, parents])
+    amps = np.concatenate([state.amplitudes[passing], branches.amplitudes])
+    codes = {key: v[rows] for key, v in front.codes.items()}
+    return _Nodes(make_state(amps, state.labels), codes), step
+
+
+def _cross_all(front: _Nodes, attack: AttackModel, qubit: int, channel: Channel):
+    """Every branch of `qubit` crossing `channel`: Eve's hit, then an intercept's outcome."""
+    if not attack.targets(channel):
+        return front, ()
+    hit = channel.value
+    front, hits = _choose(front, hit, 2, lambda s, c: apply_channel_attack(
+        attack, s, qubit, channel, c[hit] == 1))
+    if attack.unitary() is not None:  # an entangling attack
+        return front, (hits,)
+    front, intercept = _branch(front, (qubit,), attack.intercept_basis, front.codes[hit] == 1)
+    return front, (hits, intercept)
+
+
+# The message-phase measurement of Bob and of Trent, by variant: (qubits, basis).
+_MEASUREMENTS = {("bob", "qdc1"): ((IDX_A, IDX_B), "bell"), ("trent", "qdc1"): ((IDX_T,), "x"),
+                 ("bob", "qdc2"): ((IDX_B,), "x"), ("trent", "qdc2"): ((IDX_A, IDX_T), "bell")}
+
+
+@lru_cache(maxsize=32)
+def branch_table(variant: str, order: tuple[str, str, str], attack: AttackModel) -> BranchTable:
+    """The branch table of a protocol variant, resolved measurement order and attack.
+
+    Built once per distinct key by pushing one small register through the
+    kernels: every choice, and every measurement outcome of nonzero
+    probability, becomes a row of its own. Each kernel gives a stack, bit
+    for bit, what it gives each row alone, so a walk of the table sees the
+    probabilities the kernels would give the session's own rows.
+    """
+
+    def keyed(state, codes):
+        state = apply_gate(state, _KEY_GATE, IDX_A, where=codes["keys"] // 2 == 1)
+        return apply_gate(state, _KEY_GATE, IDX_B, where=codes["keys"] % 2 == 1)
+
+    def encode(state, codes):
+        state = apply_gate(state, H, IDX_A, where=codes["bit"] == 0)
+        return apply_gate(state, HX, IDX_A, where=codes["bit"] == 1)
+
+    front, keys = _choose(_Nodes(new_ghz3(), {}), "keys", 4, keyed)
+    front, to_alice = _cross_all(front, attack, IDX_A, Channel.TRENT_TO_ALICE)
+    front, to_bob = _cross_all(front, attack, IDX_B, Channel.TRENT_TO_BOB)
+    front = front._replace(state=keyed(*front))
+    checked, checks = front, []
+    for qubit in (IDX_A, IDX_B, IDX_T):
+        checked, step = _branch(checked, (qubit,), "z")
+        checks.append(step)
+
+    channel = message_channel(variant)
+    front, bits = _choose(front, "bit", 2, encode)
+    front, send = _cross_all(front, attack, IDX_A, channel)
+    # Eve's ancilla slots, in the order the crossings appended them.
+    slots = [c.value for c in (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, channel)
+             if attack.targets(c) and attack.unitary() is not None]
+    attached = np.array([front.codes[hit] == 1 for hit in slots], dtype=bool)
+    attached = attached.reshape(len(slots), front.state.rows).T
+    measure = []
+    for party in order:
+        if party != "eve":
+            qubits, basis = _MEASUREMENTS[party, variant]
+            front, step = _branch(front, qubits, basis)
+            measure.append((basis, step))
+        for j, hit in enumerate(slots if party == "eve" else ()):
+            front, step = _branch(front, (IDX_B + 1 + j,), "z", front.codes[hit] == 1)
+            measure.append(("eve", step))
+    return BranchTable(keys, (to_alice, to_bob), tuple(checks), bits, send, tuple(measure),
+                       attached, channel.value in slots)
 
 
 @dataclass(frozen=True)
@@ -270,26 +385,23 @@ class AuthPhaseResult:
 
     `checks` has one row per check position, with the fields of
     AuthCheckRecord as its columns; `surviving` holds each trial's
-    n - m unchecked triples in turn.
+    n - m unchecked triples in turn, in position order.
     """
 
     aborted: np.ndarray  # (trials,) bool
     errors: np.ndarray  # (trials,) check errors
     error_rates: np.ndarray  # (trials,)
     checks: np.ndarray  # (trials * m, 6)
-    surviving: Triples
+    surviving: np.ndarray  # the branch-table node of each surviving triple
 
 
 def auth_phase(
-    config: SessionConfig,
-    attack: AttackModel,
-    trials: list[Trial],
+    config: SessionConfig, attack: AttackModel, trials: list[Trial],
     transcript: Transcript | None = None,
 ) -> AuthPhaseResult:
     """Run the authentication phase of every trial at once; a transcript records one trial."""
     n, m, count = config.n_ghz, config.m_auth_check, len(trials)
-    legs = ((IDX_A, Channel.TRENT_TO_ALICE), (IDX_B, Channel.TRENT_TO_BOB))
-    channels = [channel for _, channel in legs]
+    channels = (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB)
     keys = np.empty((2, count, n), dtype=bool)
     hit, eve_u = np.empty((count, n, 2), dtype=bool), np.empty((count, n, 2))
     check_positions = np.empty((count, m), dtype=int)
@@ -310,15 +422,10 @@ def auth_phase(
     # Row i * n + p is position p of trial i.
     a_key, b_key = keys[0].reshape(-1), keys[1].reshape(-1)
     hit, eve_u = hit.reshape(-1, 2), eve_u.reshape(-1, 2)
-    state = new_ghz3(count * n)
-    state = apply_gate(state, _KEY_GATE, IDX_A, where=a_key)
-    state = apply_gate(state, _KEY_GATE, IDX_B, where=b_key)
-    triples = Triples(state, np.tile(np.arange(n), count), np.zeros((count * n, 0), dtype=bool))
-    for j, (qubit, channel) in enumerate(legs):
-        triples, _ = _transmit(triples, attack, qubit, channel, hit[:, j], eve_u[:, j])
-    state = apply_gate(triples.state, _KEY_GATE, IDX_A, where=a_key)
-    state = apply_gate(state, _KEY_GATE, IDX_B, where=b_key)
-    triples = replace(triples, state=state)
+    table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
+    node = table.keyed[0, 2 * a_key + b_key]
+    for j, crossing in enumerate(table.legs):
+        node, _ = cross(crossing, node, hit[:, j], eve_u[:, j])
     if transcript is not None:
         for pos in range(n):
             transcript.emit("trent", "ghz_prepared", position=pos)
@@ -334,9 +441,9 @@ def auth_phase(
     rows = (np.arange(count)[:, None] * n + check_positions).reshape(-1)
     outcomes = np.zeros((len(rows), 3), dtype=int)
     if m:
-        state, u = triples.state.take(rows), u.reshape(-1, 3)
-        for col, qubit in enumerate((IDX_A, IDX_B, IDX_T)):
-            outcomes[:, col], state = measure_z(state, qubit, u[:, col])
+        checked, u = node[rows], u.reshape(-1, 3)
+        for col, step in enumerate(table.checks):
+            outcomes[:, col], checked = step(checked, u[:, col])
     za, zb, zt = outcomes.T
     checks = np.column_stack([check_positions.reshape(-1), a_key[rows], b_key[rows], za, zt, zb])
     if transcript is not None:
@@ -357,7 +464,7 @@ def auth_phase(
                         error_rate=float(error_rates[0]), errors=int(errors[0]), checked=m)
     keep = np.ones(count * n, dtype=bool)
     keep[rows] = False
-    return AuthPhaseResult(aborted, errors, error_rates, checks, triples.take(keep))
+    return AuthPhaseResult(aborted, errors, error_rates, checks, node[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +511,7 @@ def check_capacity(num_surviving: int, frame_len: int, check_fraction: float) ->
 
 
 def plan_message_positions(
-    num_surviving: int,
-    frame_bits: np.ndarray,
-    check_fraction: float,
-    rng: np.random.Generator,
+    num_surviving: int, frame_bits: np.ndarray, check_fraction: float, rng: np.random.Generator
 ) -> MessagePlan:
     """Pick disjoint check and message positions among the survivors.
 
@@ -428,33 +532,6 @@ def plan_message_positions(
     return MessagePlan(positions, bits, is_check)
 
 
-def _encode_and_send(
-    sent: Triples,
-    plan: MessagePlan,
-    channel: Channel,
-    attack: AttackModel,
-    hit: np.ndarray,
-    u: np.ndarray,
-    transcript: Transcript | None,
-) -> tuple[Triples, np.ndarray | None]:
-    """Encode H / HX per planned bit on every row and transmit the A qubits on `channel`.
-
-    `hit` and `u` are Eve's draws per row. Returns the sent triples and an
-    intercept's outcomes (-1 on rows Eve skipped); an entangling attack's
-    ancillas take the register's last slot.
-    """
-    state = apply_gate(sent.state, H, IDX_A, where=plan.bits == 0)
-    state = apply_gate(state, HX, IDX_A, where=plan.bits == 1)
-    sent, outcomes = _transmit(replace(sent, state=state), attack, IDX_A, channel, hit, u)
-    if transcript is not None:
-        rows = zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist())
-        for seq, bit, check in rows:
-            transcript.emit("alice", "msg_encode", position=seq, bit=bit,
-                            source="check" if check else "message", gate=HX.name if bit else H.name)
-            transcript.emit("alice", "transmit", position=seq, channel=channel.value)
-    return sent, outcomes
-
-
 # Trent's published bit per Bell outcome code: 0 for Phi+/Psi-, 1 for Phi-/Psi+.
 _BELL_BIT = np.array([0, 1, 1, 0])
 
@@ -464,64 +541,39 @@ def _decode(trent_bit, x):
     return 1 ^ trent_bit ^ x
 
 
-def _measure_eve_ancillas(
-    attached: np.ndarray, state: PureState, u: np.ndarray
-) -> tuple[np.ndarray, PureState]:
-    """Eve's step: z-measure every attached ancilla with its uniform from `u`, (rows, slots).
-
-    Returns the outcomes per (row, slot), -1 where no ancilla is attached.
-    """
-    outcomes = np.full(attached.shape, -1)
-    for slot in range(attached.shape[1]):
-        outcomes[:, slot], state = eve_measure_ancilla(
-            state, IDX_B + 1 + slot, u[:, slot], where=attached[:, slot]
-        )
-    return outcomes, state
-
-
-def _measure_and_decode(
-    sent: Triples,
-    plan: MessagePlan,
-    variant: str,
-    order: tuple[str, str, str],
-    u: np.ndarray,
-    eve_u: np.ndarray,
-    transcript: Transcript | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's, Trent's and Eve's measurements in `order`, then Bob's decoding.
+def _measure(table: BranchTable, node: np.ndarray, u: np.ndarray, eve_u) -> dict[str, np.ndarray]:
+    """Bob's, Trent's and Eve's measurements in the table's order: the outcome codes by basis.
 
     `u` holds one uniform per row for each of Bob and Trent, columns in
-    `order`; `eve_u` one per (row, ancilla slot). Returns (decoded bits,
-    Eve's outcomes per (row, slot)).
+    measurement order; `eve_u` one per (row, ancilla slot) for Eve's z
+    measurement of each attached ancilla. Returns the "bell" and "x" codes,
+    and Eve's (rows, slots) under "eve", -1 where no ancilla is attached.
     """
-    honest = [step for step in order if step != "eve"]
-    state = sent.state
-    for step in order:
-        if step == "eve":
-            eve, state = _measure_eve_ancillas(sent.attached, state, eve_u)
-            continue
-        col = u[:, honest.index(step)]
-        if step == "bob" and variant == "qdc1":
-            bell, state = measure_bell(state, IDX_A, IDX_B, col)
-        elif step == "bob":
-            x, state = measure_x(state, IDX_B, col)
-        elif variant == "qdc1":
-            x, state = measure_x(state, IDX_T, col)
+    codes = {"eve": np.full(eve_u.shape, -1)}
+    col = slot = 0
+    for basis, step in table.measure:
+        if basis == "eve":
+            codes["eve"][:, slot], node = step(node, eve_u[:, slot])
+            slot += 1
         else:
-            bell, state = measure_bell(state, IDX_A, IDX_T, col)
-    decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
-    if transcript is not None:
-        _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, decoded)
-    return decoded, eve
+            codes[basis], node = step(node, u[:, col])
+            col += 1
+    return codes
 
 
-def _emit_measurements(transcript, sent, plan, variant, order, bell, x, eve, decoded) -> None:
-    labels = np.cumsum(sent.attached, axis=1) - 1  # rank among the row's attached ancillas
-    rows = zip(plan.positions.tolist(), sent.positions.tolist(), bell.tolist(), x.tolist(),
+def _emit_message_phase(transcript, config, plan, positions, attached, bell, x, eve, decoded):
+    """One trial's encoding, transmission and measurement events, position by position."""
+    channel, variant = message_channel(config.protocol_variant), config.protocol_variant
+    for seq, bit, check in zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist()):
+        transcript.emit("alice", "msg_encode", position=seq, bit=bit,
+                        source="check" if check else "message", gate=HX.name if bit else H.name)
+        transcript.emit("alice", "transmit", position=seq, channel=channel.value)
+    labels = np.cumsum(attached, axis=1) - 1  # rank among the row's attached ancillas
+    rows = zip(plan.positions.tolist(), positions.tolist(), bell.tolist(), x.tolist(),
                eve.tolist(), labels.tolist(), decoded.tolist())
     for seq, pos, b, xo, eve_row, label_row, bit in rows:
         bell_value, x_value = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
-        for step in order:
+        for step in config.resolved_measure_order():
             if step == "bob" and variant == "qdc1":
                 transcript.emit("bob", "bell_measure", position=seq, outcome=bell_value)
             elif step == "bob":
@@ -554,10 +606,7 @@ class MessageResult:
 
 
 def message_check_and_deliver(
-    decoded: np.ndarray,
-    plan: MessagePlan,
-    threshold: float,
-    codec: Codec,
+    decoded: np.ndarray, plan: MessagePlan, threshold: float, codec: Codec,
     transcript: Transcript | None = None,
 ) -> MessageResult:
     """Compare the revealed check bits, then deliver or discard; `decoded` aligns with the plan."""
@@ -565,14 +614,8 @@ def message_check_and_deliver(
     errors = int(np.count_nonzero(decoded[is_check] != plan.bits[is_check]))
     checked = int(np.count_nonzero(is_check))
     error_rate = errors / checked if checked else 0.0
-    _emit(
-        transcript,
-        "public",
-        "msg_compare",
-        errors=errors,
-        checked=checked,
-        error_rate=error_rate,
-    )
+    _emit(transcript, "public", "msg_compare", errors=errors, checked=checked,
+          error_rate=error_rate)
     message = diagnostic = None
     corrected = 0
     if error_rate <= threshold:
@@ -582,15 +625,8 @@ def message_check_and_deliver(
             diagnostic = str(exc)
     verdict = Verdict.MESSAGE_DISCARDED if message is None else Verdict.MESSAGE_DELIVERED
     extra = {} if diagnostic is None else {"diagnostic": diagnostic}
-    _emit(
-        transcript,
-        "public",
-        "verdict",
-        phase="message",
-        verdict=verdict.value,
-        error_rate=error_rate,
-        **extra,
-    )
+    _emit(transcript, "public", "verdict", phase="message", verdict=verdict.value,
+          error_rate=error_rate, **extra)
     if message is not None:
         _emit(transcript, "bob", "deliver", message=format_bits(message),
               corrected_errors=corrected)
@@ -600,10 +636,10 @@ def message_check_and_deliver(
 # ---------------------------------------------------------------------------
 # Trial-major orchestration
 
-# Most rows a chunk's registers hold: a chunk runs max(1, ROW_CAP // n_ghz)
-# trials. Larger chunks buy little once kernel calls are amortised, and
-# each row held at once costs memory, so the cap keeps peak memory flat
-# however many trials a run has.
+# Most rows a chunk holds: a chunk runs max(1, ROW_CAP // n_ghz) trials.
+# Larger chunks buy little once numpy calls are amortised, and each row
+# held costs its draws and node indices, so the cap keeps peak memory
+# flat however many trials a run has.
 ROW_CAP = 512
 
 
@@ -667,12 +703,8 @@ class SessionResult:
 
 
 def _message_phase(
-    config: SessionConfig,
-    attack: AttackModel,
-    trials: list[Trial],
-    auth: AuthPhaseResult,
-    results: list[SessionResult],
-    transcript: Transcript | None,
+    config: SessionConfig, attack: AttackModel, trials: list[Trial], auth: AuthPhaseResult,
+    results: list[SessionResult], transcript: Transcript | None,
 ) -> tuple[int, int, int, int]:
     """Send the message of every authenticated trial at once; fills in their results.
 
@@ -701,22 +733,24 @@ def _message_phase(
     chunk_plan = MessagePlan(*(np.concatenate([getattr(plan, name) for plan in plans])
                                for name in ("positions", "bits", "is_check")))
 
-    sent, eve_msg = _encode_and_send(
-        auth.surviving.take(np.concatenate(rows)), chunk_plan, channel, attack,
-        np.concatenate(hits), np.concatenate(eve_us), transcript,
-    )
+    table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
+    node = table.encode[auth.surviving[np.concatenate(rows)], chunk_plan.bits]
+    node, eve_msg = cross(table.send, node, np.concatenate(hits), np.concatenate(eve_us))
     # Eve's uniforms for her attached ancillas, trial by trial in (row, slot) order.
-    ancilla_u = np.zeros(sent.attached.shape)
+    attached = table.attached[node]
+    ancilla_u = np.zeros(attached.shape)
     for i, lo, hi in zip(active, bounds, bounds[1:]):
-        attached = sent.attached[lo:hi]
-        if attached.any():
-            ancilla_u[lo:hi][attached] = trials[i].eve_rng.random(int(attached.sum()))
-    decoded, eve = _measure_and_decode(
-        sent, chunk_plan, config.protocol_variant, config.resolved_measure_order(),
-        np.concatenate(us), ancilla_u, transcript,
-    )
-    if sent.attached.shape[1] > auth.surviving.attached.shape[1]:
-        eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
+        if attached[lo:hi].any():
+            ancilla_u[lo:hi][attached[lo:hi]] = trials[i].eve_rng.random(int(attached[lo:hi].sum()))
+    codes = _measure(table, node, np.concatenate(us), ancilla_u)
+    bell, x = codes["bell"], codes["x"]
+    decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
+    if transcript is not None:  # a one-trial chunk: its survivors' GHZ positions
+        positions = np.delete(np.arange(config.n_ghz), auth.checks[:, 0])[chunk_plan.positions]
+        _emit_message_phase(transcript, config, chunk_plan, positions, attached, bell, x,
+                            codes["eve"], decoded)
+    if table.message_ancilla:
+        eve_msg = codes["eve"][:, -1]  # the message-phase ancilla, measured at Eve's step
 
     for i, plan, lo, hi in zip(active, plans, bounds, bounds[1:]):
         res = results[i]
@@ -726,14 +760,9 @@ def _message_phase(
             seen = outcomes >= 0
             res.eve_observations = list(zip(plan.bits[seen].tolist(), outcomes[seen].tolist()))
         _emit(transcript, "bob", "announce", what="decoding_complete")
-        _emit(
-            transcript,
-            "alice",
-            "announce",
-            what="msg_check_reveal",
-            positions=plan.positions[plan.is_check].tolist(),
-            values=format_bits(plan.bits[plan.is_check]),
-        )
+        _emit(transcript, "alice", "announce", what="msg_check_reveal",
+              positions=plan.positions[plan.is_check].tolist(),
+              values=format_bits(plan.bits[plan.is_check]))
         res.msg = message_check_and_deliver(
             decoded[lo:hi], plan, config.error_threshold_msg, config.codec, transcript
         )
@@ -744,15 +773,13 @@ def _message_phase(
 
 
 def run_chunk(
-    config: SessionConfig,
-    attack: AttackModel,
-    trials: list[Trial],
+    config: SessionConfig, attack: AttackModel, trials: list[Trial],
     transcript: Transcript | None = None,
 ) -> tuple[Tally, list[SessionResult]]:
     """Run a chunk of trials trial-major: rows are (trial, position) pairs.
 
-    Each phase runs each kernel once over the rows of every trial in it;
-    trials that abort skip the message phase. Every trial's generators are
+    Each step of the branch table moves the rows of every trial in it at
+    once; trials that abort skip the message phase. Every trial's generators are
     read in the same order as in a session run alone, so a trial's outcome
     does not depend on its chunk. A transcript records a one-trial chunk.
     """
@@ -760,13 +787,8 @@ def run_chunk(
     auth = auth_phase(config, attack, trials, transcript)
     checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
     results = [
-        SessionResult(
-            Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED,
-            rate,
-            errors,
-            trial_checks,
-            trial.message,
-        )
+        SessionResult(Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED, rate, errors,
+                      trial_checks, trial.message)
         for trial, aborted, rate, errors, trial_checks in zip(
             trials, auth.aborted.tolist(), auth.error_rates.tolist(), auth.errors.tolist(), checks
         )
@@ -780,16 +802,12 @@ def run_chunk(
     outcomes = auth.checks[:, 3:]
     error = (outcomes != outcomes[:, :1]).any(axis=1)
     tally = Tally(
-        trials=len(trials),
-        authenticated=len(trials) - aborted,
-        auth_aborted=aborted,
-        message_delivered=delivered,
-        message_discarded=len(msgs) - delivered,
+        trials=len(trials), authenticated=len(trials) - aborted, auth_aborted=aborted,
+        message_delivered=delivered, message_discarded=len(msgs) - delivered,
         delivered_ok=sum(res.delivered_ok for res in results),
         auth_checked=tuple(np.bincount(pair, minlength=4).tolist()),
         auth_errors=tuple(np.bincount(pair[error], minlength=4).tolist()),
-        msg_checked=sum(msg.checked for msg in msgs),
-        msg_errors=sum(msg.errors for msg in msgs),
+        msg_checked=sum(msg.checked for msg in msgs), msg_errors=sum(msg.errors for msg in msgs),
         eve=eve,
     )
     return tally, results
@@ -814,23 +832,13 @@ def run_trials(
 
 
 def run_session(
-    config: SessionConfig,
-    alice_key: AuthKey,
-    bob_key: AuthKey,
-    message_bits: np.ndarray | None,
+    config: SessionConfig, alice_key: AuthKey, bob_key: AuthKey, message_bits: np.ndarray | None,
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
     """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
     transcript = Transcript() if config.record_transcript else None
-    _emit(
-        transcript,
-        "public",
-        "session_start",
-        protocol=config.protocol_variant,
-        n_ghz=config.n_ghz,
-        m_auth_check=config.m_auth_check,
-        seed=config.rng_seed,
-    )
+    _emit(transcript, "public", "session_start", protocol=config.protocol_variant,
+          n_ghz=config.n_ghz, m_auth_check=config.m_auth_check, seed=config.rng_seed)
     trial = Trial(alice_key, bob_key, message_bits, config.rng_seed)
     _, (result,) = run_chunk(config, attack, [trial], transcript)
     result.transcript = transcript

@@ -221,9 +221,8 @@ def apply_gate(state: PureState, gate: Gate1Q, target: int, where=None) -> PureS
     )
 
 
-def apply_two_qubit(
-    state: PureState, matrix: np.ndarray, q1: int, q2: int, where=None
-) -> PureState:
+def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int,
+                    where=None) -> PureState:
     """Apply a 4x4 unitary to the ordered qubit pair (q1, q2) on the `where` rows.
 
     The matrix acts on the pair basis |q1 q2>, index 2*bit(q1) + bit(q2).
@@ -290,31 +289,49 @@ def _probs(residuals: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ik", residuals.conj(), residuals).real
 
 
-def _pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the first outcome whose cumulative probability exceeds u."""
+def pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of Born probabilities (rows, outcomes), the first outcome whose cumulative
+    probability exceeds the row's uniform from `u`. Raises when a row's probabilities do
+    not sum to 1 or the picked branch has (near-)zero probability."""
     acc = np.cumsum(probs, axis=1)
     bad = ~(np.abs(acc[:, -1] - 1.0) <= ATOL)
     if bad.any():
         raise RuntimeError(f"measurement probabilities sum to {acc[bad][0, -1]!r}")
-    return np.minimum((u[:, None] >= acc).sum(axis=1), probs.shape[1] - 1)
-
-
-def _collapse(residual: np.ndarray, vecs: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """Per row, |vec> on the measured qubits times the renormalised (rows, rest) residual."""
-    scaled = residual / np.sqrt(prob)[:, None]
-    return scaled[:, :, None] * vecs[:, None, :]
-
-
-def _measure_rows(amps, n, qubits, basis, u):
-    """(outcome codes, collapsed amplitudes) of rows measured in `basis`."""
-    residuals = _residuals(amps, n, qubits, basis)
-    probs = _probs(residuals)
-    k = _pick(probs, u)
-    rows = np.arange(amps.shape[0])
-    prob = probs[rows, k]
-    if (prob < _DEGENERATE).any():
+    k = np.minimum((u[:, None] >= acc).sum(axis=1), probs.shape[1] - 1)
+    if (probs[np.arange(len(k)), k] < _DEGENERATE).any():
         raise RuntimeError("projection onto a (near-)zero branch; internal logic error")
-    return k, _qubits_back(_collapse(residuals[rows, :, k], basis[k], prob), n, qubits)
+    return k
+
+
+def _collapse(residuals, probs, rows, k, basis, n, qubits) -> np.ndarray:
+    """Row `rows[i]` collapsed onto outcome `k[i]`: |vec> on the measured
+    qubits times the renormalised residual, as (len(rows), 2**n) amplitudes."""
+    scaled = residuals[rows, :, k] / np.sqrt(probs[rows, k])[:, None]
+    return _qubits_back(scaled[:, :, None] * basis[k][:, None, :], n, qubits)
+
+
+_BASES = {"z": _Z_BASIS, "x": _X_BASIS, "bell": _BELL_BASIS}
+
+
+def measure_branches(
+    state: PureState, qubits: tuple[int, ...], basis: str
+) -> tuple[np.ndarray, np.ndarray, PureState]:
+    """Every branch of measuring `qubits` of each row in `basis` ("z", "x" or "bell").
+
+    Returns the Born probabilities (rows, outcomes), the mask of branches a
+    uniform can pick (not degenerate), and those branches collapsed, one row
+    each in row-major (row, outcome) order: bit for bit what the measure_*
+    kernel gives a row whose uniform picks that outcome.
+    """
+    for q in qubits:
+        _check_qubit(state, q)
+    vecs = _BASES[basis]
+    residuals = _residuals(state.amplitudes, state.num_qubits, qubits, vecs)
+    probs = _probs(residuals)
+    reached = probs >= _DEGENERATE
+    rows, k = np.nonzero(reached)
+    amps = _collapse(residuals, probs, rows, k, vecs, state.num_qubits, qubits)
+    return probs, reached, _wrap(amps, state.labels)
 
 
 def _measure(state: PureState, qubits: tuple[int, ...], basis: np.ndarray, u, where):
@@ -323,11 +340,12 @@ def _measure(state: PureState, qubits: tuple[int, ...], basis: np.ndarray, u, wh
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != state.rows:
         raise ValueError(f"{u.shape[0]} uniforms for {state.rows} rows")
-    rows = _rows(state, where)
+    rows, n = _rows(state, where), state.num_qubits
+    residuals = _residuals(state.amplitudes[rows], n, qubits, basis)
+    probs = _probs(residuals)
     outcomes = np.full(state.rows, -1)
-    outcomes[rows], amps = _measure_rows(
-        state.amplitudes[rows], state.num_qubits, qubits, basis, u[rows]
-    )
+    outcomes[rows] = k = pick(probs, u[rows])
+    amps = _collapse(residuals, probs, np.arange(len(k)), k, basis, n, qubits)
     return outcomes, _replace_rows(state, rows, amps)
 
 

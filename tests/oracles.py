@@ -172,6 +172,146 @@ def joint_prob(state: np.ndarray, projectors: list[np.ndarray]) -> float:
     return p_total
 
 
+def embed_2q(matrix: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
+    """Full 2^n matrix applying a 4x4 matrix to the ordered pair (q1, q2),
+    pair index 2*bit(q1) + bit(q2), identity elsewhere."""
+    s1, s2 = n - 1 - q1, n - 1 - q2
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**n):
+        rest = i & ~(1 << s1) & ~(1 << s2)
+        for j in range(4):
+            col = 2 * (i >> s1 & 1) + (i >> s2 & 1)
+            out[rest | (j >> 1) << s1 | (j & 1) << s2, i] = matrix[j, col]
+    return out
+
+
+class BranchTableOracle:
+    """Walks every node of a `protocol.BranchTable` a row can reach and holds
+    each node's probabilities to brute-force projectors on the full register.
+
+    The register is (A, T, B) plus one ancilla per entangling crossing,
+    built with Kronecker products and full 2^n matrices. Hits Eve cannot
+    skip (coverage 1) are not walked. `nodes` counts the measurement
+    nodes checked.
+    """
+
+    def __init__(self, table, variant: str, attack, atol: float):
+        from ghzqdc.adversary import AttackVariant
+
+        self.table, self.variant, self.attack, self.atol = table, variant, attack, atol
+        self.intercept = attack.variant == AttackVariant.INTERCEPT_RESEND
+        self.nodes = 0
+        self._projectors: dict = {}
+
+    def projectors(self, kind: str, qubits: tuple[int, ...], n: int) -> list[np.ndarray]:
+        from ghzqdc.statevector import BELL_OUTCOMES, X_OUTCOMES
+
+        key = (kind, qubits, n)
+        if key not in self._projectors:
+            if kind == "z":
+                self._projectors[key] = [z_proj(*qubits, b, n) for b in (0, 1)]
+            elif kind == "x":
+                self._projectors[key] = [x_proj(*qubits, o, n) for o in X_OUTCOMES]
+            else:
+                self._projectors[key] = [bell_proj(*qubits, o, n) for o in BELL_OUTCOMES]
+        return self._projectors[key]
+
+    def measure(self, step, node, v, kind, qubits):
+        """Check one measurement node; yield (child node, collapsed vector) per reachable branch."""
+        n = int(np.log2(len(v)))
+        assert step.acts[node]
+        projectors = self.projectors(kind, qubits, n)
+        want = [prob(v, proj) for proj in projectors]
+        got = step.probs[node]
+        assert np.allclose(got, want, rtol=0, atol=self.atol), (got, want)
+        assert abs(got.sum() - 1.0) <= self.atol
+        self.nodes += 1
+        for k, proj in enumerate(projectors):
+            if step.child[node, k] < 0:
+                assert want[k] < 1e-9
+                continue
+            yield int(step.child[node, k]), collapse(v, proj)[1]
+
+    def cross(self, crossing, channel, qubit, node, v, slots):
+        """Every (node, vector, attached slots) after `qubit` crosses `channel`."""
+        if not self.attack.targets(channel):
+            assert crossing == ()
+            yield node, v, slots
+            return
+        hits, intercept = (crossing + (None,))[:2]
+        for hit in (1,) if self.attack.coverage == 1.0 else (0, 1):
+            nxt = int(hits[node, hit])
+            if not self.intercept:
+                n = int(np.log2(len(v)))
+                w = np.kron(v, self.attack.ancilla_state())
+                if hit:
+                    w = embed_2q(self.attack.unitary(), qubit, n, n + 1) @ w
+                yield nxt, w, slots + (hit,)
+            elif hit:
+                basis = self.attack.intercept_basis
+                for child, w in self.measure(intercept, nxt, v, basis, (qubit,)):
+                    yield child, w, slots
+            else:  # the node passes the intercept unmeasured
+                assert not intercept.acts[nxt]
+                yield int(intercept.child[nxt, 0]), v, slots
+
+    def auth_ends(self):
+        """Every (node, vector, attached slots) a row reaches after the owners' decoding."""
+        from ghzqdc.adversary import Channel
+
+        for code in range(4):
+            n_a, n_b = (M_H if code >> 1 else M_I), (M_H if code & 1 else M_I)
+            keyed = np.kron(np.kron(n_a, M_I), n_b)
+            states = [(int(self.table.keyed[0, code]), keyed @ ghz3(), ())]
+            for crossing, channel, qubit in zip(
+                self.table.legs, (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB), (0, 2)
+            ):
+                states = [s for node, v, slots in states
+                          for s in self.cross(crossing, channel, qubit, node, v, slots)]
+            for node, v, slots in states:
+                n = int(np.log2(len(v)))
+                yield node, embed_1q(n_a, 0, n) @ embed_1q(n_b, 2, n) @ v, slots
+
+    def check_from(self, node, v, slots) -> None:
+        """Check the auth checks and the whole message phase from one auth-end node."""
+        from ghzqdc.protocol import message_channel
+
+        level = [(node, v)]
+        for step, qubit in zip(self.table.checks, (0, 2, 1)):
+            level = [c for nd, w in level for c in self.measure(step, nd, w, "z", (qubit,))]
+        honest = {  # the measured qubits of each basis: Bob's and Trent's, by variant
+            ("bell", "qdc1"): (0, 2), ("x", "qdc1"): (1,),
+            ("bell", "qdc2"): (0, 1), ("x", "qdc2"): (2,),
+        }
+        channel = message_channel(self.variant)
+        for bit in (0, 1):
+            n = int(np.log2(len(v)))
+            sent = embed_1q(M_HX if bit else M_H, 0, n) @ v
+            encoded = int(self.table.encode[node, bit])
+            for nd, w, attached in self.cross(self.table.send, channel, 0, encoded, sent, slots):
+                assert self.table.attached[nd].tolist() == [bool(h) for h in attached]
+                level = [(nd, w)]
+                slot = 0
+                for basis, step in self.table.measure:
+                    if basis != "eve":
+                        qubits = honest[basis, self.variant]
+                        level = [c for x, y in level
+                                 for c in self.measure(step, x, y, basis, qubits)]
+                        continue
+                    if attached[slot]:
+                        level = [c for x, y in level
+                                 for c in self.measure(step, x, y, "z", (3 + slot,))]
+                    else:  # every node passes unmeasured
+                        assert not any(step.acts[x] for x, _ in level)
+                        level = [(int(step.child[x, 0]), y) for x, y in level]
+                    slot += 1
+
+    def check(self) -> int:
+        for node, v, slots in self.auth_ends():
+            self.check_from(node, v, slots)
+        return self.nodes
+
+
 class PatternHash:
     """Key-derivation hash stub: repeats a fixed pattern to `output_bits`, ignoring its inputs."""
 

@@ -476,13 +476,13 @@ def test_chunked_run_matches_trial_by_trial_reference(spec, row_cap):
 
 def test_chunks_stay_within_row_cap(monkeypatch):
     rows = []
-    new_ghz3 = protocol.new_ghz3
+    auth_phase = protocol.auth_phase
 
-    def recording_new_ghz3(count=1):
-        rows.append(count)
-        return new_ghz3(count)
+    def recording_auth_phase(config, attack, trials, transcript=None):
+        rows.append(len(trials) * config.n_ghz)
+        return auth_phase(config, attack, trials, transcript)
 
-    monkeypatch.setattr(protocol, "new_ghz3", recording_new_ghz3)
+    monkeypatch.setattr(protocol, "auth_phase", recording_auth_phase)
     run(spec(config=SessionConfig(n_ghz=128, m_auth_check=16, record_transcript=False),
              trials=20, message_bits=40))
     assert sum(rows) == 20 * 128

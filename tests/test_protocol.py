@@ -5,7 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghzqdc.adversary import NO_ATTACK, Channel, entangle_cnot_attack, entangle_general_attack
+from hypothesis import given, settings, strategies as st
+
+from ghzqdc.adversary import (
+    NO_ATTACK,
+    Channel,
+    entangle_cnot_attack,
+    entangle_general_attack,
+    intercept_resend_attack,
+)
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import encode as ecc_encode, format_bits, hamming74_codec, parse_bits
 from ghzqdc.protocol import (
@@ -18,6 +26,7 @@ from ghzqdc.protocol import (
     Trial,
     Verdict,
     auth_phase,
+    branch_table,
     message_check_and_deliver,
     plan_message_positions,
     run_session,
@@ -185,12 +194,60 @@ def test_honest_auth_no_errors():
 
 def test_auth_restores_raw_triples():
     """Keyed encode/decode leaves every surviving triple in the raw GHZ
-    state, for random keys."""
+    state, for random keys: from each survivor's node, every later step
+    of the session has the probabilities of a fresh GHZ triple."""
     config = small_config(m_auth_check=0)
     ka, kb = keys_for(config, seed=9)
     res = auth_phase(config, NO_ATTACK, one_trial(ka, kb, seed=1))
-    assert res.surviving.state.rows == config.n_ghz
-    assert np.allclose(res.surviving.state.amplitudes, new_ghz3().amplitudes, atol=ATOL)
+    assert len(res.surviving) == config.n_ghz
+    table = branch_table(config.protocol_variant, config.resolved_measure_order(), NO_ATTACK)
+    walker = oracles.BranchTableOracle(table, config.protocol_variant, NO_ATTACK, ATOL)
+    for node in sorted(set(res.surviving.tolist())):
+        walker.check_from(node, oracles.ghz3(), ())
+    assert walker.nodes > 0
+
+
+@st.composite
+def attack_models(draw):
+    """An attack of each variant on a nonempty channel subset, coverage 1/2 or 1;
+    a general attack gets random complex amplitudes and ancilla marks."""
+    channels = draw(st.sets(st.sampled_from(list(Channel)), min_size=1))
+    coverage = draw(st.sampled_from([0.5, 1.0]))
+    kind = draw(st.sampled_from(["cnot", "general", "intercept-z", "intercept-x"]))
+    if kind == "cnot":
+        return entangle_cnot_attack(channels, coverage)
+    if kind.startswith("intercept"):
+        return intercept_resend_attack(channels, coverage, basis=kind[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit(size):
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return v / np.linalg.norm(v)
+
+    alpha, beta = unit(2)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    mark0, mark1, eve = unit(2), unit(2), unit(2)
+    return entangle_general_attack(
+        channels, coverage, alpha=complex(alpha), beta=complex(beta),
+        alpha_p=complex(phase * np.conj(alpha)), beta_p=complex(-phase * np.conj(beta)),
+        e00=tuple(mark0), e01=tuple(mark1), e10=tuple(mark0), e11=tuple(mark1),
+        eve_state=tuple(eve),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(variant=st.sampled_from(["qdc1", "qdc2"]), attack=attack_models(),
+       order=st.permutations(["bob", "trent", "eve"]))
+def test_branch_table_matches_oracle(variant, attack, order):
+    """Every node a row can reach has the Born probabilities that brute-force
+    projectors give on the full register, and they sum to 1."""
+    table = branch_table(variant, tuple(order), attack)
+    bases = {"bob": "bell", "trent": "x"} if variant == "qdc1" else {"bob": "x", "trent": "bell"}
+    want = []
+    for party in order:
+        want += ["eve"] * table.attached.shape[1] if party == "eve" else [bases[party]]
+    assert [basis for basis, _ in table.measure] == want
+    assert oracles.BranchTableOracle(table, variant, attack, ATOL).check() > 0
 
 
 def test_auth_requires_key_coverage():

@@ -18,11 +18,11 @@ forge it. Her ancillas stay in the register of the triple they touched
 until she measures them; a session keeps only her message-phase outcomes,
 each paired with Alice's bit, never key material.
 
-The hooks act on a whole phase at once: every row of a register is one
-triple crossing the channel. An entangling attack gives the register one
-ancilla slot per attacked channel; a row whose transmission Eve skipped
-(coverage < 1) keeps that slot in her fresh state, a product factor she
-never measures.
+The hooks act on a whole register at once: every row is one triple
+crossing the channel (in the session engine, one state of the branch
+table). An entangling attack gives the register one ancilla slot per
+attacked channel; a row whose transmission Eve skipped (coverage < 1)
+keeps that slot in her fresh state, a product factor she never measures.
 """
 from __future__ import annotations
 
@@ -31,7 +31,8 @@ from enum import Enum
 
 import numpy as np
 
-from .statevector import ATOL, PureState, append_qubit, apply_two_qubit, measure_x, measure_z
+from .statevector import ATOL, PureState, append_qubit, apply_two_qubit, measure_z
+from .statevector import measure_x  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 
 
 class InvalidAttackError(ValueError):
@@ -182,10 +183,19 @@ class AttackModel:
         if self.variant == AttackVariant.ENTANGLE_CNOT:
             unitary, ancilla = _CNOT, _CNOT_ANCILLA
         elif self.variant == AttackVariant.ENTANGLE_GENERAL:
-            unitary = _read_only(build_entangling_unitary(
-                self.alpha, self.beta, self.alpha_p, self.beta_p,
-                self.e00, self.e01, self.e10, self.e11, self.eve_state,
-            ))
+            unitary = _read_only(
+                build_entangling_unitary(
+                    self.alpha,
+                    self.beta,
+                    self.alpha_p,
+                    self.beta_p,
+                    self.e00,
+                    self.e01,
+                    self.e10,
+                    self.e11,
+                    self.eve_state,
+                )
+            )
             ancilla = _read_only(_vec2(self.eve_state))
         object.__setattr__(self, "_unitary", unitary)
         object.__setattr__(self, "_ancilla", ancilla)
@@ -236,16 +246,6 @@ def entangle_general_attack(channels, coverage: float = 1.0, **params) -> Attack
 
 # ---------------------------------------------------------------------------
 # Attack operations
-
-
-def attack_intercept_resend(
-    state: PureState, qubit: int, u, basis: str = "z", where=None
-) -> tuple[np.ndarray, PureState]:
-    """Eve measures the transiting qubit of each `where` row in z or x and forwards
-    the collapsed state; an x outcome reads 0 for |+>, 1 for |->."""
-    if basis not in ("z", "x"):
-        raise InvalidAttackError(f"unsupported measurement basis: {basis!r}")
-    return (measure_z if basis == "z" else measure_x)(state, qubit, u, where)
 
 
 def eve_measure_ancilla(

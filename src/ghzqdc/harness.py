@@ -316,9 +316,19 @@ class SweepReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {"schema_version": SCHEMA_VERSION, "seed": self.seed, "trials": self.trials,
-               "rows": self.rows}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return (
+            json.dumps(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "seed": self.seed,
+                    "trials": self.trials,
+                    "rows": self.rows,
+                },
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n"
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -98,7 +98,15 @@ class Event:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(
+            {
+                "ordinal": self.ordinal,
+                "actor": self.actor,
+                "kind": self.kind,
+                "payload": self.payload,
+            },
+            sort_keys=True,
+        )
 
 
 class Transcript:
@@ -183,6 +191,12 @@ class SessionConfig:
 # Branch table: every state a row can reach, as integer nodes
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, locked: a cached table is shared by every run in the process."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """A measurement as a step between nodes: each node's Born probabilities
@@ -192,6 +206,10 @@ class Measurement:
     acts: np.ndarray  # (nodes,) bool
     probs: np.ndarray  # (nodes, outcomes)
     child: np.ndarray  # (nodes, outcomes); -1 past a branch no uniform can pick
+
+    def __post_init__(self):
+        for array in (self.acts, self.probs, self.child):
+            _read_only(array)
 
     def __call__(self, node: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(outcome code, next node) of each row, picked with the row's uniform from `u`."""
@@ -226,7 +244,7 @@ class BranchTable:
     message_ancilla: bool
 
 
-def cross(crossing: tuple, node, hit, u) -> tuple[np.ndarray, np.ndarray | None]:
+def _cross(crossing: tuple, node, hit, u) -> tuple[np.ndarray, np.ndarray | None]:
     """Rows crossing a channel with Eve's `hit` and intercept uniforms `u`:
     (next nodes, intercept outcomes with -1 where she skipped, or None)."""
     outcomes = None
@@ -250,7 +268,7 @@ def _choose(front: _Nodes, name: str, count: int, act) -> tuple[_Nodes, np.ndarr
     rows = np.tile(np.arange(front.state.rows), count)
     code = np.repeat(np.arange(count), front.state.rows)
     codes = {key: v[rows] for key, v in front.codes.items()} | {name: code}
-    child = np.arange(len(rows)).reshape(count, -1).T
+    child = _read_only(np.arange(len(rows)).reshape(count, -1).T)
     return _Nodes(act(front.state.take(rows), codes), codes), child
 
 
@@ -263,10 +281,11 @@ def _branch(front: _Nodes, qubits, basis: str, acts=None) -> tuple[_Nodes, Measu
     at, k = np.nonzero(reached)
     passing, parents = np.flatnonzero(~acts), np.flatnonzero(acts)[at]
     shape = (state.rows, probs.shape[1])
-    step = Measurement(acts, np.zeros(shape), np.full(shape, -1))
-    step.probs[acts] = probs
-    step.child[passing] = np.arange(len(passing))[:, None]
-    step.child[parents, k] = len(passing) + np.arange(len(k))
+    all_probs, child = np.zeros(shape), np.full(shape, -1)
+    all_probs[acts] = probs
+    child[passing] = np.arange(len(passing))[:, None]
+    child[parents, k] = len(passing) + np.arange(len(k))
+    step = Measurement(acts, all_probs, child)
     rows = np.concatenate([passing, parents])
     amps = np.concatenate([state.amplitudes[passing], branches.amplitudes])
     codes = {key: v[rows] for key, v in front.codes.items()}
@@ -326,7 +345,7 @@ def branch_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
     slots = [c.value for c in (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, channel)
              if attack.targets(c) and attack.unitary() is not None]
     attached = np.array([front.codes[hit] == 1 for hit in slots], dtype=bool)
-    attached = attached.reshape(len(slots), front.state.rows).T
+    attached = _read_only(attached.reshape(len(slots), front.state.rows).T)
     measure = []
     for party in order:
         if party != "eve":
@@ -396,7 +415,9 @@ class AuthPhaseResult:
 
 
 def auth_phase(
-    config: SessionConfig, attack: AttackModel, trials: list[Trial],
+    config: SessionConfig,
+    attack: AttackModel,
+    trials: list[Trial],
     transcript: Transcript | None = None,
 ) -> AuthPhaseResult:
     """Run the authentication phase of every trial at once; a transcript records one trial."""
@@ -425,7 +446,7 @@ def auth_phase(
     table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
     node = table.keyed[0, 2 * a_key + b_key]
     for j, crossing in enumerate(table.legs):
-        node, _ = cross(crossing, node, hit[:, j], eve_u[:, j])
+        node, _ = _cross(crossing, node, hit[:, j], eve_u[:, j])
     if transcript is not None:
         for pos in range(n):
             transcript.emit("trent", "ghz_prepared", position=pos)
@@ -511,7 +532,10 @@ def check_capacity(num_surviving: int, frame_len: int, check_fraction: float) ->
 
 
 def plan_message_positions(
-    num_surviving: int, frame_bits: np.ndarray, check_fraction: float, rng: np.random.Generator
+    num_surviving: int,
+    frame_bits: np.ndarray,
+    check_fraction: float,
+    rng: np.random.Generator,
 ) -> MessagePlan:
     """Pick disjoint check and message positions among the survivors.
 
@@ -606,7 +630,10 @@ class MessageResult:
 
 
 def message_check_and_deliver(
-    decoded: np.ndarray, plan: MessagePlan, threshold: float, codec: Codec,
+    decoded: np.ndarray,
+    plan: MessagePlan,
+    threshold: float,
+    codec: Codec,
     transcript: Transcript | None = None,
 ) -> MessageResult:
     """Compare the revealed check bits, then deliver or discard; `decoded` aligns with the plan."""
@@ -614,8 +641,14 @@ def message_check_and_deliver(
     errors = int(np.count_nonzero(decoded[is_check] != plan.bits[is_check]))
     checked = int(np.count_nonzero(is_check))
     error_rate = errors / checked if checked else 0.0
-    _emit(transcript, "public", "msg_compare", errors=errors, checked=checked,
-          error_rate=error_rate)
+    _emit(
+        transcript,
+        "public",
+        "msg_compare",
+        errors=errors,
+        checked=checked,
+        error_rate=error_rate,
+    )
     message = diagnostic = None
     corrected = 0
     if error_rate <= threshold:
@@ -625,8 +658,15 @@ def message_check_and_deliver(
             diagnostic = str(exc)
     verdict = Verdict.MESSAGE_DISCARDED if message is None else Verdict.MESSAGE_DELIVERED
     extra = {} if diagnostic is None else {"diagnostic": diagnostic}
-    _emit(transcript, "public", "verdict", phase="message", verdict=verdict.value,
-          error_rate=error_rate, **extra)
+    _emit(
+        transcript,
+        "public",
+        "verdict",
+        phase="message",
+        verdict=verdict.value,
+        error_rate=error_rate,
+        **extra,
+    )
     if message is not None:
         _emit(transcript, "bob", "deliver", message=format_bits(message),
               corrected_errors=corrected)
@@ -703,8 +743,12 @@ class SessionResult:
 
 
 def _message_phase(
-    config: SessionConfig, attack: AttackModel, trials: list[Trial], auth: AuthPhaseResult,
-    results: list[SessionResult], transcript: Transcript | None,
+    config: SessionConfig,
+    attack: AttackModel,
+    trials: list[Trial],
+    auth: AuthPhaseResult,
+    results: list[SessionResult],
+    transcript: Transcript | None,
 ) -> tuple[int, int, int, int]:
     """Send the message of every authenticated trial at once; fills in their results.
 
@@ -735,7 +779,7 @@ def _message_phase(
 
     table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
     node = table.encode[auth.surviving[np.concatenate(rows)], chunk_plan.bits]
-    node, eve_msg = cross(table.send, node, np.concatenate(hits), np.concatenate(eve_us))
+    node, eve_msg = _cross(table.send, node, np.concatenate(hits), np.concatenate(eve_us))
     # Eve's uniforms for her attached ancillas, trial by trial in (row, slot) order.
     attached = table.attached[node]
     ancilla_u = np.zeros(attached.shape)
@@ -760,9 +804,14 @@ def _message_phase(
             seen = outcomes >= 0
             res.eve_observations = list(zip(plan.bits[seen].tolist(), outcomes[seen].tolist()))
         _emit(transcript, "bob", "announce", what="decoding_complete")
-        _emit(transcript, "alice", "announce", what="msg_check_reveal",
-              positions=plan.positions[plan.is_check].tolist(),
-              values=format_bits(plan.bits[plan.is_check]))
+        _emit(
+            transcript,
+            "alice",
+            "announce",
+            what="msg_check_reveal",
+            positions=plan.positions[plan.is_check].tolist(),
+            values=format_bits(plan.bits[plan.is_check]),
+        )
         res.msg = message_check_and_deliver(
             decoded[lo:hi], plan, config.error_threshold_msg, config.codec, transcript
         )
@@ -773,7 +822,9 @@ def _message_phase(
 
 
 def run_chunk(
-    config: SessionConfig, attack: AttackModel, trials: list[Trial],
+    config: SessionConfig,
+    attack: AttackModel,
+    trials: list[Trial],
     transcript: Transcript | None = None,
 ) -> tuple[Tally, list[SessionResult]]:
     """Run a chunk of trials trial-major: rows are (trial, position) pairs.
@@ -787,8 +838,13 @@ def run_chunk(
     auth = auth_phase(config, attack, trials, transcript)
     checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
     results = [
-        SessionResult(Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED, rate, errors,
-                      trial_checks, trial.message)
+        SessionResult(
+            Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED,
+            rate,
+            errors,
+            trial_checks,
+            trial.message,
+        )
         for trial, aborted, rate, errors, trial_checks in zip(
             trials, auth.aborted.tolist(), auth.error_rates.tolist(), auth.errors.tolist(), checks
         )
@@ -802,12 +858,16 @@ def run_chunk(
     outcomes = auth.checks[:, 3:]
     error = (outcomes != outcomes[:, :1]).any(axis=1)
     tally = Tally(
-        trials=len(trials), authenticated=len(trials) - aborted, auth_aborted=aborted,
-        message_delivered=delivered, message_discarded=len(msgs) - delivered,
+        trials=len(trials),
+        authenticated=len(trials) - aborted,
+        auth_aborted=aborted,
+        message_delivered=delivered,
+        message_discarded=len(msgs) - delivered,
         delivered_ok=sum(res.delivered_ok for res in results),
         auth_checked=tuple(np.bincount(pair, minlength=4).tolist()),
         auth_errors=tuple(np.bincount(pair[error], minlength=4).tolist()),
-        msg_checked=sum(msg.checked for msg in msgs), msg_errors=sum(msg.errors for msg in msgs),
+        msg_checked=sum(msg.checked for msg in msgs),
+        msg_errors=sum(msg.errors for msg in msgs),
         eve=eve,
     )
     return tally, results
@@ -832,13 +892,23 @@ def run_trials(
 
 
 def run_session(
-    config: SessionConfig, alice_key: AuthKey, bob_key: AuthKey, message_bits: np.ndarray | None,
+    config: SessionConfig,
+    alice_key: AuthKey,
+    bob_key: AuthKey,
+    message_bits: np.ndarray | None,
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
     """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
     transcript = Transcript() if config.record_transcript else None
-    _emit(transcript, "public", "session_start", protocol=config.protocol_variant,
-          n_ghz=config.n_ghz, m_auth_check=config.m_auth_check, seed=config.rng_seed)
+    _emit(
+        transcript,
+        "public",
+        "session_start",
+        protocol=config.protocol_variant,
+        n_ghz=config.n_ghz,
+        m_auth_check=config.m_auth_check,
+        seed=config.rng_seed,
+    )
     trial = Trial(alice_key, bob_key, message_bits, config.rng_seed)
     _, (result,) = run_chunk(config, attack, [trial], transcript)
     result.transcript = transcript

@@ -21,6 +21,8 @@ Conventions:
     and returns an outcome code per row: the first outcome whose
     cumulative probability exceeds the uniform. Codes index the outcome
     order: z 0/1, x ``X_OUTCOMES`` (plus, minus), Bell ``BELL_OUTCOMES``.
+    ``measure_branches`` returns every branch of a measurement instead,
+    and ``pick`` applies the same rule to given probabilities.
   * The squared norm of every row is re-checked after every operation
     (tolerance 1e-9); a NaN or Inf amplitude fails that check as well.
     Measurements also check each row's probability sum and refuse to
@@ -221,8 +223,9 @@ def apply_gate(state: PureState, gate: Gate1Q, target: int, where=None) -> PureS
     )
 
 
-def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int,
-                    where=None) -> PureState:
+def apply_two_qubit(
+    state: PureState, matrix: np.ndarray, q1: int, q2: int, where=None
+) -> PureState:
     """Apply a 4x4 unitary to the ordered qubit pair (q1, q2) on the `where` rows.
 
     The matrix acts on the pair basis |q1 q2>, index 2*bit(q1) + bit(q2).

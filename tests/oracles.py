@@ -190,9 +190,9 @@ class BranchTableOracle:
     each node's probabilities to brute-force projectors on the full register.
 
     The register is (A, T, B) plus one ancilla per entangling crossing,
-    built with Kronecker products and full 2^n matrices. Hits Eve cannot
-    skip (coverage 1) are not walked. `nodes` counts the measurement
-    nodes checked.
+    built with Kronecker products and full 2^n matrices. At coverage 1
+    Eve hits every transmission of a targeted channel, so only hit
+    branches are walked. `nodes` counts the measurement nodes checked.
     """
 
     def __init__(self, table, variant: str, attack, atol: float):

@@ -11,7 +11,6 @@ from ghzqdc.adversary import (
     Channel,
     InvalidAttackError,
     NO_ATTACK,
-    attack_intercept_resend,
     build_entangling_unitary,
     entangle_cnot_attack,
     entangle_general_attack,
@@ -30,6 +29,7 @@ from ghzqdc.statevector import (
     append_qubit,
     apply_gate,
     apply_two_qubit,
+    measure_branches,
     new_ghz3,
 )
 
@@ -71,10 +71,11 @@ def ones_alice(t, n):
 
 
 def test_intercept_on_z_eigenstate_is_transparent():
+    """Eve's z intercept of |0> has one branch, outcome 0, and it forwards |0>."""
     state = basis_state("0")
-    outcome, after = attack_intercept_resend(state, 0, np.random.default_rng(0).random(1))
+    _, reached, after = measure_branches(state, (0,), "z")
+    assert reached.tolist() == [[True, False]]
     assert np.allclose(after.amplitudes, state.amplitudes, atol=ATOL)
-    assert outcome.tolist() == [0]
 
 
 def test_intercept_auth_error_rate_quarter():
@@ -330,9 +331,9 @@ def test_zero_coverage_matches_no_attack_exactly():
 def test_intercept_x_basis_option():
     """The x-basis intercept is configurable and transparent on |+>."""
     plus = apply_gate(basis_state("0"), H, 0)
-    outcome, after = attack_intercept_resend(plus, 0, np.random.default_rng(0).random(1), basis="x")
+    _, reached, after = measure_branches(plus, (0,), "x")
     assert states_equal_up_to_global_phase(after, plus)
-    assert outcome.tolist() == [0]  # |+> reads 0 in x
+    assert reached.tolist() == [[True, False]]  # |+> reads 0 in x
     # and it runs end to end inside a session
     cfg = config(n_ghz=12, m_auth_check=4, rng_seed=2)
     attack = intercept_resend_attack({Channel.TRENT_TO_ALICE}, basis="x")

@@ -247,6 +247,10 @@ def test_branch_table_matches_oracle(variant, attack, order):
     for party in order:
         want += ["eve"] * table.attached.shape[1] if party == "eve" else [bases[party]]
     assert [basis for basis, _ in table.measure] == want
+    steps = [table.keyed, table.encode, table.attached, *table.checks, *table.legs[0],
+             *table.legs[1], *table.send, *(step for _, step in table.measure)]
+    arrays = [a for s in steps for a in ([s] if isinstance(s, np.ndarray) else vars(s).values())]
+    assert not any(a.flags.writeable for a in arrays)  # the cached table is shared
     assert oracles.BranchTableOracle(table, variant, attack, ATOL).check() > 0
 
 

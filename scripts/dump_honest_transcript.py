@@ -1,20 +1,43 @@
 #!/usr/bin/env python3
-"""Print the full event transcript of one small session.
+"""Print the full event transcript of one small named session.
 
-By default the session is honest; with --attacked, Eve runs the general
-entangling attack on every channel a qdc1 triple crosses at coverage 0.5,
-so some triples carry fewer ancillas than others.
+The cases, by name:
+  honest            qdc1, no attack (tests/data/golden_session.jsonl);
+  attacked          the general entangling attack on every channel a qdc1
+                    triple crosses at coverage 0.5, Eve measuring between
+                    Bob and Trent, so some triples carry fewer ancillas than
+                    others (tests/data/golden_attacked_session.jsonl);
+  qdc2_hamming74    qdc2 with the Hamming(7,4) codec: Trent's Bell
+                    measurement and published bit, Bob's x;
+  auth_aborted      an intercept on trent-alice that aborts authentication;
+  auth_only         no message, authentication only;
+  msg_discarded     a CNOT on alice-bob whose check errors discard the message;
+  intercept_qdc2    an intercept on alice-trent, order eve, trent, bob;
+  cnot_two_slots    a CNOT on trent-bob and alice-bob, Eve measuring first,
+                    so her ancillas are labelled E0 and E1.
 
-Also the generator for tests/data/golden_session.jsonl and
-tests/data/golden_attacked_session.jsonl; run with --out to refresh a
-fixture after an intentional format change.
+With --digests it prints the sha256 of every case's JSONL instead; with
+--write it rewrites tests/data/transcript_digests.json, which the tests
+check, after an intentional change of the transcript format. With --out it
+writes one case's JSONL to a file, which refreshes a golden fixture.
 """
 import argparse
+import hashlib
+import json
+from pathlib import Path
 
-from ghzqdc.adversary import NO_ATTACK, Channel, entangle_general_attack
+from ghzqdc.adversary import (
+    NO_ATTACK,
+    Channel,
+    entangle_cnot_attack,
+    entangle_general_attack,
+    intercept_resend_attack,
+)
 from ghzqdc.authkeys import Counter, Shake256Hash, UserIdentity, derive_key
-from ghzqdc.ecc import parse_bits
+from ghzqdc.ecc import hamming74_codec, parse_bits
 from ghzqdc.protocol import SessionConfig, run_session
+
+DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "data" / "transcript_digests.json"
 
 
 def golden_keys(needed: int):
@@ -48,17 +71,62 @@ def golden_attacked_session():
     return run_session(config, alice, bob, parse_bits("1101"), attack)
 
 
+def small_session(attack=NO_ATTACK, message="10110010", **config):
+    """A session over the golden keys at n=40, m=4, seed 5 unless `config` says otherwise."""
+    config = SessionConfig(**{"n_ghz": 40, "m_auth_check": 4, "rng_seed": 5, **config})
+    alice, bob = golden_keys(config.n_ghz)
+    bits = None if message is None else parse_bits(message)
+    return run_session(config, alice, bob, bits, attack)
+
+
+CASES = {
+    "honest": golden_session,
+    "attacked": golden_attacked_session,
+    "qdc2_hamming74": lambda: small_session(protocol_variant="qdc2", codec=hamming74_codec()),
+    "auth_aborted": lambda: small_session(
+        intercept_resend_attack({Channel.TRENT_TO_ALICE}), m_auth_check=8),
+    "auth_only": lambda: small_session(message=None),
+    "msg_discarded": lambda: small_session(entangle_cnot_attack({Channel.ALICE_TO_BOB})),
+    "intercept_qdc2": lambda: small_session(
+        intercept_resend_attack({Channel.ALICE_TO_TRENT}), protocol_variant="qdc2",
+        measure_order=("eve", "trent", "bob"), error_threshold_msg=1.0),
+    "cnot_two_slots": lambda: small_session(
+        entangle_cnot_attack({Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}),
+        measure_order=("eve", "bob", "trent"), error_threshold_auth=1.0,
+        error_threshold_msg=1.0),
+}
+
+
+def case_jsonl(name: str) -> str:
+    return CASES[name]().transcript.to_jsonl()
+
+
+def digests() -> dict[str, str]:
+    """The sha256 of every case's JSONL transcript, by case name."""
+    return {name: hashlib.sha256(case_jsonl(name).encode("ascii")).hexdigest() for name in CASES}
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--attacked", action="store_true", help="dump the attacked session")
-    parser.add_argument("--out", default=None, help="write JSONL here instead of stdout")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("case", nargs="?", default="honest", choices=sorted(CASES))
+    parser.add_argument("--out", default=None, help="write the case's JSONL here instead of stdout")
+    parser.add_argument("--digests", action="store_true", help="print every case's digest")
+    parser.add_argument("--write", action="store_true", help=f"rewrite {DIGESTS.name}")
     args = parser.parse_args()
-    result = golden_attacked_session() if args.attacked else golden_session()
-    text = result.transcript.to_jsonl()
+    if args.digests or args.write:
+        text = json.dumps(digests(), indent=2) + "\n"
+        if args.write:
+            DIGESTS.write_text(text, encoding="ascii")
+            print(f"wrote {DIGESTS}")
+        else:
+            print(text, end="")
+        return
+    text = case_jsonl(args.case)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
-        print(f"wrote {args.out} ({len(result.transcript)} events)")
+        print(f"wrote {args.out} ({text.count(chr(10))} events)")
     else:
         print(text, end="")
 

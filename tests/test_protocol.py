@@ -1,4 +1,5 @@
 """Protocol flows: decoders vs brute force, honest sessions, transcripts."""
+import hashlib
 import json
 from dataclasses import replace
 
@@ -584,3 +585,19 @@ def test_golden_attacked_transcript_fixture():
     ancilla labels included; regenerate with --attacked."""
     got = _dump_transcript_script().golden_attacked_session().transcript.to_jsonl()
     assert got == _fixture_text("golden_attacked_session.jsonl")
+
+
+_TRANSCRIPT_DIGESTS = json.loads(_fixture_text("transcript_digests.json"))
+
+
+@pytest.mark.parametrize("case", sorted(_TRANSCRIPT_DIGESTS))
+def test_transcript_digest(case):
+    """Every named session of scripts/dump_honest_transcript.py keeps its
+    transcript byte for byte: qdc2 with Hamming(7,4), an auth abort, an
+    auth-only run, a discarded message, an intercept on alice-trent and
+    Eve's two ancilla labels when she measures first. Regenerate with
+    --write after an intentional format change."""
+    script = _dump_transcript_script()
+    assert sorted(script.CASES) == sorted(_TRANSCRIPT_DIGESTS)
+    text = script.case_jsonl(case)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == _TRANSCRIPT_DIGESTS[case]

@@ -35,7 +35,7 @@ from ghzqdc.adversary import (
 )
 from ghzqdc.authkeys import Counter, Shake256Hash, UserIdentity, derive_key
 from ghzqdc.ecc import hamming74_codec, parse_bits
-from ghzqdc.protocol import SessionConfig, run_session
+from ghzqdc.protocol import SessionConfig, Transcript, render_transcript, run_session
 
 DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "data" / "transcript_digests.json"
 
@@ -47,16 +47,18 @@ def golden_keys(needed: int):
     return alice, bob
 
 
-def golden_session():
-    alice, bob = golden_keys(20)
-    config = SessionConfig(
-        n_ghz=20, m_auth_check=2, check_fraction_msg=0.25, rng_seed=2024
-    )
-    return run_session(config, alice, bob, parse_bits("1101"), NO_ATTACK)
+def session(config: SessionConfig, attack=NO_ATTACK, message: str | None = "1101") -> Transcript:
+    """The transcript of one session over the golden keys."""
+    alice, bob = golden_keys(config.n_ghz)
+    bits = None if message is None else parse_bits(message)
+    return render_transcript(config, run_session(config, alice, bob, bits, attack))
 
 
-def golden_attacked_session():
-    alice, bob = golden_keys(24)
+def golden_session() -> Transcript:
+    return session(SessionConfig(n_ghz=20, m_auth_check=2, check_fraction_msg=0.25, rng_seed=2024))
+
+
+def golden_attacked_session() -> Transcript:
     config = SessionConfig(
         n_ghz=24,
         m_auth_check=4,
@@ -68,15 +70,13 @@ def golden_attacked_session():
     attack = entangle_general_attack(
         {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}, coverage=0.5
     )
-    return run_session(config, alice, bob, parse_bits("1101"), attack)
+    return session(config, attack)
 
 
-def small_session(attack=NO_ATTACK, message="10110010", **config):
-    """A session over the golden keys at n=40, m=4, seed 5 unless `config` says otherwise."""
+def small_session(attack=NO_ATTACK, message="10110010", **config) -> Transcript:
+    """A session at n=40, m=4, seed 5 unless `config` says otherwise."""
     config = SessionConfig(**{"n_ghz": 40, "m_auth_check": 4, "rng_seed": 5, **config})
-    alice, bob = golden_keys(config.n_ghz)
-    bits = None if message is None else parse_bits(message)
-    return run_session(config, alice, bob, bits, attack)
+    return session(config, attack, message)
 
 
 CASES = {
@@ -98,7 +98,7 @@ CASES = {
 
 
 def case_jsonl(name: str) -> str:
-    return CASES[name]().transcript.to_jsonl()
+    return CASES[name]().to_jsonl()
 
 
 def digests() -> dict[str, str]:

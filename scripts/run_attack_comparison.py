@@ -38,7 +38,6 @@ def main(argv=None) -> None:
         check_fraction_msg=0.25,
         error_threshold_msg=1.0,
         protocol_variant=args.protocol,
-        record_transcript=False,
     )
 
     header = f"{'attack':<24} {'auth err':>9} {'detect':>7} {'msg err':>8} {'fidelity':>9}"

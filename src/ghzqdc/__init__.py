@@ -16,7 +16,7 @@ from .adversary import (
 from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
 from .ecc import Codec, codec_by_name, hamming74_codec, none_codec, repetition_codec
 from .harness import RunSpec, run, sweep_detection_curve
-from .protocol import SessionConfig, SessionResult, Verdict, run_session
+from .protocol import SessionConfig, SessionResult, Verdict, render_transcript, run_session
 from .statevector import (
     BellOutcome,
     PureState,

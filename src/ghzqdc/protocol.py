@@ -33,9 +33,11 @@ with the row's uniform. Channels are hook points where an adversary may
 act. Classical announcements are public, append-only, and readable (not
 forgeable) by the adversary.
 
-The transcript serializes to JSON lines, one event per line with keys
-ordinal / actor / kind / payload; see the README for the event catalogue.
-Auth-key bits never appear in transcript payloads.
+A session's transcript is rendered from its finished `SessionResult` by
+`render_transcript`; no phase records anything as it runs. It serializes
+to JSON lines, one event per line with keys ordinal / actor / kind /
+payload; see the README for the event catalogue. Auth-key bits never
+appear in transcript payloads.
 """
 from __future__ import annotations
 
@@ -131,11 +133,6 @@ class Transcript:
         return len(self.events)
 
 
-def _emit(transcript: Transcript | None, actor: str, kind: str, **payload):
-    if transcript is not None:
-        transcript.emit(actor, kind, **payload)
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     """Knobs for one session; validated eagerly via validate()."""
@@ -149,7 +146,6 @@ class SessionConfig:
     protocol_variant: str = "qdc1"
     rng_seed: int = 0
     measure_order: tuple[str, str, str] | None = None  # permutation of bob/trent/eve
-    record_transcript: bool = True
 
     def validate(self) -> None:
         if self.n_ghz < 1:
@@ -414,13 +410,8 @@ class AuthPhaseResult:
     surviving: np.ndarray  # the branch-table node of each surviving triple
 
 
-def auth_phase(
-    config: SessionConfig,
-    attack: AttackModel,
-    trials: list[Trial],
-    transcript: Transcript | None = None,
-) -> AuthPhaseResult:
-    """Run the authentication phase of every trial at once; a transcript records one trial."""
+def auth_phase(config: SessionConfig, attack: AttackModel, trials: list[Trial]) -> AuthPhaseResult:
+    """Run the authentication phase of every trial at once."""
     n, m, count = config.n_ghz, config.m_auth_check, len(trials)
     channels = (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB)
     keys = np.empty((2, count, n), dtype=bool)
@@ -447,17 +438,6 @@ def auth_phase(
     node = table.keyed[0, 2 * a_key + b_key]
     for j, crossing in enumerate(table.legs):
         node, _ = _cross(crossing, node, hit[:, j], eve_u[:, j])
-    if transcript is not None:
-        for pos in range(n):
-            transcript.emit("trent", "ghz_prepared", position=pos)
-            transcript.emit("trent", "auth_encode", position=pos, target="alice")
-            transcript.emit("trent", "auth_encode", position=pos, target="bob")
-            for channel in channels:
-                transcript.emit("trent", "transmit", position=pos, channel=channel.value)
-            transcript.emit("alice", "auth_decode", position=pos)
-            transcript.emit("bob", "auth_decode", position=pos)
-        transcript.emit("alice", "announce", what="auth_check_positions",
-                        positions=check_positions[0].tolist())
 
     rows = (np.arange(count)[:, None] * n + check_positions).reshape(-1)
     outcomes = np.zeros((len(rows), 3), dtype=int)
@@ -467,22 +447,10 @@ def auth_phase(
             outcomes[:, col], checked = step(checked, u[:, col])
     za, zb, zt = outcomes.T
     checks = np.column_stack([check_positions.reshape(-1), a_key[rows], b_key[rows], za, zt, zb])
-    if transcript is not None:
-        for pos, _, _, a, t, b in checks.tolist():
-            for actor, z in (("alice", a), ("bob", b), ("trent", t)):
-                transcript.emit(actor, "z_measure", position=pos, outcome=z)
-                transcript.emit(actor, "announce", what="auth_z_outcome", position=pos,
-                                outcome=z)
-            transcript.emit("public", "auth_compare", position=pos,
-                            outcomes=[a, t, b], error=not a == t == b)
 
     errors = (~((za == zt) & (zt == zb))).reshape(count, m).sum(axis=1)
     error_rates = errors / m if m else np.zeros(count)
     aborted = error_rates > config.error_threshold_auth
-    if transcript is not None:
-        verdict = Verdict.AUTH_ABORTED if aborted[0] else Verdict.AUTHENTICATED
-        transcript.emit("public", "verdict", phase="auth", verdict=verdict.value,
-                        error_rate=float(error_rates[0]), errors=int(errors[0]), checked=m)
     keep = np.ones(count * n, dtype=bool)
     keep[rows] = False
     return AuthPhaseResult(aborted, errors, error_rates, checks, node[keep])
@@ -585,39 +553,6 @@ def _measure(table: BranchTable, node: np.ndarray, u: np.ndarray, eve_u) -> dict
     return codes
 
 
-def _emit_message_phase(transcript, config, plan, positions, attached, bell, x, eve, decoded):
-    """One trial's encoding, transmission and measurement events, position by position."""
-    channel, variant = message_channel(config.protocol_variant), config.protocol_variant
-    for seq, bit, check in zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist()):
-        transcript.emit("alice", "msg_encode", position=seq, bit=bit,
-                        source="check" if check else "message", gate=HX.name if bit else H.name)
-        transcript.emit("alice", "transmit", position=seq, channel=channel.value)
-    labels = np.cumsum(attached, axis=1) - 1  # rank among the row's attached ancillas
-    rows = zip(plan.positions.tolist(), positions.tolist(), bell.tolist(), x.tolist(),
-               eve.tolist(), labels.tolist(), decoded.tolist())
-    for seq, pos, b, xo, eve_row, label_row, bit in rows:
-        bell_value, x_value = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
-        for step in config.resolved_measure_order():
-            if step == "bob" and variant == "qdc1":
-                transcript.emit("bob", "bell_measure", position=seq, outcome=bell_value)
-            elif step == "bob":
-                transcript.emit("bob", "x_measure", position=seq, outcome=x_value)
-            elif step == "trent" and variant == "qdc1":
-                transcript.emit("trent", "x_measure", position=seq, outcome=x_value)
-                transcript.emit("trent", "announce", what="x_outcome", position=seq,
-                                outcome=x_value)
-            elif step == "trent":
-                transcript.emit("trent", "bell_measure", position=seq, outcome=bell_value)
-                transcript.emit("trent", "announce", what="trent_bit", position=seq,
-                                bit=int(_BELL_BIT[b]))
-            else:
-                for outcome, label in zip(eve_row, label_row):
-                    if outcome >= 0:
-                        transcript.emit("eve", "eve_ancilla_measure", position=pos,
-                                        ancilla=f"E{label}", outcome=outcome)
-        transcript.emit("bob", "decode_bit", position=seq, bit=bit)
-
-
 @dataclass
 class MessageResult:
     verdict: Verdict
@@ -630,25 +565,13 @@ class MessageResult:
 
 
 def message_check_and_deliver(
-    decoded: np.ndarray,
-    plan: MessagePlan,
-    threshold: float,
-    codec: Codec,
-    transcript: Transcript | None = None,
+    decoded: np.ndarray, plan: MessagePlan, threshold: float, codec: Codec
 ) -> MessageResult:
     """Compare the revealed check bits, then deliver or discard; `decoded` aligns with the plan."""
     is_check = plan.is_check
     errors = int(np.count_nonzero(decoded[is_check] != plan.bits[is_check]))
     checked = int(np.count_nonzero(is_check))
     error_rate = errors / checked if checked else 0.0
-    _emit(
-        transcript,
-        "public",
-        "msg_compare",
-        errors=errors,
-        checked=checked,
-        error_rate=error_rate,
-    )
     message = diagnostic = None
     corrected = 0
     if error_rate <= threshold:
@@ -657,19 +580,6 @@ def message_check_and_deliver(
         except FramingError as exc:
             diagnostic = str(exc)
     verdict = Verdict.MESSAGE_DISCARDED if message is None else Verdict.MESSAGE_DELIVERED
-    extra = {} if diagnostic is None else {"diagnostic": diagnostic}
-    _emit(
-        transcript,
-        "public",
-        "verdict",
-        phase="message",
-        verdict=verdict.value,
-        error_rate=error_rate,
-        **extra,
-    )
-    if message is not None:
-        _emit(transcript, "bob", "deliver", message=format_bits(message),
-              corrected_errors=corrected)
     return MessageResult(verdict, message, error_rate, errors, checked, corrected, diagnostic)
 
 
@@ -715,7 +625,13 @@ class Tally:
 
 @dataclass
 class SessionResult:
-    """One trial's outcome; `msg` is None when the trial sent no message."""
+    """One trial's outcome; `msg` is None when the trial sent no message.
+
+    `bell`, `x` and `eve` are the outcome codes at each of `plan.positions`:
+    the Bell outcome (an index into BELL_OUTCOMES), the x outcome (into
+    X_OUTCOMES) and Eve's z outcome per ancilla slot, -1 where she attached
+    none. They are views into the trial's chunk.
+    """
 
     auth_verdict: Verdict
     auth_error_rate: float
@@ -725,7 +641,9 @@ class SessionResult:
     plan: MessagePlan | None = None
     decoded_bits: np.ndarray | None = None  # Bob's bit at each of plan.positions
     msg: MessageResult | None = None
-    transcript: Transcript | None = None
+    bell: np.ndarray | None = None
+    x: np.ndarray | None = None
+    eve: np.ndarray | None = None  # (used positions, ancilla slots)
     # (Alice's bit, Eve's outcome) for each message-phase attack.
     eve_observations: list[tuple[int, int]] = field(default_factory=list)
 
@@ -748,7 +666,6 @@ def _message_phase(
     trials: list[Trial],
     auth: AuthPhaseResult,
     results: list[SessionResult],
-    transcript: Transcript | None,
 ) -> tuple[int, int, int, int]:
     """Send the message of every authenticated trial at once; fills in their results.
 
@@ -787,34 +704,21 @@ def _message_phase(
         if attached[lo:hi].any():
             ancilla_u[lo:hi][attached[lo:hi]] = trials[i].eve_rng.random(int(attached[lo:hi].sum()))
     codes = _measure(table, node, np.concatenate(us), ancilla_u)
-    bell, x = codes["bell"], codes["x"]
+    bell, x, eve = codes["bell"], codes["x"], codes["eve"]
     decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
-    if transcript is not None:  # a one-trial chunk: its survivors' GHZ positions
-        positions = np.delete(np.arange(config.n_ghz), auth.checks[:, 0])[chunk_plan.positions]
-        _emit_message_phase(transcript, config, chunk_plan, positions, attached, bell, x,
-                            codes["eve"], decoded)
     if table.message_ancilla:
-        eve_msg = codes["eve"][:, -1]  # the message-phase ancilla, measured at Eve's step
+        eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
 
     for i, plan, lo, hi in zip(active, plans, bounds, bounds[1:]):
         res = results[i]
         res.plan, res.decoded_bits = plan, decoded[lo:hi]
+        res.bell, res.x, res.eve = bell[lo:hi], x[lo:hi], eve[lo:hi]
         if eve_msg is not None:
             outcomes = eve_msg[lo:hi]
             seen = outcomes >= 0
             res.eve_observations = list(zip(plan.bits[seen].tolist(), outcomes[seen].tolist()))
-        _emit(transcript, "bob", "announce", what="decoding_complete")
-        _emit(
-            transcript,
-            "alice",
-            "announce",
-            what="msg_check_reveal",
-            positions=plan.positions[plan.is_check].tolist(),
-            values=format_bits(plan.bits[plan.is_check]),
-        )
-        res.msg = message_check_and_deliver(
-            decoded[lo:hi], plan, config.error_threshold_msg, config.codec, transcript
-        )
+        res.msg = message_check_and_deliver(decoded[lo:hi], plan, config.error_threshold_msg,
+                                            config.codec)
     if eve_msg is None:
         return (0, 0, 0, 0)
     seen = eve_msg >= 0
@@ -822,20 +726,17 @@ def _message_phase(
 
 
 def run_chunk(
-    config: SessionConfig,
-    attack: AttackModel,
-    trials: list[Trial],
-    transcript: Transcript | None = None,
+    config: SessionConfig, attack: AttackModel, trials: list[Trial]
 ) -> tuple[Tally, list[SessionResult]]:
     """Run a chunk of trials trial-major: rows are (trial, position) pairs.
 
     Each step of the branch table moves the rows of every trial in it at
     once; trials that abort skip the message phase. Every trial's generators are
     read in the same order as in a session run alone, so a trial's outcome
-    does not depend on its chunk. A transcript records a one-trial chunk.
+    does not depend on its chunk.
     """
     config.validate()
-    auth = auth_phase(config, attack, trials, transcript)
+    auth = auth_phase(config, attack, trials)
     checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
     results = [
         SessionResult(
@@ -849,7 +750,7 @@ def run_chunk(
             trials, auth.aborted.tolist(), auth.error_rates.tolist(), auth.errors.tolist(), checks
         )
     ]
-    eve = _message_phase(config, attack, trials, auth, results, transcript)
+    eve = _message_phase(config, attack, trials, auth, results)
 
     msgs = [res.msg for res in results if res.msg is not None]
     delivered = sum(msg.verdict is Verdict.MESSAGE_DELIVERED for msg in msgs)
@@ -899,17 +800,92 @@ def run_session(
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
     """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
-    transcript = Transcript() if config.record_transcript else None
-    _emit(
-        transcript,
-        "public",
-        "session_start",
-        protocol=config.protocol_variant,
-        n_ghz=config.n_ghz,
-        m_auth_check=config.m_auth_check,
-        seed=config.rng_seed,
-    )
     trial = Trial(alice_key, bob_key, message_bits, config.rng_seed)
-    _, (result,) = run_chunk(config, attack, [trial], transcript)
-    result.transcript = transcript
+    _, (result,) = run_chunk(config, attack, [trial])
     return result
+
+
+# ---------------------------------------------------------------------------
+# Transcripts
+
+
+def render_transcript(config: SessionConfig, result: SessionResult) -> Transcript:
+    """The events of the session `result` records, in order, with `config.rng_seed` as its seed.
+
+    Trent prepares, keys and sends every triple, Alice announces the check
+    positions and each party its z outcomes; then, if a message was sent,
+    Alice encodes and sends each used triple, Bob, Trent and Eve measure it
+    in the configured order, and Bob decodes it, before the check reveal,
+    the comparison and the verdict. Eve's ancillas are labelled E0, E1, ...
+    by their rank among the triple's attached slots.
+    """
+    transcript = Transcript()
+    emit = transcript.emit
+    n, variant, checks = config.n_ghz, config.protocol_variant, result.checks
+    emit("public", "session_start", protocol=variant, n_ghz=n, m_auth_check=config.m_auth_check,
+         seed=config.rng_seed)
+    for pos in range(n):
+        emit("trent", "ghz_prepared", position=pos)
+        emit("trent", "auth_encode", position=pos, target="alice")
+        emit("trent", "auth_encode", position=pos, target="bob")
+        for channel in (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB):
+            emit("trent", "transmit", position=pos, channel=channel.value)
+        emit("alice", "auth_decode", position=pos)
+        emit("bob", "auth_decode", position=pos)
+    emit("alice", "announce", what="auth_check_positions", positions=checks[:, 0].tolist())
+    for pos, _, _, a, t, b in checks.tolist():
+        for actor, z in (("alice", a), ("bob", b), ("trent", t)):
+            emit(actor, "z_measure", position=pos, outcome=z)
+            emit(actor, "announce", what="auth_z_outcome", position=pos, outcome=z)
+        emit("public", "auth_compare", position=pos, outcomes=[a, t, b], error=not a == t == b)
+    emit("public", "verdict", phase="auth", verdict=result.auth_verdict.value,
+         error_rate=result.auth_error_rate, errors=result.auth_errors,
+         checked=config.m_auth_check)
+    plan, msg = result.plan, result.msg
+    if plan is None:
+        return transcript
+
+    channel = message_channel(variant).value
+    for seq, bit, check in zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist()):
+        emit("alice", "msg_encode", position=seq, bit=bit, source="check" if check else "message",
+             gate=HX.name if bit else H.name)
+        emit("alice", "transmit", position=seq, channel=channel)
+    # The GHZ position of each used survivor.
+    positions = np.delete(np.arange(n), checks[:, 0])[plan.positions]
+    labels = np.cumsum(result.eve >= 0, axis=1) - 1  # rank among the row's attached ancillas
+    rows = zip(plan.positions.tolist(), positions.tolist(), result.bell.tolist(),
+               result.x.tolist(), result.eve.tolist(), labels.tolist(),
+               result.decoded_bits.tolist())
+    for seq, pos, b, xo, eve_row, label_row, bit in rows:
+        bell, x = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
+        for step in config.resolved_measure_order():
+            if step == "bob" and variant == "qdc1":
+                emit("bob", "bell_measure", position=seq, outcome=bell)
+            elif step == "bob":
+                emit("bob", "x_measure", position=seq, outcome=x)
+            elif step == "trent" and variant == "qdc1":
+                emit("trent", "x_measure", position=seq, outcome=x)
+                emit("trent", "announce", what="x_outcome", position=seq, outcome=x)
+            elif step == "trent":
+                emit("trent", "bell_measure", position=seq, outcome=bell)
+                emit("trent", "announce", what="trent_bit", position=seq, bit=int(_BELL_BIT[b]))
+            else:
+                for outcome, label in zip(eve_row, label_row):
+                    if outcome >= 0:
+                        emit("eve", "eve_ancilla_measure", position=pos, ancilla=f"E{label}",
+                             outcome=outcome)
+        emit("bob", "decode_bit", position=seq, bit=bit)
+
+    emit("bob", "announce", what="decoding_complete")
+    emit("alice", "announce", what="msg_check_reveal",
+         positions=plan.positions[plan.is_check].tolist(),
+         values=format_bits(plan.bits[plan.is_check]))
+    emit("public", "msg_compare", errors=msg.errors, checked=msg.checked,
+         error_rate=msg.error_rate)
+    extra = {} if msg.diagnostic is None else {"diagnostic": msg.diagnostic}
+    emit("public", "verdict", phase="message", verdict=msg.verdict.value,
+         error_rate=msg.error_rate, **extra)
+    if msg.message is not None:
+        emit("bob", "deliver", message=format_bits(msg.message),
+             corrected_errors=msg.corrected_errors)
+    return transcript

@@ -63,7 +63,6 @@ def test_01_honest_end_to_end(variant):
         m_auth_check=16,
         check_fraction_msg=0.25,
         protocol_variant=variant,
-        record_transcript=False,
     )
     spec = RunSpec(config=config, trials=100, seed=101, message_bits=64)
     rep = run(spec)
@@ -187,9 +186,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
 
 def test_04_intercept_resend_auth_error_rate():
     attack = intercept_resend_attack({Channel.TRENT_TO_ALICE})
-    config = SessionConfig(
-        n_ghz=40, m_auth_check=32, record_transcript=False
-    )
+    config = SessionConfig(n_ghz=40, m_auth_check=32)
     spec = RunSpec(config=config, attack=attack, trials=313, seed=404, message_bits=None)
     rep = run(spec)
     assert rep.auth["check_bits"] >= 10_000
@@ -233,9 +230,7 @@ def test_05_cnot_entangle_auth():
     # 1); with uniform keys the unconditional rate is 1/4 and feeds the
     # detection curve instead (criterion 6).
     attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE})
-    config = SessionConfig(
-        n_ghz=40, m_auth_check=32, record_transcript=False
-    )
+    config = SessionConfig(n_ghz=40, m_auth_check=32)
     errors = checked = 0
     for t in range(313):
         ka = AuthKey(parse_bits("1" * 40))
@@ -267,9 +262,7 @@ def test_05_cnot_entangle_auth():
 
 @pytest.mark.slow
 def test_06_detection_curve():
-    config = SessionConfig(
-        n_ghz=5, m_auth_check=1, record_transcript=False
-    )
+    config = SessionConfig(n_ghz=5, m_auth_check=1)
     base = RunSpec(
         config=config,
         attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
@@ -305,7 +298,6 @@ def test_07_message_attack_error_rate_order_invariant():
         m_auth_check=2,
         check_fraction_msg=0.5,
         error_threshold_msg=1.0,
-        record_transcript=False,
     )
     # asymmetric amplitudes (still orthogonal ancilla marks) so the
     # conditional outcome distributions genuinely depend on what was
@@ -415,7 +407,6 @@ def test_09b_partial_coverage_attack_with_repetition_code():
         check_fraction_msg=0.1,
         error_threshold_msg=1.0,
         codec=codec,
-        record_transcript=False,
     )
     attack = intercept_resend_attack({Channel.ALICE_TO_BOB}, coverage=0.1)
     message = "101100111000111101010011"  # 24 bits -> 8 + 120 frame bits

@@ -19,7 +19,7 @@ from ghzqdc.adversary import (
 )
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import parse_bits
-from ghzqdc.protocol import SessionConfig, Verdict, run_session
+from ghzqdc.protocol import SessionConfig, Verdict, render_transcript, run_session
 from ghzqdc.statevector import (
     ATOL,
     BellOutcome,
@@ -40,9 +40,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def config(**overrides):
-    base = dict(
-        n_ghz=40, m_auth_check=32, rng_seed=0, record_transcript=False
-    )
+    base = dict(n_ghz=40, m_auth_check=32, rng_seed=0)
     base.update(overrides)
     return SessionConfig(**base)
 
@@ -316,7 +314,7 @@ def test_general_message_attack_secrecy_exact():
 
 
 def test_zero_coverage_matches_no_attack_exactly():
-    cfg = config(n_ghz=24, m_auth_check=4, record_transcript=True, rng_seed=9)
+    cfg = config(n_ghz=24, m_auth_check=4, rng_seed=9)
     ka = uniform_alice(1, cfg.n_ghz)
     kb = AuthKey(random_bits(np.random.default_rng(91_000), cfg.n_ghz))
     message = parse_bits("110010")
@@ -324,7 +322,8 @@ def test_zero_coverage_matches_no_attack_exactly():
     covered = run_session(
         cfg, ka, kb, message, intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.0)
     )
-    assert baseline.transcript.to_jsonl() == covered.transcript.to_jsonl()
+    transcripts = [render_transcript(cfg, res).to_jsonl() for res in (baseline, covered)]
+    assert transcripts[0] == transcripts[1]
     assert np.array_equal(baseline.msg.message, covered.msg.message)
 
 
@@ -389,7 +388,7 @@ def test_run_builds_general_unitary_once(monkeypatch):
     monkeypatch.setattr(adversary, "build_entangling_unitary", counting_build)
     spec = RunSpec(
         config=SessionConfig(n_ghz=40, m_auth_check=4, check_fraction_msg=0.5,
-                             error_threshold_msg=1.0, record_transcript=False),
+                             error_threshold_msg=1.0),
         attack=entangle_general_attack({Channel.ALICE_TO_BOB}),
         trials=5,
         seed=0,

@@ -42,7 +42,6 @@ def spec(**overrides) -> RunSpec:
         n_ghz=40,
         m_auth_check=4,
         check_fraction_msg=0.25,
-        record_transcript=False,
     )
     base = dict(config=config, trials=10, seed=0, message_bits=16)
     base.update(overrides)
@@ -105,7 +104,7 @@ def test_config_errors_raised_before_trials():
 
 def test_intercept_run_statistics():
     s = spec(
-        config=SessionConfig(n_ghz=40, m_auth_check=32, record_transcript=False),
+        config=SessionConfig(n_ghz=40, m_auth_check=32),
         attack=intercept_resend_attack({Channel.TRENT_TO_ALICE}),
         trials=70,
         message_bits=None,
@@ -132,9 +131,7 @@ def test_sweep_detection_curve():
         (NO_ATTACK, lambda m: 0.0),
     ):
         base = spec(
-            config=SessionConfig(
-                n_ghz=6, m_auth_check=2, record_transcript=False
-            ),
+            config=SessionConfig(n_ghz=6, m_auth_check=2),
             attack=attack,
             trials=800,
             message_bits=None,
@@ -434,7 +431,6 @@ def run_specs(draw):
         codec=codec_by_name(draw(st.sampled_from(["none", "rep3", "hamming74"]))),
         protocol_variant=draw(st.sampled_from(["qdc1", "qdc2"])),
         measure_order=draw(st.sampled_from(_ORDERS)),
-        record_transcript=False,
     )
     attack = AttackModel(
         variant=draw(st.sampled_from(list(AttackVariant))),
@@ -453,7 +449,7 @@ def run_specs(draw):
 @given(spec=run_specs(), row_cap=st.sampled_from([1, 13, 30, 64, protocol.ROW_CAP]))
 @example(  # chunks of two trials in which every trial aborts
     spec=RunSpec(
-        config=SessionConfig(n_ghz=24, m_auth_check=6, record_transcript=False),
+        config=SessionConfig(n_ghz=24, m_auth_check=6),
         attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}),
         trials=4, seed=2, message_bits=4,
     ),
@@ -461,8 +457,7 @@ def run_specs(draw):
 )
 @example(  # chunks of 3 trials, each full one with all three verdicts, the last one partial
     spec=RunSpec(
-        config=SessionConfig(n_ghz=20, m_auth_check=4, error_threshold_msg=0.3,
-                             record_transcript=False),
+        config=SessionConfig(n_ghz=20, m_auth_check=4, error_threshold_msg=0.3),
         attack=intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.3),
         trials=8, seed=54, message_bits=2,
     ),
@@ -478,13 +473,12 @@ def test_chunks_stay_within_row_cap(monkeypatch):
     rows = []
     auth_phase = protocol.auth_phase
 
-    def recording_auth_phase(config, attack, trials, transcript=None):
+    def recording_auth_phase(config, attack, trials):
         rows.append(len(trials) * config.n_ghz)
-        return auth_phase(config, attack, trials, transcript)
+        return auth_phase(config, attack, trials)
 
     monkeypatch.setattr(protocol, "auth_phase", recording_auth_phase)
-    run(spec(config=SessionConfig(n_ghz=128, m_auth_check=16, record_transcript=False),
-             trials=20, message_bits=40))
+    run(spec(config=SessionConfig(n_ghz=128, m_auth_check=16), trials=20, message_bits=40))
     assert sum(rows) == 20 * 128
     assert max(rows) <= protocol.ROW_CAP
 
@@ -501,8 +495,7 @@ def test_chunks_stay_within_row_cap(monkeypatch):
 )
 @example(  # rows of 125, 128 and 132 triples: only the widest row's key has a second block
     base=RunSpec(
-        config=SessionConfig(n_ghz=126, m_auth_check=2, error_threshold_auth=0.3,
-                             record_transcript=False),
+        config=SessionConfig(n_ghz=126, m_auth_check=2, error_threshold_auth=0.3),
         attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB},
                                        coverage=0.5),
         trials=12, seed=27, message_bits=8,
@@ -527,7 +520,7 @@ def test_sweep_derives_each_trials_keys_once(monkeypatch):
         return derive_key(*args, **kwargs)
 
     monkeypatch.setattr(harness, "derive_key", counting_derive_key)
-    base = spec(config=SessionConfig(n_ghz=8, m_auth_check=2, record_transcript=False),
+    base = spec(config=SessionConfig(n_ghz=8, m_auth_check=2),
                 attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}), trials=7,
                 message_bits=None)
     sweep_detection_curve(base, [1, 3, 2])

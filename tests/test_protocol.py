@@ -23,13 +23,16 @@ from ghzqdc.protocol import (
     InsufficientKeyError,
     MessagePlan,
     SessionConfig,
-    Transcript,
+    SessionResult,
     Trial,
     Verdict,
     auth_phase,
     branch_table,
+    message_channel,
     message_check_and_deliver,
     plan_message_positions,
+    render_transcript,
+    run_chunk,
     run_session,
     _BELL_BIT,
     _decode,
@@ -304,6 +307,19 @@ def test_plan_capacity_error():
         plan_message_positions(10, parse_bits("0" * 9), 0.25, np.random.default_rng(0))
 
 
+def message_tail(plan, decoded, msg):
+    """The rendered events after Alice's check reveal, for a session that sent `plan`,
+    read `decoded` and reached `msg`."""
+    rows = len(plan.positions)
+    config = SessionConfig(n_ghz=rows, m_auth_check=0)
+    res = SessionResult(Verdict.AUTHENTICATED, 0.0, 0, np.zeros((0, 6), dtype=int), plan=plan,
+                        decoded_bits=decoded, msg=msg, bell=np.zeros(rows, dtype=int),
+                        x=np.zeros(rows, dtype=int), eve=np.zeros((rows, 0), dtype=int))
+    events = render_transcript(config, res).events
+    reveal = next(i for i, e in enumerate(events) if e.payload.get("what") == "msg_check_reveal")
+    return events[reveal + 1:]
+
+
 def test_message_check_and_deliver_discards_on_errors():
     plan = MessagePlan(  # frame 00000000 at 0-7, check bits 11 at 8 and 9
         positions=np.arange(10),
@@ -311,15 +327,14 @@ def test_message_check_and_deliver_discards_on_errors():
         is_check=np.arange(10) >= 8,
     )
     decoded = parse_bits("0" * 10)  # both check bits wrong
-    transcript = Transcript()
-    res = message_check_and_deliver(
-        decoded, plan, threshold=0.0, codec=hamming74_codec(), transcript=transcript
-    )
+    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=hamming74_codec())
     assert res.verdict is Verdict.MESSAGE_DISCARDED
     assert res.error_rate == 1.0
     assert res.message is None
-    assert [e.kind for e in transcript.events] == ["msg_compare", "verdict"]
-    assert transcript.events[-1].payload == {
+    tail = message_tail(plan, decoded, res)
+    assert [e.kind for e in tail] == ["msg_compare", "verdict"]
+    assert tail[0].payload == {"errors": 2, "checked": 2, "error_rate": 1.0}
+    assert tail[-1].payload == {
         "phase": "message",
         "verdict": "message_discarded",
         "error_rate": 1.0,
@@ -329,14 +344,12 @@ def test_message_check_and_deliver_discards_on_errors():
 def test_message_check_and_deliver_framing_failure_discards():
     plan = MessagePlan(positions=np.arange(9), bits=parse_bits("0" * 9), is_check=np.zeros(9, bool))
     decoded = parse_bits("0" * 9)  # 1-bit body cannot be hamming74
-    transcript = Transcript()
-    res = message_check_and_deliver(
-        decoded, plan, threshold=0.5, codec=hamming74_codec(), transcript=transcript
-    )
+    res = message_check_and_deliver(decoded, plan, threshold=0.5, codec=hamming74_codec())
     assert res.verdict is Verdict.MESSAGE_DISCARDED
     assert res.diagnostic is not None
-    assert [e.kind for e in transcript.events] == ["msg_compare", "verdict"]
-    assert transcript.events[-1].payload == {
+    tail = message_tail(plan, decoded, res)
+    assert [e.kind for e in tail] == ["msg_compare", "verdict"]
+    assert tail[-1].payload == {
         "phase": "message",
         "verdict": "message_discarded",
         "error_rate": 0.0,
@@ -352,19 +365,17 @@ def test_message_check_and_deliver_delivers_after_verdict():
     )
     decoded = plan.bits.copy()
     decoded[9] ^= 1  # one body error, corrected by the code
-    transcript = Transcript()
-    res = message_check_and_deliver(
-        decoded, plan, threshold=0.0, codec=hamming74_codec(), transcript=transcript
-    )
+    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=hamming74_codec())
     assert res.verdict is Verdict.MESSAGE_DELIVERED
     assert (format_bits(res.message), res.corrected_errors) == ("1011", 1)
-    assert [e.kind for e in transcript.events] == ["msg_compare", "verdict", "deliver"]
-    assert transcript.events[1].payload == {
+    tail = message_tail(plan, decoded, res)
+    assert [e.kind for e in tail] == ["msg_compare", "verdict", "deliver"]
+    assert tail[1].payload == {
         "phase": "message",
         "verdict": "message_delivered",
         "error_rate": 0.0,
     }
-    assert transcript.events[2].payload == {"message": "1011", "corrected_errors": 1}
+    assert tail[2].payload == {"message": "1011", "corrected_errors": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +417,8 @@ def test_auth_only_session():
 def test_session_same_seed_same_transcript():
     config = small_config(rng_seed=123)
     ka, kb = keys_for(config)
-    r1 = run_session(config, ka, kb, parse_bits("10101010"), NO_ATTACK)
-    r2 = run_session(config, ka, kb, parse_bits("10101010"), NO_ATTACK)
-    assert r1.transcript.to_jsonl() == r2.transcript.to_jsonl()
+    r1, r2 = (run_session(config, ka, kb, parse_bits("10101010"), NO_ATTACK) for _ in range(2))
+    assert render_transcript(config, r1).to_jsonl() == render_transcript(config, r2).to_jsonl()
 
 
 def test_capacity_error_from_session():
@@ -425,7 +435,27 @@ def test_capacity_error_from_session():
 def transcript_for(variant="qdc1", attack=NO_ATTACK, message="10110100", seed=7):
     config = small_config(protocol_variant=variant, rng_seed=seed)
     ka, kb = keys_for(config, seed=seed)
-    return run_session(config, ka, kb, parse_bits(message), attack).transcript
+    return render_transcript(config, run_session(config, ka, kb, parse_bits(message), attack))
+
+
+@pytest.mark.parametrize("variant", ["qdc1", "qdc2"])
+def test_chunk_trial_renders_its_lone_session_transcript(variant):
+    """A trial of a multi-trial chunk renders the transcript it has when run
+    alone, whether Eve attacked its message, it aborted or it sent nothing."""
+    config = small_config(protocol_variant=variant, n_ghz=24, error_threshold_msg=1.0)
+    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE, message_channel(variant)}, 0.5)
+    trials = []
+    for seed in range(6):
+        ka, kb = keys_for(config, seed=seed)
+        trials.append(Trial(ka, kb, None if seed == 2 else parse_bits("1011"), seed))
+    _, results = run_chunk(config, attack, trials)
+    assert {res.auth_verdict for res in results} == {Verdict.AUTHENTICATED, Verdict.AUTH_ABORTED}
+    assert any(res.eve_observations for res in results)
+    for trial, res in zip(trials, results):
+        trial_config = replace(config, rng_seed=trial.seed)
+        alone = run_session(trial_config, trial.alice_key, trial.bob_key, trial.message, attack)
+        want = render_transcript(trial_config, alone).to_jsonl()
+        assert render_transcript(trial_config, res).to_jsonl() == want
 
 
 def test_transcript_serialization_round_trip():
@@ -492,7 +522,7 @@ def test_transcript_abort_records_error_rate():
     assert res.auth_verdict is Verdict.AUTH_ABORTED
     abort_events = [
         e
-        for e in res.transcript.events
+        for e in render_transcript(config, res).events
         if e.kind == "verdict" and e.payload["verdict"] == "auth_aborted"
     ]
     assert abort_events and abort_events[0].payload["error_rate"] > 0
@@ -510,7 +540,8 @@ def test_transcript_eve_measures_only_message_triples():
     surviving = [p for p in range(config.n_ghz) if p not in checked]
     used = res.plan.positions.tolist()
     assert len(used) < len(surviving)  # some survivors stay unused
-    eve = [e.payload for e in res.transcript.events if e.kind == "eve_ancilla_measure"]
+    events = render_transcript(config, res).events
+    eve = [e.payload for e in events if e.kind == "eve_ancilla_measure"]
     assert [(e["position"], e["ancilla"]) for e in eve] == [
         (surviving[seq], label) for seq in used for label in ("E0", "E1")
     ]
@@ -522,11 +553,11 @@ def test_transcript_eve_measures_only_message_triples():
 def test_transcript_contains_no_key_material():
     config = small_config(rng_seed=5)
     ka, kb = keys_for(config, seed=5)
-    res = run_session(config, ka, kb, parse_bits("10110100"), NO_ATTACK)
-    text = res.transcript.to_jsonl()
+    transcript = render_transcript(config, run_session(config, ka, kb, parse_bits("10110100")))
+    text = transcript.to_jsonl()
     assert format_bits(ka.bits) not in text
     assert format_bits(kb.bits) not in text
-    for event in res.transcript.events:
+    for event in transcript.events:
         if event.kind in ("auth_encode", "auth_decode"):
             assert "bit" not in event.payload
 
@@ -538,7 +569,7 @@ def test_measure_order_knob_reorders_events():
     def first_measure_kind(order):
         cfg = replace(config, measure_order=order)
         res = run_session(cfg, ka, kb, parse_bits("1010"), NO_ATTACK)
-        for e in res.transcript.events:
+        for e in render_transcript(cfg, res).events:
             if e.kind in ("bell_measure", "x_measure"):
                 return (e.actor, e.kind)
 
@@ -575,7 +606,7 @@ def _fixture_text(name):
 def test_golden_transcript_fixture():
     """Serialized event log is byte-stable; regenerate the fixture with
     scripts/dump_honest_transcript.py after an intentional format change."""
-    got = _dump_transcript_script().golden_session().transcript.to_jsonl()
+    got = _dump_transcript_script().golden_session().to_jsonl()
     assert got == _fixture_text("golden_session.jsonl")
 
 
@@ -583,7 +614,7 @@ def test_golden_attacked_transcript_fixture():
     """The attacked session (general attack on every qdc1 channel at coverage
     0.5, Eve measuring between Bob and Trent) is byte-stable too, Eve's
     ancilla labels included; regenerate with --attacked."""
-    got = _dump_transcript_script().golden_attacked_session().transcript.to_jsonl()
+    got = _dump_transcript_script().golden_attacked_session().to_jsonl()
     assert got == _fixture_text("golden_attacked_session.jsonl")
 
 

@@ -270,6 +270,9 @@ def attack_draws(
     hit = np.zeros((rows, len(channels)), dtype=bool)
     u = np.zeros(hit.shape)
     cols = [j for j, c in enumerate(channels) if model.targets(c)]
+    if not model.draws:  # every targeted transmission is hit, and nothing is read
+        hit[:, cols] = True
+        return hit, u
     intercept = model.variant == AttackVariant.INTERCEPT_RESEND
     for row in range(rows):
         for j in cols:

@@ -312,6 +312,26 @@ class BranchTableOracle:
         return self.nodes
 
 
+def attack_draws_per_transmission(model, channels, rows: int, eve_rng):
+    """`adversary.attack_draws` as per-transmission hooks read Eve's generator:
+    for each row, then each channel Eve targets, one coverage variate when
+    coverage < 1, then one measurement uniform if an intercept attacks."""
+    from ghzqdc.adversary import AttackVariant
+
+    hit = np.zeros((rows, len(channels)), dtype=bool)
+    u = np.zeros(hit.shape)
+    for row in range(rows):
+        for j, channel in enumerate(channels):
+            if not model.targets(channel):
+                continue
+            if model.coverage < 1.0 and eve_rng.random() >= model.coverage:
+                continue
+            hit[row, j] = True
+            if model.variant == AttackVariant.INTERCEPT_RESEND:
+                u[row, j] = eve_rng.random()
+    return hit, u
+
+
 class PatternHash:
     """Key-derivation hash stub: repeats a fixed pattern to `output_bits`, ignoring its inputs."""
 

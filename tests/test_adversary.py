@@ -11,6 +11,7 @@ from ghzqdc.adversary import (
     Channel,
     InvalidAttackError,
     NO_ATTACK,
+    attack_draws,
     build_entangling_unitary,
     entangle_cnot_attack,
     entangle_general_attack,
@@ -345,6 +346,26 @@ def test_eve_measure_ancilla_product_state():
     s = append_qubit(new_ghz3(), [1, 0], "E0")
     outcome, _ = eve_measure_ancilla(s, 3, np.random.default_rng(0).random(1))
     assert outcome.tolist() == [0]
+
+
+@pytest.mark.parametrize("coverage", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("variant", list(AttackVariant))
+def test_attack_draws_match_per_transmission_hooks(variant, coverage):
+    """attack_draws gives the hits and uniforms of per-transmission hooks, and
+    leaves Eve's generator where they leave it, for every channel subset Eve
+    targets, every crossing and no rows at all."""
+    crossings = [(Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB), (Channel.ALICE_TO_BOB,),
+                 (Channel.ALICE_TO_TRENT,), tuple(Channel)]
+    subsets = [c for r in range(len(Channel) + 1) for c in itertools.combinations(Channel, r)]
+    for targeted, crossing, rows in itertools.product(subsets, crossings, (0, 1, 5)):
+        model = AttackModel(variant=variant, channels=frozenset(targeted), coverage=coverage)
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        hit, u = attack_draws(model, crossing, rows, got_rng)
+        want_hit, want_u = oracles.attack_draws_per_transmission(model, crossing, rows, want_rng)
+        assert np.array_equal(hit, want_hit) and np.array_equal(u, want_u)
+        assert got_rng.random() == want_rng.random()
+        if not model.draws:  # Eve's generator is not needed at all
+            assert all(map(np.array_equal, attack_draws(model, crossing, rows, None), (hit, u)))
 
 
 def test_attack_model_validation():

@@ -16,10 +16,12 @@ The cases, by name:
   cnot_two_slots    a CNOT on trent-bob and alice-bob, Eve measuring first,
                     so her ancillas are labelled E0 and E1.
 
-With --digests it prints the sha256 of every case's JSONL instead; with
---write it rewrites tests/data/transcript_digests.json, which the tests
-check, after an intentional change of the transcript format. With --out it
-writes one case's JSONL to a file, which refreshes a golden fixture.
+Each transcript is rendered from the session's result by
+`protocol.render_transcript`. With --out the script writes one case's
+JSONL to a file, which refreshes a golden fixture; with --write it
+rewrites tests/data/transcript_digests.json, the sha256 of every case's
+JSONL, which the tests check, after an intentional change of the
+transcript format.
 """
 import argparse
 import hashlib
@@ -111,16 +113,11 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("case", nargs="?", default="honest", choices=sorted(CASES))
     parser.add_argument("--out", default=None, help="write the case's JSONL here instead of stdout")
-    parser.add_argument("--digests", action="store_true", help="print every case's digest")
     parser.add_argument("--write", action="store_true", help=f"rewrite {DIGESTS.name}")
     args = parser.parse_args()
-    if args.digests or args.write:
-        text = json.dumps(digests(), indent=2) + "\n"
-        if args.write:
-            DIGESTS.write_text(text, encoding="ascii")
-            print(f"wrote {DIGESTS}")
-        else:
-            print(text, end="")
+    if args.write:
+        DIGESTS.write_text(json.dumps(digests(), indent=2) + "\n", encoding="ascii")
+        print(f"wrote {DIGESTS}")
         return
     text = case_jsonl(args.case)
     if args.out:

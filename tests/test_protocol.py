@@ -586,15 +586,20 @@ def test_announcements_view_is_public_subset():
     assert not any(e.payload.get("what") == "bell_outcome" for e in announcements)
 
 
-def _dump_transcript_script():
+def _script(name):
+    """The module of scripts/<name>.py."""
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).parent.parent / "scripts" / "dump_honest_transcript.py"
-    spec = importlib.util.spec_from_file_location("dump_honest_transcript", path)
+    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _dump_transcript_script():
+    return _script("dump_honest_transcript")
 
 
 def _fixture_text(name):
@@ -632,3 +637,14 @@ def test_transcript_digest(case):
     assert sorted(script.CASES) == sorted(_TRANSCRIPT_DIGESTS)
     text = script.case_jsonl(case)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == _TRANSCRIPT_DIGESTS[case]
+
+
+def test_branch_table_digests():
+    """Every array of every branch table over the grid of
+    scripts/pin_branch_tables.py (396 tables) keeps its bytes. Regenerate
+    with --write after an intentional change of the table."""
+    script = _script("pin_branch_tables")
+    expected = json.loads(script.FIXTURE.read_text(encoding="ascii"))
+    got = script.digests()
+    assert sorted(got) == sorted(expected)
+    assert [key for key in expected if got[key] != expected[key]] == []

@@ -248,11 +248,9 @@ def entangle_general_attack(channels, coverage: float = 1.0, **params) -> Attack
 # Attack operations
 
 
-def eve_measure_ancilla(
-    state: PureState, ancilla: int, u, where=None
-) -> tuple[np.ndarray, PureState]:
-    """z-measure one of Eve's ancilla slots in the `where` rows."""
-    return measure_z(state, ancilla, u, where)
+def eve_measure_ancilla(state: PureState, ancilla: int, u) -> tuple[np.ndarray, PureState]:
+    """z-measure one of Eve's ancilla slots in every row."""
+    return measure_z(state, ancilla, u)
 
 
 def attack_draws(
@@ -285,21 +283,23 @@ def attack_draws(
 
 
 def apply_channel_attack(
-    model: AttackModel, state: PureState, qubit: int, channel: Channel, hit: np.ndarray
+    model: AttackModel, state: PureState, qubit: int, channel: Channel, hit: bool
 ) -> PureState:
     """Channel hook for the unitary part of an attack: every row's `qubit` crosses `channel`.
 
     An entangling attack on the channel appends one ancilla slot to every
     row as the last qubit, labelled E0, E1, ... by slot, and entangles it
-    in the `hit` rows only. Any other attack leaves the state as it is: an
-    intercept is a measurement in `model.intercept_basis` of the `hit`
-    rows, which the caller makes.
+    if Eve `hit` the stack. Any other attack leaves the state as it is: an
+    intercept is a measurement in `model.intercept_basis` of the rows she
+    hit, which the caller makes.
     """
     if not model.targets(channel) or model.unitary() is None:
         return state
     label = f"E{sum(lbl.startswith('E') for lbl in state.labels)}"
     state = append_qubit(state, model.ancilla_state(), label)
-    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1, where=hit)
+    if not hit:  # the slot keeps Eve's fresh state, a product factor
+        return state
+    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1)
 
 
 def attack_to_dict(model: AttackModel) -> dict:

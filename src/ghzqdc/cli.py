@@ -162,6 +162,7 @@ def _build_attack(args) -> AttackModel:
 
 def _build_spec(args) -> RunSpec:
     codec = codec_by_name(args.ecc)
+    attack = _build_attack(args)  # a stray attack flag is reported before a bad config
     config = SessionConfig(
         n_ghz=args.n_ghz,
         m_auth_check=args.auth_check_bits,
@@ -175,7 +176,7 @@ def _build_spec(args) -> RunSpec:
     message_bits = len(message) if message is not None else args.message_bits
     return RunSpec(
         config=config,
-        attack=_build_attack(args),
+        attack=attack,
         trials=args.trials,
         seed=args.seed,
         message_bits=message_bits if message_bits > 0 else None,

@@ -81,7 +81,6 @@ class RunSpec:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        self.config.validate()
         if self.message is not None:
             try:
                 parse_bits(self.message, "message")

@@ -69,8 +69,8 @@ from .statevector import measure_bell, measure_x, measure_z  # noqa: F401
 
 # Qubit slots inside a triple's register; Eve's ancilla slots follow.
 IDX_A, IDX_T, IDX_B = 0, 1, 2
-# The keyed gate: key bit 1 selects it, key bit 0 the identity.
-_KEY_GATE = unitary_for_key_bit(1)
+# Alice's message gate by bit: H encodes 0, HX encodes 1.
+_MESSAGE_GATE = (H, HX)
 
 
 class ConfigError(ValueError):
@@ -135,7 +135,7 @@ class Transcript:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Knobs for one session; validated eagerly via validate()."""
+    """Knobs for one session; validated at construction (and by dataclasses.replace)."""
 
     n_ghz: int
     m_auth_check: int
@@ -146,6 +146,9 @@ class SessionConfig:
     protocol_variant: str = "qdc1"
     rng_seed: int = 0
     measure_order: tuple[str, str, str] | None = None  # permutation of bob/trent/eve
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.n_ghz < 1:
@@ -259,13 +262,22 @@ class _Nodes(NamedTuple):
 
 
 def _choose(front: _Nodes, name: str, count: int, act) -> tuple[_Nodes, np.ndarray]:
-    """Branch every node on a code in range(count), applied by act(state, codes);
-    node r with code c leads to node c * (number of nodes) + r."""
+    """Branch every node on a code in range(count), applied to each code's copy
+    of the nodes by act(state, code); node r with code c leads to node
+    c * (number of nodes) + r."""
     rows = np.tile(np.arange(front.state.rows), count)
     code = np.repeat(np.arange(count), front.state.rows)
     codes = {key: v[rows] for key, v in front.codes.items()} | {name: code}
-    child = _read_only(np.arange(len(rows)).reshape(count, -1).T)
-    return _Nodes(act(front.state.take(rows), codes), codes), child
+    copies = [act(front.state, c) for c in range(count)]
+    state = make_state(np.concatenate([s.amplitudes for s in copies]), copies[0].labels)
+    return _Nodes(state, codes), _read_only(np.arange(len(rows)).reshape(count, -1).T)
+
+
+def _per_code(front: _Nodes, name: str, count: int, act) -> _Nodes:
+    """act(state, code) on each node with the node's own code under `name`, in node order."""
+    copies = np.stack([act(front.state, c).amplitudes for c in range(count)])
+    amps = copies[front.codes[name], np.arange(front.state.rows)]
+    return front._replace(state=make_state(amps, front.state.labels))
 
 
 def _branch(front: _Nodes, qubits, basis: str, acts=None) -> tuple[_Nodes, Measurement]:
@@ -293,8 +305,8 @@ def _cross_all(front: _Nodes, attack: AttackModel, qubit: int, channel: Channel)
     if not attack.targets(channel):
         return front, ()
     hit = channel.value
-    front, hits = _choose(front, hit, 2, lambda s, c: apply_channel_attack(
-        attack, s, qubit, channel, c[hit] == 1))
+    front, hits = _choose(front, hit, 2, lambda s, code: apply_channel_attack(
+        attack, s, qubit, channel, code == 1))
     if attack.unitary() is not None:  # an entangling attack
         return front, (hits,)
     front, intercept = _branch(front, (qubit,), attack.intercept_basis, front.codes[hit] == 1)
@@ -317,25 +329,21 @@ def branch_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
     probabilities the kernels would give the session's own rows.
     """
 
-    def keyed(state, codes):
-        state = apply_gate(state, _KEY_GATE, IDX_A, where=codes["keys"] // 2 == 1)
-        return apply_gate(state, _KEY_GATE, IDX_B, where=codes["keys"] % 2 == 1)
-
-    def encode(state, codes):
-        state = apply_gate(state, H, IDX_A, where=codes["bit"] == 0)
-        return apply_gate(state, HX, IDX_A, where=codes["bit"] == 1)
+    def keyed(state, pair):  # the owners' gates for key bits (a, b) = divmod(pair, 2)
+        state = apply_gate(state, unitary_for_key_bit(pair // 2), IDX_A)
+        return apply_gate(state, unitary_for_key_bit(pair % 2), IDX_B)
 
     front, keys = _choose(_Nodes(new_ghz3(), {}), "keys", 4, keyed)
     front, to_alice = _cross_all(front, attack, IDX_A, Channel.TRENT_TO_ALICE)
     front, to_bob = _cross_all(front, attack, IDX_B, Channel.TRENT_TO_BOB)
-    front = front._replace(state=keyed(*front))
+    front = _per_code(front, "keys", 4, keyed)
     checked, checks = front, []
     for qubit in (IDX_A, IDX_B, IDX_T):
         checked, step = _branch(checked, (qubit,), "z")
         checks.append(step)
 
     channel = message_channel(variant)
-    front, bits = _choose(front, "bit", 2, encode)
+    front, bits = _choose(front, "bit", 2, lambda s, bit: apply_gate(s, _MESSAGE_GATE[bit], IDX_A))
     front, send = _cross_all(front, attack, IDX_A, channel)
     # Eve's ancilla slots, in the order the crossings appended them.
     slots = [c.value for c in (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, channel)
@@ -399,14 +407,16 @@ class AuthPhaseResult:
     """The authentication phase of a chunk of trials, trial by trial.
 
     `checks` has one row per check position, with the fields of
-    AuthCheckRecord as its columns; `surviving` holds each trial's
-    n - m unchecked triples in turn, in position order.
+    AuthCheckRecord as its columns, and `error` marks its check errors;
+    `surviving` holds each trial's n - m unchecked triples in turn, in
+    position order.
     """
 
     aborted: np.ndarray  # (trials,) bool
     errors: np.ndarray  # (trials,) check errors
     error_rates: np.ndarray  # (trials,)
     checks: np.ndarray  # (trials * m, 6)
+    error: np.ndarray  # (trials * m,) bool
     surviving: np.ndarray  # the branch-table node of each surviving triple
 
 
@@ -448,12 +458,13 @@ def auth_phase(config: SessionConfig, attack: AttackModel, trials: list[Trial]) 
     za, zb, zt = outcomes.T
     checks = np.column_stack([check_positions.reshape(-1), a_key[rows], b_key[rows], za, zt, zb])
 
-    errors = (~((za == zt) & (zt == zb))).reshape(count, m).sum(axis=1)
+    error = ~((za == zt) & (zt == zb))
+    errors = error.reshape(count, m).sum(axis=1)
     error_rates = errors / m if m else np.zeros(count)
     aborted = error_rates > config.error_threshold_auth
     keep = np.ones(count * n, dtype=bool)
     keep[rows] = False
-    return AuthPhaseResult(aborted, errors, error_rates, checks, node[keep])
+    return AuthPhaseResult(aborted, errors, error_rates, checks, error, node[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +746,6 @@ def run_chunk(
     read in the same order as in a session run alone, so a trial's outcome
     does not depend on its chunk.
     """
-    config.validate()
     auth = auth_phase(config, attack, trials)
     checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
     results = [
@@ -756,8 +766,6 @@ def run_chunk(
     delivered = sum(msg.verdict is Verdict.MESSAGE_DELIVERED for msg in msgs)
     aborted = int(auth.aborted.sum())
     pair = 2 * auth.checks[:, 1] + auth.checks[:, 2]
-    outcomes = auth.checks[:, 3:]
-    error = (outcomes != outcomes[:, :1]).any(axis=1)
     tally = Tally(
         trials=len(trials),
         authenticated=len(trials) - aborted,
@@ -766,7 +774,7 @@ def run_chunk(
         message_discarded=len(msgs) - delivered,
         delivered_ok=sum(res.delivered_ok for res in results),
         auth_checked=tuple(np.bincount(pair, minlength=4).tolist()),
-        auth_errors=tuple(np.bincount(pair[error], minlength=4).tolist()),
+        auth_errors=tuple(np.bincount(pair[auth.error], minlength=4).tolist()),
         msg_checked=sum(msg.checked for msg in msgs),
         msg_errors=sum(msg.errors for msg in msgs),
         eve=eve,
@@ -848,7 +856,7 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
     channel = message_channel(variant).value
     for seq, bit, check in zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist()):
         emit("alice", "msg_encode", position=seq, bit=bit, source="check" if check else "message",
-             gate=HX.name if bit else H.name)
+             gate=_MESSAGE_GATE[bit].name)
         emit("alice", "transmit", position=seq, channel=channel)
     # The GHZ position of each used survivor.
     positions = np.delete(np.arange(n), checks[:, 0])[plan.positions]
@@ -858,22 +866,19 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
                result.decoded_bits.tolist())
     for seq, pos, b, xo, eve_row, label_row, bit in rows:
         bell, x = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
-        for step in config.resolved_measure_order():
-            if step == "bob" and variant == "qdc1":
-                emit("bob", "bell_measure", position=seq, outcome=bell)
-            elif step == "bob":
-                emit("bob", "x_measure", position=seq, outcome=x)
-            elif step == "trent" and variant == "qdc1":
-                emit("trent", "x_measure", position=seq, outcome=x)
-                emit("trent", "announce", what="x_outcome", position=seq, outcome=x)
-            elif step == "trent":
-                emit("trent", "bell_measure", position=seq, outcome=bell)
-                emit("trent", "announce", what="trent_bit", position=seq, bit=int(_BELL_BIT[b]))
-            else:
+        for party in config.resolved_measure_order():
+            if party == "eve":
                 for outcome, label in zip(eve_row, label_row):
                     if outcome >= 0:
                         emit("eve", "eve_ancilla_measure", position=pos, ancilla=f"E{label}",
                              outcome=outcome)
+                continue
+            basis = _MEASUREMENTS[party, variant][1]
+            emit(party, f"{basis}_measure", position=seq, outcome=x if basis == "x" else bell)
+            if party == "trent" and basis == "x":
+                emit("trent", "announce", what="x_outcome", position=seq, outcome=x)
+            elif party == "trent":
+                emit("trent", "announce", what="trent_bit", position=seq, bit=int(_BELL_BIT[b]))
         emit("bob", "decode_bit", position=seq, bit=bit)
 
     emit("bob", "announce", what="decoding_complete")

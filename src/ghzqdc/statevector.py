@@ -9,9 +9,9 @@ a basis-change circuit.
 Conventions:
   * A PureState is a stack of independent registers over the same
     labelled qubits: ``amplitudes`` has shape (rows, 2**num_qubits), one
-    row per register. Every kernel acts on all rows, or on the rows of a
-    boolean ``where`` mask, in one numpy expression; the other rows pass
-    through unchanged.
+    row per register. Every kernel acts on all rows in one numpy
+    expression; a caller that wants different operations on different rows
+    stacks the results (the session engine's branch-table builder does).
   * Qubit 0 is the leftmost slot in ket notation and the most significant
     bit of an amplitude index: with labels (A, T, B), ``amplitudes[r, 0b011]``
     multiplies |0>_A |1>_T |1>_B in row r.
@@ -194,39 +194,16 @@ def _check_qubit(state: PureState, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {len(state.labels)} qubits")
 
 
-def _rows(state: PureState, where):
-    """Index of the rows a kernel acts on: all of them, or a boolean mask."""
-    if where is None:
-        return slice(None)
-    where = np.asarray(where, dtype=bool)
-    if where.shape != (state.rows,):
-        raise ValueError(f"where mask of shape {where.shape} for {state.rows} rows")
-    return where
-
-
-def _replace_rows(state: PureState, rows, amps: np.ndarray) -> PureState:
-    if isinstance(rows, slice):  # every row: nothing of the old state is kept
-        return _wrap(amps, state.labels)
-    out = state.amplitudes.copy()
-    out[rows] = amps
-    return _wrap(out, state.labels)
-
-
-def apply_gate(state: PureState, gate: Gate1Q, target: int, where=None) -> PureState:
-    """Apply a single-qubit unitary to ``target`` (identity elsewhere) on the `where` rows."""
+def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
+    """Apply a single-qubit unitary to ``target`` (identity elsewhere) on every row."""
     _check_qubit(state, target)
-    rows = _rows(state, where)
     if gate.name == "I":
         return state
-    return _replace_rows(
-        state, rows, _apply(state.amplitudes[rows], state.num_qubits, (target,), gate.matrix)
-    )
+    return _wrap(_apply(state.amplitudes, state.num_qubits, (target,), gate.matrix), state.labels)
 
 
-def apply_two_qubit(
-    state: PureState, matrix: np.ndarray, q1: int, q2: int, where=None
-) -> PureState:
-    """Apply a 4x4 unitary to the ordered qubit pair (q1, q2) on the `where` rows.
+def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int) -> PureState:
+    """Apply a 4x4 unitary to the ordered qubit pair (q1, q2) on every row.
 
     The matrix acts on the pair basis |q1 q2>, index 2*bit(q1) + bit(q2).
     The caller is responsible for supplying a unitary; a norm-breaking
@@ -239,8 +216,7 @@ def apply_two_qubit(
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("two-qubit matrix must be 4x4")
-    rows = _rows(state, where)
-    return _replace_rows(state, rows, _apply(state.amplitudes[rows], state.num_qubits, (q1, q2), m))
+    return _wrap(_apply(state.amplitudes, state.num_qubits, (q1, q2), m), state.labels)
 
 
 def append_qubit(state: PureState, amplitudes, label: str) -> PureState:
@@ -337,37 +313,35 @@ def measure_branches(
     return probs, reached, _wrap(amps, state.labels)
 
 
-def _measure(state: PureState, qubits: tuple[int, ...], basis: np.ndarray, u, where):
+def _measure(state: PureState, qubits: tuple[int, ...], basis: np.ndarray, u):
     for q in qubits:
         _check_qubit(state, q)
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != state.rows:
         raise ValueError(f"{u.shape[0]} uniforms for {state.rows} rows")
-    rows, n = _rows(state, where), state.num_qubits
-    residuals = _residuals(state.amplitudes[rows], n, qubits, basis)
+    n = state.num_qubits
+    residuals = _residuals(state.amplitudes, n, qubits, basis)
     probs = _probs(residuals)
-    outcomes = np.full(state.rows, -1)
-    outcomes[rows] = k = pick(probs, u[rows])
+    k = pick(probs, u)
     amps = _collapse(residuals, probs, np.arange(len(k)), k, basis, n, qubits)
-    return outcomes, _replace_rows(state, rows, amps)
+    return k, _wrap(amps, state.labels)
 
 
-def measure_z(state: PureState, target: int, u, where=None) -> tuple[np.ndarray, PureState]:
+def measure_z(state: PureState, target: int, u) -> tuple[np.ndarray, PureState]:
     """Projective z-basis measurement of each row with its uniform from `u`.
 
-    Returns (outcomes 0/1, collapsed state); rows outside `where` keep
-    their amplitudes and read -1.
+    Returns (outcomes 0/1, collapsed state).
     """
-    return _measure(state, (target,), _Z_BASIS, u, where)
+    return _measure(state, (target,), _Z_BASIS, u)
 
 
-def measure_x(state: PureState, target: int, u, where=None) -> tuple[np.ndarray, PureState]:
+def measure_x(state: PureState, target: int, u) -> tuple[np.ndarray, PureState]:
     """Projective {|+>, |->} measurement; outcome codes index X_OUTCOMES."""
-    return _measure(state, (target,), _X_BASIS, u, where)
+    return _measure(state, (target,), _X_BASIS, u)
 
 
-def measure_bell(state: PureState, q1: int, q2: int, u, where=None) -> tuple[np.ndarray, PureState]:
+def measure_bell(state: PureState, q1: int, q2: int, u) -> tuple[np.ndarray, PureState]:
     """Bell-basis measurement of the ordered pair (q1, q2); codes index BELL_OUTCOMES."""
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
-    return _measure(state, (q1, q2), _BELL_BASIS, u, where)
+    return _measure(state, (q1, q2), _BELL_BASIS, u)

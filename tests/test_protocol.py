@@ -280,6 +280,15 @@ def test_config_validation():
         small_config(measure_order=("bob", "bob", "eve")).validate()
 
 
+def test_config_validates_at_construction():
+    """An invalid SessionConfig cannot be built, directly or by replace, so
+    nothing downstream needs to call validate() again."""
+    with pytest.raises(ConfigError, match="m_auth_check"):
+        SessionConfig(n_ghz=4, m_auth_check=9)
+    with pytest.raises(ConfigError, match="protocol_variant"):
+        replace(small_config(), protocol_variant="qdc3")
+
+
 # ---------------------------------------------------------------------------
 # Position planning and delivery
 

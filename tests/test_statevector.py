@@ -354,7 +354,7 @@ def test_global_phase_equality_helper():
 @st.composite
 def row_stacks(draw):
     """A stack of random normalised 3-6 qubit rows (some with zeroed
-    amplitudes), one uniform per row, and a row mask or None."""
+    amplitudes) and one uniform per row."""
     n = draw(st.integers(3, 6))
     rows = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -364,8 +364,7 @@ def row_stacks(draw):
         amps[:, rng.integers(2**n)] += 1.0
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=rows, max_size=rows)))
-    where = draw(st.none() | st.lists(st.booleans(), min_size=rows, max_size=rows).map(np.array))
-    return make_state(amps, tuple(f"q{i}" for i in range(n))), u, where
+    return make_state(amps, tuple(f"q{i}" for i in range(n))), u
 
 
 def random_unitary(seed):
@@ -377,39 +376,38 @@ def random_unitary(seed):
 ROW_KERNELS = ("gate", "two_qubit", "append", "z", "x", "bell")
 
 
-def run_kernel(name, state, q1, q2, u, where, seed):
-    """(outcomes or None, state) of one kernel; `where` is ignored by append_qubit."""
+def run_kernel(name, state, q1, q2, u, seed):
+    """(outcomes or None, state) of one kernel."""
     if name == "gate":
-        return None, apply_gate(state, HX, q1, where=where)
+        return None, apply_gate(state, HX, q1)
     if name == "two_qubit":
-        return None, apply_two_qubit(state, random_unitary(seed), q1, q2, where=where)
+        return None, apply_two_qubit(state, random_unitary(seed), q1, q2)
     if name == "append":
         return None, append_qubit(state, [0.6, 0.8j], "E")
     if name == "z":
-        return measure_z(state, q1, u, where)
+        return measure_z(state, q1, u)
     if name == "x":
-        return measure_x(state, q1, u, where)
-    return measure_bell(state, q1, q2, u, where)
+        return measure_x(state, q1, u)
+    return measure_bell(state, q1, q2, u)
 
 
 @given(row_stacks(), st.sampled_from(ROW_KERNELS), st.data())
 @settings(max_examples=300, deadline=None)
-def test_kernels_act_on_each_row_alone(stack_u_where, name, data):
+def test_kernels_act_on_each_row_alone(stack_u, name, data):
     """A kernel on a stack gives exactly the outcomes and amplitudes of the
-    same kernel on each row alone, with the row's uniform and mask bit."""
-    state, u, where = stack_u_where
+    same kernel on each row alone, with the row's uniform."""
+    state, u = stack_u
     q1, q2 = data.draw(st.permutations(range(state.num_qubits)))[:2]
     seed = data.draw(st.integers(0, 2**32 - 1))
     singles = []
     for r in range(state.rows):
-        w = None if where is None else where[r : r + 1]
         try:
-            singles.append(run_kernel(name, state.take([r]), q1, q2, u[r : r + 1], w, seed))
+            singles.append(run_kernel(name, state.take([r]), q1, q2, u[r : r + 1], seed))
         except RuntimeError:  # a uniform that lands on a (near-)zero branch
             with pytest.raises(RuntimeError):
-                run_kernel(name, state, q1, q2, u, where, seed)
+                run_kernel(name, state, q1, q2, u, seed)
             return
-    outcomes, after = run_kernel(name, state, q1, q2, u, where, seed)
+    outcomes, after = run_kernel(name, state, q1, q2, u, seed)
     assert after.rows == state.rows
     assert after.labels == singles[0][1].labels
     assert np.array_equal(after.amplitudes, np.concatenate([s.amplitudes for _, s in singles]))
@@ -425,4 +423,4 @@ def test_stack_with_one_unnormalised_row_raises(name):
         make_state(amps, ("A", "T", "B"))
     bad = PureState(amps, ("A", "T", "B"))  # bypasses make_state's check
     with pytest.raises((ValueError, RuntimeError)):
-        run_kernel(name, bad, 0, 2, np.full(4, 0.3), None, 0)
+        run_kernel(name, bad, 0, 2, np.full(4, 0.3), 0)

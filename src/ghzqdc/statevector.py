@@ -10,8 +10,9 @@ Conventions:
   * A PureState is a stack of independent registers over the same
     labelled qubits: ``amplitudes`` has shape (rows, 2**num_qubits), one
     row per register. Every kernel acts on all rows in one numpy
-    expression; a caller that wants different operations on different rows
-    stacks the results (the session engine's branch-table builder does).
+    expression. A caller that wants different operations on different rows
+    runs each on its own rows and stacks the results, as the session
+    engine's branch-table builder does per code.
   * Qubit 0 is the leftmost slot in ket notation and the most significant
     bit of an amplitude index: with labels (A, T, B), ``amplitudes[r, 0b011]``
     multiplies |0>_A |1>_T |1>_B in row r.

@@ -35,7 +35,7 @@ from ghzqdc.adversary import (
     entangle_general_attack,
     intercept_resend_attack,
 )
-from ghzqdc.authkeys import Counter, Shake256Hash, UserIdentity, derive_key
+from ghzqdc.authkeys import derive_key
 from ghzqdc.ecc import hamming74_codec, parse_bits
 from ghzqdc.protocol import SessionConfig, Transcript, render_transcript, run_session
 
@@ -43,10 +43,7 @@ DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "data" / "transcrip
 
 
 def golden_keys(needed: int):
-    h = Shake256Hash()
-    alice = derive_key(UserIdentity("1011001110001111", "alice"), h, Counter(0), needed=needed)
-    bob = derive_key(UserIdentity("0100110001110000", "bob"), h, Counter(0), needed=needed)
-    return alice, bob
+    return derive_key("1011001110001111", needed), derive_key("0100110001110000", needed)
 
 
 def session(config: SessionConfig, attack=NO_ATTACK, message: str | None = "1101") -> Transcript:

@@ -13,7 +13,7 @@ from .adversary import (
     entangle_general_attack,
     intercept_resend_attack,
 )
-from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
+from .authkeys import AuthKey, derive_key
 from .ecc import Codec, codec_by_name, hamming74_codec, none_codec, repetition_codec
 from .harness import RunSpec, run, sweep_detection_curve
 from .protocol import SessionConfig, SessionResult, Verdict, render_transcript, run_session

@@ -1,7 +1,7 @@
 """Monte Carlo driver: repeated sessions, aggregate statistics, reports.
 
 Every trial is an independent session with fresh random identities (keys
-derived through the SHAKE-256 contract), a fresh message unless one is
+derived by SHAKE-256 in counter mode), a fresh message unless one is
 pinned, and its own deterministic seed. The per-trial seed chain is:
 
     trial_ss   = numpy SeedSequence((spec.seed, trial_index))
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK, attack_to_dict
-from .authkeys import AuthKey, Counter, Shake256Hash, UserIdentity, derive_key
+from .authkeys import AuthKey, derive_key
 from .ecc import encode as ecc_encode, format_bits, parse_bits
 from .protocol import (
     ConfigError,
@@ -74,9 +74,6 @@ class RunSpec:
     message: str | None = None  # pinned message; None draws one per trial
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
@@ -109,15 +106,11 @@ def _random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
 
 
 def _derive_trial_keys(keys_rng: np.random.Generator, n: int) -> tuple[AuthKey, AuthKey]:
-    h = Shake256Hash()
     # Alice's 128-bit identity, then Bob's: one 32-byte draw reads the
     # generator exactly as two 16-byte draws would.
     ids = _random_bits(keys_rng, 256)
-    alice, bob = (
-        derive_key(UserIdentity(format_bits(bits), role), h, Counter(0), needed=n)
-        for bits, role in ((ids[:128], "alice"), (ids[128:], "bob"))
-    )
-    return alice, bob
+    alice_id, bob_id = format_bits(ids[:128]), format_bits(ids[128:])
+    return derive_key(alice_id, needed=n), derive_key(bob_id, needed=n)
 
 
 @dataclass
@@ -221,7 +214,7 @@ def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> Trial:
     keys_ss, session_ss = trial_seed(spec.seed, index)
     keys_rng = np.random.default_rng(keys_ss)
     alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
-    message = pinned  # validate() allows a pinned message only when message_bits is set
+    message = pinned  # a RunSpec pins a message only when message_bits is set
     if message is None and spec.message_bits is not None:
         message = _random_bits(keys_rng, spec.message_bits)
     session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])

@@ -26,12 +26,12 @@ otherwise the codec decodes the surviving frame.
 
 A triple's state is fixed by its key bits, Eve's hits, Alice's bit and
 the outcomes so far, so `branch_table` enumerates every state once per
-(variant, measurement order, attack), with each measurement's Born
-probabilities. A row carries only its node in that table: a gate or a
-transmission moves it to a child node, and a measurement picks an outcome
-with the row's uniform. Channels are hook points where an adversary may
-act. Classical announcements are public, append-only, and readable (not
-forgeable) by the adversary.
+(variant, measurement order, attack but its coverage), with each
+measurement's Born probabilities. A row carries only its node in that
+table: a gate or a transmission moves it to a child node, and a
+measurement picks an outcome with the row's uniform. Channels are hook
+points where an adversary may act. Classical announcements are public,
+append-only, and readable (not forgeable) by the adversary.
 
 A session's transcript is rendered from its finished `SessionResult` by
 `render_transcript`; no phase records anything as it runs. It serializes
@@ -46,7 +46,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -148,9 +148,6 @@ class SessionConfig:
     measure_order: tuple[str, str, str] | None = None  # permutation of bob/trent/eve
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.n_ghz < 1:
             raise ConfigError("n_ghz must be >= 1")
         if not 0 <= self.m_auth_check < self.n_ghz:
@@ -318,17 +315,32 @@ _MEASUREMENTS = {("bob", "qdc1"): ((IDX_A, IDX_B), "bell"), ("trent", "qdc1"): (
                  ("bob", "qdc2"): ((IDX_B,), "x"), ("trent", "qdc2"): ((IDX_A, IDX_T), "bell")}
 
 
-@lru_cache(maxsize=32)
+# Every field of an attack but coverage: Eve's hits are choices in the
+# table, so coverage weights its paths but changes none of its arrays.
+_TABLE_FIELDS = operator.attrgetter(*(f.name for f in fields(AttackModel) if f.name != "coverage"))
+_TABLES: dict[tuple, BranchTable] = {}  # at most 32, the oldest dropped first
+
+
 def branch_table(variant: str, order: tuple[str, str, str], attack: AttackModel) -> BranchTable:
     """The branch table of a protocol variant, resolved measurement order and attack.
 
-    Built once per distinct key by pushing one small register through the
-    kernels: every choice, and every measurement outcome of nonzero
-    probability, becomes a row of its own. Each kernel gives a stack, bit
-    for bit, what it gives each row alone, so a walk of the table sees the
-    probabilities the kernels would give the session's own rows.
+    Built once per distinct (variant, order, attack but its coverage) by
+    pushing one small register through the kernels: every choice, and every
+    measurement outcome of nonzero probability, becomes a row of its own.
+    Each kernel gives a stack, bit for bit, what it gives each row alone, so
+    a walk of the table sees the probabilities the kernels would give the
+    session's own rows.
     """
+    key = (variant, order, _TABLE_FIELDS(attack))
+    table = _TABLES.get(key)
+    if table is None:
+        if len(_TABLES) == 32:
+            del _TABLES[next(iter(_TABLES))]
+        table = _TABLES[key] = _build_table(variant, order, attack)
+    return table
 
+
+def _build_table(variant: str, order: tuple[str, str, str], attack: AttackModel) -> BranchTable:
     def keyed(state, pair):  # the owners' gates for key bits (a, b) = divmod(pair, 2)
         state = apply_gate(state, unitary_for_key_bit(pair // 2), IDX_A)
         return apply_gate(state, unitary_for_key_bit(pair % 2), IDX_B)
@@ -363,20 +375,6 @@ def branch_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
                        attached, channel.value in slots)
 
 
-@dataclass(frozen=True)
-class AuthCheckRecord:
-    position: int
-    alice_key_bit: int
-    bob_key_bit: int
-    outcome_alice: int
-    outcome_trent: int
-    outcome_bob: int
-
-    @property
-    def error(self) -> bool:
-        return not (self.outcome_alice == self.outcome_trent == self.outcome_bob)
-
-
 @dataclass(frozen=True, eq=False)
 class Trial:
     """One session's inputs: both keys, the message (None runs authentication
@@ -406,8 +404,9 @@ class Trial:
 class AuthPhaseResult:
     """The authentication phase of a chunk of trials, trial by trial.
 
-    `checks` has one row per check position, with the fields of
-    AuthCheckRecord as its columns, and `error` marks its check errors;
+    `checks` has one row per check position, with columns (position, a, b,
+    z_A, z_T, z_B): the owners' key bits there and the three z outcomes.
+    `error` marks its check errors, where the outcomes are not all equal;
     `surviving` holds each trial's n - m unchecked triples in turn, in
     position order.
     """
@@ -647,7 +646,7 @@ class SessionResult:
     auth_verdict: Verdict
     auth_error_rate: float
     auth_errors: int
-    checks: np.ndarray  # one row per check position, the fields of AuthCheckRecord as columns
+    checks: np.ndarray  # one row per check position: (position, a, b, z_A, z_T, z_B)
     message_sent: np.ndarray | None = None
     plan: MessagePlan | None = None
     decoded_bits: np.ndarray | None = None  # Bob's bit at each of plan.positions
@@ -657,10 +656,6 @@ class SessionResult:
     eve: np.ndarray | None = None  # (used positions, ancilla slots)
     # (Alice's bit, Eve's outcome) for each message-phase attack.
     eve_observations: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def auth_checks(self) -> list[AuthCheckRecord]:
-        return [AuthCheckRecord(*row) for row in self.checks.tolist()]
 
     @property
     def delivered_ok(self) -> bool:

@@ -332,15 +332,10 @@ def attack_draws_per_transmission(model, channels, rows: int, eve_rng):
     return hit, u
 
 
-class PatternHash:
-    """Key-derivation hash stub: repeats a fixed pattern to `output_bits`, ignoring its inputs."""
-
-    def __init__(self, pattern: str = "0110", output_bits: int = 8):
-        self.pattern = np.array([int(b) for b in pattern], dtype=np.uint8)
-        self.output_bits = output_bits
-
-    def __call__(self, id_bits: str, counter_bits: str) -> np.ndarray:
-        return np.resize(self.pattern, self.output_bits)
+def check_errors(checks: np.ndarray) -> list[bool]:
+    """Whether each row of a session's `checks` (position, a, b, z_A, z_T, z_B)
+    is a check error: the three z outcomes are not all equal."""
+    return [not za == zt == zb for _, _, _, za, zt, zb in checks.tolist()]
 
 
 # Hamming(7,4) oracle via generator / parity-check matrices over GF(2).
@@ -434,14 +429,14 @@ def reference_run(spec):
         verdict_counts[res.auth_verdict.value] += 1
         if res.msg is not None:
             verdict_counts[res.msg.verdict.value] += 1
-        for check in res.auth_checks:
+        trial_errors = check_errors(res.checks)
+        for (_, a, b, *_), err in zip(res.checks.tolist(), trial_errors):
             auth_checked += 1
-            err = 1 if check.error else 0
             auth_errors += err
-            auth_err_by_alice_bit[check.alice_key_bit][0] += err
-            auth_err_by_alice_bit[check.alice_key_bit][1] += 1
-            auth_err_by_bob_bit[check.bob_key_bit][0] += err
-            auth_err_by_bob_bit[check.bob_key_bit][1] += 1
+            auth_err_by_alice_bit[a][0] += err
+            auth_err_by_alice_bit[a][1] += 1
+            auth_err_by_bob_bit[b][0] += err
+            auth_err_by_bob_bit[b][1] += 1
         if res.auth_verdict is Verdict.AUTH_ABORTED:
             detected += 1
         msg_result = res.msg
@@ -457,8 +452,8 @@ def reference_run(spec):
             {
                 "trial": t,
                 "auth_verdict": res.auth_verdict.value,
-                "auth_errors": sum(1 for c in res.auth_checks if c.error),
-                "auth_checked": len(res.auth_checks),
+                "auth_errors": sum(trial_errors),
+                "auth_checked": len(trial_errors),
                 "msg_verdict": msg_result.verdict.value if msg_result else None,
                 "msg_errors": msg_result.errors if msg_result else 0,
                 "msg_checked": msg_result.checked if msg_result else 0,

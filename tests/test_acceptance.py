@@ -236,8 +236,8 @@ def test_05_cnot_entangle_auth():
         ka = AuthKey(parse_bits("1" * 40))
         kb = AuthKey(random_bits(np.random.default_rng(50_000 + t), 40))
         res = run_session(replace(config, rng_seed=t), ka, kb, None, attack)
-        errors += sum(c.error for c in res.auth_checks)
-        checked += len(res.auth_checks)
+        errors += sum(oracles.check_errors(res.checks))
+        checked += len(res.checks)
     rate = errors / checked
     assert checked >= 10_000
     assert rate == pytest.approx(0.50, abs=0.02)

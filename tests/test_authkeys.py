@@ -1,5 +1,6 @@
-"""Key derivation: block concatenation, counters, keyed unitaries."""
+"""Key derivation: SHAKE-256 counter-mode blocks, keyed unitaries."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,7 @@ from hypothesis import strategies as st
 
 from ghzqdc.authkeys import (
     AuthKey,
-    Counter,
     CounterOverflowError,
-    Shake256Hash,
-    UserIdentity,
     derive_key,
     random_bits,
     unitary_for_key_bit,
@@ -19,84 +17,87 @@ from ghzqdc.authkeys import (
 from ghzqdc.ecc import format_bits, parse_bits
 from ghzqdc.statevector import ATOL, H, I, apply_gate, make_state
 
-from oracles import PatternHash
+ALICE = "1011"
 
-ALICE = UserIdentity(id_bits="1011", role="alice")
+
+def shake_block(id_bits: str, counter: int) -> np.ndarray:
+    """Block `counter` of a key, written out from its definition: the first
+    128 bits of SHAKE-256 over "{id_bits}|{counter as 32 binary digits}"."""
+    text = id_bits + "|" + format(counter, "b").zfill(32)
+    digest = hashlib.shake_256(text.encode("ascii")).digest(16)
+    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8))
 
 
 def test_single_block_is_one_hash_call():
-    h = PatternHash(pattern="0110", output_bits=8)
-    key = derive_key(ALICE, h, Counter(3, width=8), needed=8)
-    assert format_bits(key.bits) == "01100110"
-    assert key.counters == (3,)
+    for needed in (1, 100, 128):
+        assert np.array_equal(derive_key(ALICE, needed).bits, shake_block(ALICE, 0))
 
 
 def test_counter_increases_when_one_block_is_short():
-    h = PatternHash(pattern="0110", output_bits=8)
-    key = derive_key(ALICE, h, Counter(3, width=8), needed=9)
-    assert format_bits(key.bits) == "01100110" * 2
-    assert key.counters == (3, 4)
+    key = derive_key(ALICE, 129)
+    assert len(key.bits) == 256
+    assert np.array_equal(key.bits[:128], shake_block(ALICE, 0))
+    assert np.array_equal(key.bits[128:], shake_block(ALICE, 1))
+    assert not np.array_equal(key.bits[:128], key.bits[128:])
 
 
-def test_stub_concatenation_matches_hand_computation():
-    # pattern "10" at width 5 gives "10101"; needed 12 takes three blocks
-    h = PatternHash(pattern="10", output_bits=5)
-    key = derive_key(ALICE, h, Counter(0, width=4), needed=12)
-    assert format_bits(key.bits) == "10101" * 3
-    assert len(key.bits) == 15
-
-
-@given(st.integers(min_value=1, max_value=200))
-@settings(max_examples=40, deadline=None)
-def test_coverage_law(needed):
-    h = PatternHash(pattern="0110", output_bits=16)
-    key = derive_key(ALICE, h, Counter(0), needed=needed)
-    assert needed <= len(key.bits) < needed + 16
+@given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))
+@settings(derandomize=True, deadline=None, max_examples=80)
+def test_coverage_law(needed, other):
+    """A key covers `needed` in whole blocks, and a shorter key is a prefix of
+    a longer one (the detection sweep derives keys once, for its widest row)."""
+    short, long = sorted((needed, other))
+    short_key, long_key = derive_key(ALICE, short), derive_key(ALICE, long)
+    for k, key in ((short, short_key), (long, long_key)):
+        assert k <= len(key.bits) < k + 128
+    assert np.array_equal(short_key.bits, long_key.bits[: len(short_key.bits)])
 
 
 def test_derive_key_deterministic():
-    h = Shake256Hash(output_bits=64)
-    k1 = derive_key(ALICE, h, Counter(7), needed=100)
-    k2 = derive_key(ALICE, h, Counter(7), needed=100)
-    assert np.array_equal(k1.bits, k2.bits) and k1.counters == k2.counters == (7, 8)
+    k1, k2 = derive_key(ALICE, 300), derive_key(ALICE, 300)
+    assert np.array_equal(k1.bits, k2.bits)
 
 
-def test_counter_overflow():
-    h = PatternHash(pattern="1", output_bits=4)
-    with pytest.raises(CounterOverflowError):
-        derive_key(ALICE, h, Counter(2, width=2), needed=16)
+def test_different_ids_give_different_keys():
+    for other in ("0011", "10110", "1"):
+        assert not np.array_equal(derive_key(ALICE, 128).bits, derive_key(other, 128).bits)
 
 
 def test_shake_hash_properties():
-    h = Shake256Hash(output_bits=128)
-    a = h("1011", Counter(0).bits())
-    b = h("1011", Counter(1).bits())
-    c = h("0011", Counter(0).bits())
-    assert len(a) == len(b) == len(c) == 128
-    assert a.dtype == np.uint8 and set(a.tolist()) <= {0, 1}
-    assert not np.array_equal(a, b) and not np.array_equal(a, c)
-    assert np.array_equal(a, h("1011", Counter(0).bits()))
+    """Blocks are joined in counter order; the bits are a read-only uint8 array."""
+    key = derive_key(ALICE, 300)
+    expected = np.concatenate([shake_block(ALICE, c) for c in range(3)])
+    assert np.array_equal(key.bits, expected)
+    assert key.bits.dtype == np.uint8 and not key.bits.flags.writeable
 
 
-def test_identity_and_counter_validation():
-    with pytest.raises(ValueError):
-        UserIdentity(id_bits="", role="alice")
-    with pytest.raises(ValueError):
-        UserIdentity(id_bits="012", role="alice")
-    with pytest.raises(ValueError):
-        UserIdentity(id_bits="01", role="carol")
-    with pytest.raises(ValueError):
-        Counter(-1)
-    with pytest.raises(ValueError):
-        Counter(4, width=2)
-    assert Counter(5, width=8).bits() == "00000101"
+def test_counter_overflow(monkeypatch):
+    """A key past 2**32 blocks fails at once: before any hashing, allocating nothing."""
+
+    def no_hashing(*args):
+        raise AssertionError("hashed before the overflow check")
+
+    monkeypatch.setattr(hashlib, "shake_256", no_hashing)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CounterOverflowError):
+            derive_key(ALICE, 2**32 * 128 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_derive_key_rejects_bad_input():
+    for id_bits, needed in (("", 8), ("012", 8), ("01 ", 8), (ALICE, 0), (ALICE, -1)):
+        with pytest.raises(ValueError):
+            derive_key(id_bits, needed)
 
 
 def test_random_key_shape():
     key = AuthKey(random_bits(np.random.default_rng(0), 33))
     assert len(key.bits) == 33
     assert key.bits.dtype == np.uint8 and set(key.bits.tolist()) <= {0, 1}
-    assert key.counters == ()
 
 
 def test_authkey_rejects_non_bits():
@@ -146,10 +147,9 @@ def test_golden_identity_keys_known_answer():
     Honest sessions cancel the keyed gates, so only this test (and the
     attacked goldens) would catch a bit-order slip in key derivation.
     """
-    h = Shake256Hash()
     digests = {}
     for id_bits, role in (("1011001110001111", "alice"), ("0100110001110000", "bob")):
-        key = derive_key(UserIdentity(id_bits, role), h, Counter(0), needed=300)
+        key = derive_key(id_bits, 300)
         digests[role] = hashlib.sha256(format_bits(key.bits).encode("ascii")).hexdigest()
     assert digests == {
         "alice": "7aed019ac90d07ad9ae461a28af3f8f23ba977e67742ae567d1ad4cf98342598",

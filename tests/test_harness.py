@@ -99,7 +99,7 @@ def test_config_errors_raised_before_trials():
     with pytest.raises(CapacityError):
         # a 16-bit frame fits the 36 survivors, but not with 32 check bits
         config = SessionConfig(n_ghz=40, m_auth_check=4, check_fraction_msg=0.9)
-        spec(config=config, message_bits=8).validate()
+        spec(config=config, message_bits=8)
 
 
 def test_intercept_run_statistics():

@@ -8,6 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from ghzqdc import protocol
 from ghzqdc.adversary import (
     NO_ATTACK,
     Channel,
@@ -269,20 +270,20 @@ def test_auth_requires_key_coverage():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        small_config(m_auth_check=48).validate()
+        small_config(m_auth_check=48)
     with pytest.raises(ConfigError):
-        small_config(check_fraction_msg=1.0).validate()
+        small_config(check_fraction_msg=1.0)
     with pytest.raises(ConfigError):
-        small_config(error_threshold_auth=2.0).validate()
+        small_config(error_threshold_auth=2.0)
     with pytest.raises(ConfigError):
-        small_config(protocol_variant="qdc3").validate()
+        small_config(protocol_variant="qdc3")
     with pytest.raises(ConfigError):
-        small_config(measure_order=("bob", "bob", "eve")).validate()
+        small_config(measure_order=("bob", "bob", "eve"))
 
 
 def test_config_validates_at_construction():
     """An invalid SessionConfig cannot be built, directly or by replace, so
-    nothing downstream needs to call validate() again."""
+    no phase needs to check it again."""
     with pytest.raises(ConfigError, match="m_auth_check"):
         SessionConfig(n_ghz=4, m_auth_check=9)
     with pytest.raises(ConfigError, match="protocol_variant"):
@@ -545,7 +546,7 @@ def test_transcript_eve_measures_only_message_triples():
     ka, kb = keys_for(config, seed=3)
     attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB})
     res = run_session(config, ka, kb, parse_bits("10110100"), attack)
-    checked = {c.position for c in res.auth_checks}
+    checked = set(res.checks[:, 0].tolist())
     surviving = [p for p in range(config.n_ghz) if p not in checked]
     used = res.plan.positions.tolist()
     assert len(used) < len(surviving)  # some survivors stay unused
@@ -657,3 +658,22 @@ def test_branch_table_digests():
     got = script.digests()
     assert sorted(got) == sorted(expected)
     assert [key for key in expected if got[key] != expected[key]] == []
+
+
+@pytest.mark.parametrize("make", [entangle_cnot_attack, entangle_general_attack,
+                                  intercept_resend_attack])
+def test_branch_table_cache_ignores_coverage(make):
+    """Attacks that differ only in coverage share one cached table, and a
+    fresh build at either coverage has the same bytes: no array reads it."""
+    script = _script("pin_branch_tables")
+    order = ("bob", "trent", "eve")
+    channels = {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}
+    half, full = make(channels, 0.5), make(channels, 1.0)
+    assert branch_table("qdc1", order, half) is branch_table("qdc1", order, full)
+
+    def fresh_digest(attack):
+        digest = hashlib.sha256()
+        script._feed(digest, protocol._build_table("qdc1", order, attack))
+        return digest.hexdigest()
+
+    assert fresh_digest(half) == fresh_digest(full)

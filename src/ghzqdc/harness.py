@@ -10,16 +10,16 @@ pinned, and its own deterministic seed. The per-trial seed chain is:
 so reports are byte-identical across runs of the same RunSpec, the
 timestamp field aside, no matter how trials are scheduled.
 
-Trials run trial-major through `protocol.run_trials`, in chunks of at
-most max(1, ROW_CAP // n_ghz) trials whose rows walk the run's cached
-`protocol.branch_table` as integer nodes; the statevector kernels run only
-when that table is built. Each trial reads its own generators in the order
-a lone session would, so the seed contract (v1) is unchanged and a report
-does not depend on the chunk size. Chunk `Tally`s add up to the report.
+Trials run trial-major, in chunks of at most max(1, ROW_CAP // n_ghz)
+trials whose rows walk the run's cached `protocol.branch_table` as integer
+nodes; the statevector kernels run only when that table is built. Each
+trial reads its own generators in the order a lone session would, so the
+seed contract (v1) is unchanged and a report does not depend on the chunk
+size. Chunk `Tally`s add up to the report.
 
-A detection sweep shares inputs per block of trials: it builds each
-trial's keys, message and seed once and runs every m row from them, each
-row adding up its own tally (see `sweep_detection_curve`).
+`run` and a detection sweep share one driver, `_chunks`: per block of
+trials it builds each trial's keys, message and seed once, and every row
+(one spec in a run, one m in a sweep) runs its own chunks from them.
 
 The JSON report schema (schema_version 1) is documented in the README.
 Alongside every empirical statistic the report carries the matching
@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,15 +48,20 @@ from .protocol import (
     Trial,
     Verdict,
     check_capacity,
-    chunk_size,
     message_channel,
+    run_chunk,
     run_session,  # only read by perfbench's tracer, which wraps harness.run_session
-    run_trials,
 )
 
 SCHEMA_VERSION = 1
 
 _AUTH_CHANNELS = {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}
+
+# Most rows a chunk holds: a chunk runs max(1, ROW_CAP // n_ghz) trials.
+# Larger chunks buy little once numpy calls are amortised, and each row
+# held costs its draws and node indices, so the cap keeps peak memory
+# flat however many trials a run has.
+ROW_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,14 @@ def _normalize_eve_counts(counts: dict) -> dict:
     return normalized
 
 
-def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> Trial:
-    """Trial `index`: keys, then the message from the key generator, then the session seed."""
+def chunk_size(n_ghz: int) -> int:
+    """Most trials of n_ghz triples each that one chunk runs: max(1, ROW_CAP // n_ghz)."""
+    return max(1, ROW_CAP // n_ghz)
+
+
+def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> tuple:
+    """The `Trial` fields of trial `index`: keys, then the message from the
+    key generator, then the session seed."""
     keys_ss, session_ss = trial_seed(spec.seed, index)
     keys_rng = np.random.default_rng(keys_ss)
     alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
@@ -218,7 +230,29 @@ def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> Trial:
     if message is None and spec.message_bits is not None:
         message = _random_bits(keys_rng, spec.message_bits)
     session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
-    return Trial(alice_key, bob_key, message, session_seed)
+    return alice_key, bob_key, message, session_seed
+
+
+def _chunks(specs: list[RunSpec]) -> Iterator[tuple[int, Tally, list[SessionResult]]]:
+    """Run the trials of `specs`, which differ only in their config, as
+    (row, tally, results) per chunk, row being the spec's index.
+
+    A trial's keys, message and session seed do not depend on n (a longer
+    counter-mode key starts with every shorter one), so they are built once
+    per block of chunk_size(smallest n) trials, for the widest row. Each row
+    runs fresh `Trial`s from them, chunk_size(its n) at a time, as a
+    `Trial`'s generators are consumed when it runs.
+    """
+    widest = max(specs, key=lambda spec: spec.config.n_ghz)
+    pinned = None if widest.message is None else parse_bits(widest.message)
+    block = chunk_size(min(spec.config.n_ghz for spec in specs))
+    for start in range(0, widest.trials, block):
+        inputs = [_trial(widest, t, pinned) for t in range(start, min(start + block, widest.trials))]
+        for row, spec in enumerate(specs):
+            size = chunk_size(spec.config.n_ghz)
+            for lo in range(0, len(inputs), size):
+                chunk = [Trial(*t) for t in inputs[lo:lo + size]]
+                yield row, *run_chunk(spec.config, spec.attack, chunk)
 
 
 def _trial_record(index: int, res: SessionResult) -> dict:
@@ -237,10 +271,8 @@ def _trial_record(index: int, res: SessionResult) -> dict:
 
 def run(spec: RunSpec) -> RunReport:
     """Execute spec.trials independent sessions, chunk by chunk, and aggregate."""
-    pinned = None if spec.message is None else parse_bits(spec.message)
-    trials = (_trial(spec, t, pinned) for t in range(spec.trials))
     tally, per_trial = Tally(), []
-    for chunk, sessions in run_trials(spec.config, spec.attack, trials):
+    for _, chunk, sessions in _chunks([spec]):
         tally += chunk
         first = len(per_trial)
         per_trial.extend(_trial_record(first + i, res) for i, res in enumerate(sessions))
@@ -336,32 +368,23 @@ class SweepReport:
 def sweep_detection_curve(base: RunSpec, m_values: list[int]) -> SweepReport:
     """One row per m, keeping the number of surviving triples constant.
 
-    Each row reports what `run` would for its m under base.seed. A trial's
-    keys, message and session seed do not depend on m (a longer counter-mode
-    key starts with every shorter one), so they are built once per block of
-    chunk_size(smallest n) trials, for the widest row. Every row runs fresh
-    `Trial`s from them, as a `Trial`'s generators are consumed when it runs.
+    Each row reports what `run` would for its m under base.seed. A row
+    reports only the authentication phase, so its trials send no message.
     """
     if any(m < 1 for m in m_values):
         raise ConfigError("m values must be positive")
     surplus = base.config.n_ghz - base.config.m_auth_check
     specs = [
-        replace(base, config=replace(base.config, m_auth_check=m, n_ghz=m + surplus))
+        replace(base, config=replace(base.config, m_auth_check=m, n_ghz=m + surplus),
+                message_bits=None, message=None)
         for m in m_values
     ]
     report = SweepReport(seed=base.seed, trials=base.trials)
     if not specs:
         return report
-    widest = max(specs, key=lambda spec: spec.config.n_ghz)
-    pinned = None if base.message is None else parse_bits(base.message)
-    block = chunk_size(min(spec.config.n_ghz for spec in specs))
     tallies = [Tally() for _ in specs]
-    for start in range(0, base.trials, block):
-        inputs = [_trial(widest, t, pinned) for t in range(start, min(start + block, base.trials))]
-        for row, spec in enumerate(specs):
-            fresh = (Trial(t.alice_key, t.bob_key, t.message, t.seed) for t in inputs)
-            for chunk, _ in run_trials(spec.config, spec.attack, fresh):
-                tallies[row] += chunk
+    for row, chunk, _ in _chunks(specs):
+        tallies[row] += chunk
     for spec, tally in zip(specs, tallies):
         report.rows.append(
             {

@@ -43,11 +43,9 @@ from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -596,13 +594,6 @@ def message_check_and_deliver(
 # ---------------------------------------------------------------------------
 # Trial-major orchestration
 
-# Most rows a chunk holds: a chunk runs max(1, ROW_CAP // n_ghz) trials.
-# Larger chunks buy little once numpy calls are amortised, and each row
-# held costs its draws and node indices, so the cap keeps peak memory
-# flat however many trials a run has.
-ROW_CAP = 512
-
-
 @dataclass(frozen=True)
 class Tally:
     """Integer counts over a set of trials; tallies of disjoint sets add with `+`.
@@ -637,10 +628,12 @@ class Tally:
 class SessionResult:
     """One trial's outcome; `msg` is None when the trial sent no message.
 
-    `bell`, `x` and `eve` are the outcome codes at each of `plan.positions`:
-    the Bell outcome (an index into BELL_OUTCOMES), the x outcome (into
-    X_OUTCOMES) and Eve's z outcome per ancilla slot, -1 where she attached
-    none. They are views into the trial's chunk.
+    `bell`, `x`, `eve` and `eve_msg` are the outcome codes at each of
+    `plan.positions`: the Bell outcome (an index into BELL_OUTCOMES), the x
+    outcome (into X_OUTCOMES), Eve's z outcome per ancilla slot, -1 where
+    she attached none, and her message-phase outcome (an intercept's at
+    send time, the message-phase ancilla's at her step), -1 where she did
+    not attack. They are views into the trial's chunk.
     """
 
     auth_verdict: Verdict
@@ -654,8 +647,7 @@ class SessionResult:
     bell: np.ndarray | None = None
     x: np.ndarray | None = None
     eve: np.ndarray | None = None  # (used positions, ancilla slots)
-    # (Alice's bit, Eve's outcome) for each message-phase attack.
-    eve_observations: list[tuple[int, int]] = field(default_factory=list)
+    eve_msg: np.ndarray | None = None
 
     @property
     def delivered_ok(self) -> bool:
@@ -714,19 +706,15 @@ def _message_phase(
     decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
     if table.message_ancilla:
         eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
+    elif eve_msg is None:  # Eve ignores the message channel
+        eve_msg = np.full(len(node), -1)
 
     for i, plan, lo, hi in zip(active, plans, bounds, bounds[1:]):
         res = results[i]
         res.plan, res.decoded_bits = plan, decoded[lo:hi]
-        res.bell, res.x, res.eve = bell[lo:hi], x[lo:hi], eve[lo:hi]
-        if eve_msg is not None:
-            outcomes = eve_msg[lo:hi]
-            seen = outcomes >= 0
-            res.eve_observations = list(zip(plan.bits[seen].tolist(), outcomes[seen].tolist()))
+        res.bell, res.x, res.eve, res.eve_msg = bell[lo:hi], x[lo:hi], eve[lo:hi], eve_msg[lo:hi]
         res.msg = message_check_and_deliver(decoded[lo:hi], plan, config.error_threshold_msg,
                                             config.codec)
-    if eve_msg is None:
-        return (0, 0, 0, 0)
     seen = eve_msg >= 0
     return tuple(np.bincount(2 * chunk_plan.bits[seen] + eve_msg[seen], minlength=4).tolist())
 
@@ -775,24 +763,6 @@ def run_chunk(
         eve=eve,
     )
     return tally, results
-
-
-def chunk_size(n_ghz: int) -> int:
-    """Most trials of n_ghz triples each that one chunk runs: max(1, ROW_CAP // n_ghz)."""
-    return max(1, ROW_CAP // n_ghz)
-
-
-def run_trials(
-    config: SessionConfig, attack: AttackModel, trials: Iterable[Trial]
-) -> Iterator[tuple[Tally, list[SessionResult]]]:
-    """Run `trials` in chunks of chunk_size(n_ghz) trials, yielding each chunk's results.
-
-    Each chunk's trials are taken from `trials` only when the chunk starts.
-    """
-    size = chunk_size(config.n_ghz)
-    trials = iter(trials)
-    while chunk := list(islice(trials, size)):
-        yield run_chunk(config, attack, chunk)
 
 
 def run_session(

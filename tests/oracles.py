@@ -423,8 +423,10 @@ def reference_run(spec):
         session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
         config = replace(spec.config, rng_seed=session_seed)
         res = run_session(config, alice_key, bob_key, message, spec.attack)
-        for bit, outcome in res.eve_observations:
-            eve_counts[str(bit)][str(outcome)] += 1
+        if res.eve_msg is not None:
+            seen = res.eve_msg >= 0
+            for bit, outcome in zip(res.plan.bits[seen].tolist(), res.eve_msg[seen].tolist()):
+                eve_counts[str(bit)][str(outcome)] += 1
 
         verdict_counts[res.auth_verdict.value] += 1
         if res.msg is not None:

@@ -223,6 +223,13 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
     code = cli_main(["run", "--n-ghz", "4", "--auth-check-bits", "9", "--trials", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # A sweep checks the default 64 message bits against the base survivors,
+    # which every row shares, though its rows send no message.
+    with pytest.raises(CapacityError):
+        spec(config=SessionConfig(n_ghz=8, m_auth_check=2), message_bits=64)
+    code = cli_main(["sweep", "--n-ghz", "8", "--auth-check-bits", "2", "--trials", "1"])
+    assert code == 1
+    assert "exceeds 6 surviving triples" in capsys.readouterr().err
     # A negative seed is a configuration error too, caught before --out is created.
     out = tmp_path / "r.json"
     for command in ("run", "sweep"):
@@ -446,7 +453,7 @@ def run_specs(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
-@given(spec=run_specs(), row_cap=st.sampled_from([1, 13, 30, 64, protocol.ROW_CAP]))
+@given(spec=run_specs(), row_cap=st.sampled_from([1, 13, 30, 64, harness.ROW_CAP]))
 @example(  # chunks of two trials in which every trial aborts
     spec=RunSpec(
         config=SessionConfig(n_ghz=24, m_auth_check=6),
@@ -464,7 +471,7 @@ def run_specs(draw):
     row_cap=60,
 )
 def test_chunked_run_matches_trial_by_trial_reference(spec, row_cap):
-    with mock.patch.object(protocol, "ROW_CAP", row_cap):
+    with mock.patch.object(harness, "ROW_CAP", row_cap):
         got = run(spec).to_json(include_timestamp=False)
     assert got == reference_run(spec).to_json(include_timestamp=False)
 
@@ -478,9 +485,14 @@ def test_chunks_stay_within_row_cap(monkeypatch):
         return auth_phase(config, attack, trials)
 
     monkeypatch.setattr(protocol, "auth_phase", recording_auth_phase)
-    run(spec(config=SessionConfig(n_ghz=128, m_auth_check=16), trials=20, message_bits=40))
+    base = spec(config=SessionConfig(n_ghz=128, m_auth_check=16), trials=20, message_bits=40)
+    run(base)
     assert sum(rows) == 20 * 128
-    assert max(rows) <= protocol.ROW_CAP
+    assert max(rows) <= harness.ROW_CAP
+    rows.clear()  # a sweep's rows of 113, 128 and 152 triples, in blocks of four trials
+    sweep_detection_curve(base, [1, 16, 40])
+    assert sum(rows) == 20 * (113 + 128 + 152)
+    assert max(rows) <= harness.ROW_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +503,7 @@ def test_chunks_stay_within_row_cap(monkeypatch):
 @given(
     base=run_specs(),
     m_values=st.lists(st.integers(1, 8), min_size=1, max_size=4),
-    row_cap=st.sampled_from([1, 13, 30, 64, protocol.ROW_CAP]),
+    row_cap=st.sampled_from([1, 13, 30, 64, harness.ROW_CAP]),
 )
 @example(  # rows of 125, 128 and 132 triples: only the widest row's key has a second block
     base=RunSpec(
@@ -501,10 +513,10 @@ def test_chunks_stay_within_row_cap(monkeypatch):
         trials=12, seed=27, message_bits=8,
     ),
     m_values=[8, 1, 4, 4],
-    row_cap=protocol.ROW_CAP,
+    row_cap=harness.ROW_CAP,
 )
 def test_sweep_matches_one_run_per_m(base, m_values, row_cap):
-    with mock.patch.object(protocol, "ROW_CAP", row_cap):
+    with mock.patch.object(harness, "ROW_CAP", row_cap):
         got = sweep_detection_curve(base, m_values)
     want = reference_sweep(base, m_values)
     assert got.to_json() == want.to_json()
@@ -523,9 +535,31 @@ def test_sweep_derives_each_trials_keys_once(monkeypatch):
     base = spec(config=SessionConfig(n_ghz=8, m_auth_check=2),
                 attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}), trials=7,
                 message_bits=None)
-    sweep_detection_curve(base, [1, 3, 2])
-    # Alice's and Bob's key per trial, each long enough for the widest row.
-    assert calls == [9] * 14
+    # Alice's and Bob's key per trial, each long enough for the widest row:
+    # n + 1 = 9 triples in the sweep, n in a run.
+    for drive, needed in ((lambda: sweep_detection_curve(base, [1, 3, 2]), 9),
+                          (lambda: run(base), 8)):
+        calls.clear()
+        drive()
+        assert calls == [needed] * 14
+
+
+def test_sweep_skips_the_message_phase(monkeypatch):
+    """A sweep row reports only the authentication phase, so none of its
+    trials plans a message, though the base spec sends one."""
+    calls = []
+    plan = protocol.plan_message_positions
+
+    def counting_plan(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(protocol, "plan_message_positions", counting_plan)
+    base = spec(config=SessionConfig(n_ghz=24, m_auth_check=2), trials=5, message_bits=8)
+    sweep_detection_curve(base, [1, 2, 4])
+    assert calls == []
+    run(base)  # every honest trial authenticates and plans its message
+    assert len(calls) == 5
 
 
 def test_perfbench_tracer_wraps_every_call_site(capsys):

@@ -36,7 +36,7 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.authkeys import derive_key
-from ghzqdc.ecc import hamming74_codec, parse_bits
+from ghzqdc.ecc import Codec, parse_bits
 from ghzqdc.protocol import SessionConfig, Transcript, render_transcript, run_session
 
 DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "data" / "transcript_digests.json"
@@ -81,7 +81,7 @@ def small_session(attack=NO_ATTACK, message="10110010", **config) -> Transcript:
 CASES = {
     "honest": golden_session,
     "attacked": golden_attacked_session,
-    "qdc2_hamming74": lambda: small_session(protocol_variant="qdc2", codec=hamming74_codec()),
+    "qdc2_hamming74": lambda: small_session(protocol_variant="qdc2", codec=Codec("hamming74")),
     "auth_aborted": lambda: small_session(
         intercept_resend_attack({Channel.TRENT_TO_ALICE}), m_auth_check=8),
     "auth_only": lambda: small_session(message=None),

@@ -14,17 +14,9 @@ from .adversary import (
     intercept_resend_attack,
 )
 from .authkeys import AuthKey, derive_key
-from .ecc import Codec, codec_by_name, hamming74_codec, none_codec, repetition_codec
+from .ecc import Codec
 from .harness import RunSpec, run, sweep_detection_curve
 from .protocol import SessionConfig, SessionResult, Verdict, render_transcript, run_session
-from .statevector import (
-    BellOutcome,
-    PureState,
-    XOutcome,
-    measure_bell,
-    measure_x,
-    measure_z,
-    new_ghz3,
-)
+from .statevector import BellOutcome, PureState, XOutcome, new_ghz3
 
 __version__ = "0.1.0"

@@ -75,13 +75,14 @@ _KET0 = (complex(1), complex(0))
 _KET1 = (complex(0), complex(1))
 
 
-def _vec2(v) -> np.ndarray:
+# Every check below is written `not (... <= ATOL)`, so a NaN parameter fails it.
+def _vec2(v, what: str) -> np.ndarray:
     arr = np.asarray(v, dtype=complex).reshape(-1)
     if arr.shape[0] != 2:
-        raise InvalidAttackError("ancilla states must be single-qubit (2 amplitudes)")
+        raise InvalidAttackError(f"{what} must be a single-qubit state (2 amplitudes)")
     nrm = float(np.vdot(arr, arr).real)
-    if abs(nrm - 1.0) > ATOL:
-        raise InvalidAttackError(f"ancilla state norm^2 = {nrm}, not 1")
+    if not abs(nrm - 1.0) <= ATOL:
+        raise InvalidAttackError(f"{what} norm^2 = {nrm}, not 1")
     return arr
 
 
@@ -128,20 +129,20 @@ def build_entangling_unitary(
     Index order: 2*bit(channel) + bit(ancilla). Raises InvalidAttackError
     when the parameters cannot define a unitary.
     """
-    e00, e01, e10, e11 = _vec2(e00), _vec2(e01), _vec2(e10), _vec2(e11)
-    ev = _vec2(eve_state)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > ATOL:
+    e00, e01, e10, e11 = _vec2(e00, "e00"), _vec2(e01, "e01"), _vec2(e10, "e10"), _vec2(e11, "e11")
+    ev = _vec2(eve_state, "eve_state")
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= ATOL:
         raise InvalidAttackError("|alpha|^2 + |beta|^2 must be 1")
-    if abs(abs(alpha_p) ** 2 + abs(beta_p) ** 2 - 1.0) > ATOL:
+    if not abs(abs(alpha_p) ** 2 + abs(beta_p) ** 2 - 1.0) <= ATOL:
         raise InvalidAttackError("|alpha'|^2 + |beta'|^2 must be 1")
-    if abs(alpha * np.conj(beta) + np.conj(alpha_p) * beta_p) > ATOL:
+    if not abs(alpha * np.conj(beta) + np.conj(alpha_p) * beta_p) <= ATOL:
         raise InvalidAttackError("alpha beta* + alpha'* beta' must vanish")
 
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
     v0 = alpha * np.kron(ket0, e00) + beta * np.kron(ket1, e01)
     v1 = beta_p * np.kron(ket0, e10) + alpha_p * np.kron(ket1, e11)
-    if abs(np.vdot(v0, v1)) > ATOL:
+    if not abs(np.vdot(v0, v1)) <= ATOL:
         raise InvalidAttackError("the two specified image vectors are not orthogonal")
 
     ev_perp = np.array([-np.conj(ev[1]), np.conj(ev[0])], dtype=complex)
@@ -196,7 +197,7 @@ class AttackModel:
                     self.eve_state,
                 )
             )
-            ancilla = _read_only(_vec2(self.eve_state))
+            ancilla = _read_only(_vec2(self.eve_state, "eve_state"))
         object.__setattr__(self, "_unitary", unitary)
         object.__setattr__(self, "_ancilla", ancilla)
 

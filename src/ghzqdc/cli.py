@@ -18,7 +18,7 @@ from contextlib import nullcontext, suppress
 import numpy as np
 
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK
-from .ecc import check_distance_rule, codec_by_name, format_bits, parse_bits
+from .ecc import Codec, check_distance_rule, format_bits, parse_bits
 from .harness import RunSpec, run, sweep_detection_curve
 from .protocol import ConfigError, SessionConfig, message_channel
 
@@ -107,7 +107,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="fixed message, bits or hex; default draws a fresh one per trial")
     p.add_argument("--message-bits", type=parse_message_bits, default=64,
                    help="random message length when --message is not given; 0 for none")
-    p.add_argument("--ecc", default="none", help="none | rep3 | rep5 | hamming74")
+    p.add_argument("--ecc", default="none", help="none | hamming74 | rep<r> for odd r, e.g. rep3")
     p.add_argument("--attack", choices=[v.value for v in AttackVariant], default="none")
     p.add_argument("--attack-channels", type=parse_channels, default=None,
                    help="comma list of trent-alice, trent-bob, alice-bob, alice-trent")
@@ -161,7 +161,7 @@ def _build_attack(args) -> AttackModel:
 
 
 def _build_spec(args) -> RunSpec:
-    codec = codec_by_name(args.ecc)
+    codec = Codec(args.ecc)
     attack = _build_attack(args)  # a stray attack flag is reported before a bad config
     config = SessionConfig(
         n_ghz=args.n_ghz,

@@ -4,11 +4,12 @@ A frame is: 8 header bits (pad length, uncoded) followed by the coded
 body. The body is the message padded with zeros to a multiple of the
 codec's data width k, encoded block by block into codewords of width n.
 
-Codecs: "none" (pass-through), "repetition" with odd block length r
-(majority vote), and "hamming74" (single error corrected per 7-bit
-block). Neither hamming74 nor odd repetition has detect-but-uncorrectable
-syndromes, so decode never rejects a block; framing inconsistencies
-(bad length, impossible pad) raise FramingError instead.
+A codec is its name, as the CLI and the report spell it: "none"
+(pass-through), "rep<r>" for odd r >= 1 (r-fold repetition, majority
+vote) and "hamming74" (single error corrected per 7-bit block). Neither
+hamming74 nor odd repetition has detect-but-uncorrectable syndromes, so
+decode never rejects a block; framing inconsistencies (bad length,
+impossible pad) raise FramingError instead.
 
 Inside the library a bit sequence is a 1-D uint8 array of 0s and 1s; this
 module owns the "0"/"1" text used at the edges (CLI, report, transcript):
@@ -16,7 +17,7 @@ parse_bits reads and checks it, format_bits writes it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,45 +30,33 @@ class FramingError(ValueError):
 
 @dataclass(frozen=True)
 class Codec:
-    """Block code parameters: codeword width n, data width k, min distance d."""
+    """A block code named as at the CLI and in the report: "none",
+    "hamming74" or "rep<r>" for odd r >= 1. The name fixes the codeword
+    width n, the data width k and the minimum distance d."""
 
-    name: str  # "none" (the 1-fold repetition) | "repetition" | "hamming74"
-    n: int
-    k: int
-    d: int
+    name: str
+    n: int = field(init=False)
+    k: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if self.name not in ("none", "repetition", "hamming74"):
-            raise ValueError(f"unknown codec: {self.name!r}")
-
-
-def none_codec() -> Codec:
-    return Codec("none", n=1, k=1, d=1)
-
-
-def repetition_codec(r: int) -> Codec:
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"repetition length must be odd and positive, got {r}")
-    return Codec("repetition", n=r, k=1, d=r)
-
-
-def hamming74_codec() -> Codec:
-    return Codec("hamming74", n=7, k=4, d=3)
-
-
-def codec_by_name(name: str) -> Codec:
-    """Resolve a CLI codec name: none, rep3, rep5 (any odd repN), hamming74."""
-    if name == "none":
-        return none_codec()
-    if name == "hamming74":
-        return hamming74_codec()
-    if name.startswith("rep"):
-        try:
-            r = int(name[3:])
-        except ValueError:
-            raise ValueError(f"unknown codec name: {name!r}") from None
-        return repetition_codec(r)
-    raise ValueError(f"unknown codec name: {name!r}")
+        name = self.name
+        if name == "none":  # the 1-fold repetition
+            n, k, d = 1, 1, 1
+        elif name == "hamming74":
+            n, k, d = 7, 4, 3
+        else:
+            try:
+                r = int(name[3:]) if isinstance(name, str) and name.startswith("rep") else 0
+            except ValueError:
+                r = 0
+            if r < 1 or r % 2 == 0:
+                raise ValueError(
+                    f"unknown codec: {name!r}; expected none, hamming74 or rep<r> for odd r >= 1"
+                )
+            name, n, k, d = f"rep{r}", r, 1, r
+        for attr, value in (("name", name), ("n", n), ("k", k), ("d", d)):
+            object.__setattr__(self, attr, value)
 
 
 _TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -52,9 +52,7 @@ import numpy as np
 
 from .adversary import AttackModel, Channel, NO_ATTACK, apply_channel_attack, attack_draws
 from .authkeys import AuthKey, random_bits, unitary_for_key_bit
-from .ecc import (
-    Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits, none_codec
-)
+from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits
 from .statevector import (
     BELL_OUTCOMES, H, HX, X_OUTCOMES, PureState, apply_gate, make_state, measure_branches,
     new_ghz3, pick,
@@ -140,7 +138,7 @@ class SessionConfig:
     check_fraction_msg: float = 0.25
     error_threshold_auth: float = 0.0
     error_threshold_msg: float = 0.0
-    codec: Codec = field(default_factory=none_codec)
+    codec: Codec = Codec("none")
     protocol_variant: str = "qdc1"
     rng_seed: int = 0
     measure_order: tuple[str, str, str] | None = None  # permutation of bob/trent/eve
@@ -175,7 +173,7 @@ class SessionConfig:
             "check_fraction_msg": self.check_fraction_msg,
             "error_threshold_auth": self.error_threshold_auth,
             "error_threshold_msg": self.error_threshold_msg,
-            "codec": self.codec.name if self.codec.name != "repetition" else f"rep{self.codec.n}",
+            "codec": self.codec.name,
             "protocol_variant": self.protocol_variant,
             "rng_seed": self.rng_seed,
         }

@@ -3,9 +3,14 @@
 Everything here is computed from scratch with full 2^n x 2^n matrices and
 explicit projectors, deliberately avoiding the library's tensor-network
 code paths, so the two routes can check each other. A few fixtures ride
-along: a basis-state constructor, a global-phase comparison and a hash stub.
+along: a basis-state constructor, a global-phase comparison, a hash stub and
+a loader for the repository's scripts.
 """
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
@@ -527,3 +532,13 @@ def reference_sweep(base, m_values):
             }
         )
     return report
+
+
+def load_script(relative_path: str) -> ModuleType:
+    """The module of a file outside the package, such as "scripts/pin_golden_reports.py",
+    loaded from its path relative to the repository root."""
+    path = Path(__file__).parent.parent / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -17,10 +17,7 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.authkeys import AuthKey, random_bits, unitary_for_key_bit
-from ghzqdc.ecc import (
-    decode as ecc_decode, encode as ecc_encode, format_bits, hamming74_codec, parse_bits,
-    repetition_codec,
-)
+from ghzqdc.ecc import Codec, decode as ecc_decode, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
 from ghzqdc.protocol import SessionConfig, Verdict, run_session, _decode
 from ghzqdc.statevector import (
@@ -383,7 +380,7 @@ def test_08_eve_cannot_distinguish_encodings(variant, params_name):
 
 
 def test_09a_hamming_corrects_all_single_errors():
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     cases = failures = 0
     for k in range(16):
         data = format(k, "04b")
@@ -400,7 +397,7 @@ def test_09a_hamming_corrects_all_single_errors():
 
 
 def test_09b_partial_coverage_attack_with_repetition_code():
-    codec = repetition_codec(5)
+    codec = Codec("rep5")
     config = SessionConfig(
         n_ghz=160,
         m_auth_check=8,

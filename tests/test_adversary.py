@@ -1,5 +1,6 @@
 """Adversary models: disturbance statistics, secrecy, unitarity."""
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,24 @@ def test_general_attack_parameter_validation():
             channels=frozenset({Channel.ALICE_TO_BOB}),
             e00=(0.5, 0.5),  # not normalized
         )
+
+
+# Each attack parameter, and the check a NaN in it must fail.
+_NAN_CHECKS = {
+    "alpha": "|alpha|^2 + |beta|^2 must be 1",
+    "beta": "|alpha|^2 + |beta|^2 must be 1",
+    "alpha_p": "|alpha'|^2 + |beta'|^2 must be 1",
+    "beta_p": "|alpha'|^2 + |beta'|^2 must be 1",
+    **{v: f"{v} norm^2 = nan" for v in ("e00", "e01", "e10", "e11", "eve_state")},
+}
+
+
+@pytest.mark.parametrize("param", list(_NAN_CHECKS))
+def test_general_attack_rejects_nan_at_its_check(param):
+    nan = complex("nan")
+    value = nan if param in ("alpha", "beta", "alpha_p", "beta_p") else (nan, 0)
+    with pytest.raises(InvalidAttackError, match=re.escape(_NAN_CHECKS[param])):
+        entangle_general_attack({Channel.ALICE_TO_BOB}, **{param: value})
 
 
 def test_general_attack_unitarity():

@@ -1,4 +1,6 @@
 """Codecs: exhaustive Hamming checks, repetition, framing, the bit text edge."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,12 @@ from ghzqdc.ecc import (
     Codec,
     FramingError,
     check_distance_rule,
-    codec_by_name,
     decode,
     encode,
     format_bits,
-    hamming74_codec,
-    none_codec,
     parse_bits,
-    repetition_codec,
 )
+from ghzqdc.protocol import SessionConfig
 
 import oracles
 
@@ -45,12 +44,12 @@ def flip(word: str, pos: int) -> str:
 
 
 def test_hamming_zero_word():
-    frame = encode_text(hamming74_codec(), "0000")
+    frame = encode_text(Codec("hamming74"), "0000")
     assert frame == "00000000" + "0000000"
 
 
 def test_hamming_all_codewords_match_matrix_oracle():
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     for k in range(16):
         data = format(k, "04b")
         frame = encode_text(codec, data)
@@ -60,7 +59,7 @@ def test_hamming_all_codewords_match_matrix_oracle():
 
 def test_hamming_corrects_every_single_bit_flip():
     """All 16 codewords x 7 flip positions decode back, one correction."""
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     failures = 0
     for k in range(16):
         data = format(k, "04b")
@@ -73,7 +72,7 @@ def test_hamming_corrects_every_single_bit_flip():
 
 
 def test_hamming_linearity():
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     words = {k: encode_text(codec, format(k, "04b"))[8:] for k in range(16)}
     for a in range(16):
         for b in range(16):
@@ -84,7 +83,7 @@ def test_hamming_linearity():
 def test_hamming_double_error_is_miscorrected_not_flagged():
     # d=3 cannot correct two flips; the decoder still "fixes" one bit and
     # returns wrong data. Pin that behavior so it stays documented.
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     data = "1011"
     word = flip(flip(encode_text(codec, data)[8:], 0), 6)
     got, fixed = decode_text(codec, "00000000" + word)
@@ -97,34 +96,45 @@ def test_hamming_double_error_is_miscorrected_not_flagged():
 
 
 def test_repetition_encode():
-    assert encode_text(repetition_codec(3), "1")[8:] == "111"
+    assert encode_text(Codec("rep3"), "1")[8:] == "111"
 
 
 def test_repetition_majority_vote():
-    got, fixed = decode_text(repetition_codec(3), "00000000" + "101")
+    got, fixed = decode_text(Codec("rep3"), "00000000" + "101")
     assert got == "1"
     assert fixed == 1
 
 
 def test_repetition_requires_odd_length():
     with pytest.raises(ValueError):
-        repetition_codec(4)
+        Codec("rep4")
 
 
-def test_codec_by_name():
-    assert codec_by_name("rep5").n == 5
-    assert codec_by_name("hamming74").k == 4
-    assert codec_by_name("none").d == 1
-    with pytest.raises(ValueError):
-        codec_by_name("turbo")
-    with pytest.raises(ValueError):
-        Codec("turbo", n=1, k=1, d=1)
+def test_codec_from_name():
+    """The name is a codec's only setting: it fixes (n, k, d) and the report's echo."""
+    assert [f.name for f in fields(Codec) if f.init] == ["name"]
+    for name, echo, nkd in (
+        ("none", "none", (1, 1, 1)),
+        ("hamming74", "hamming74", (7, 4, 3)),
+        ("rep1", "rep1", (1, 1, 1)),
+        ("rep5", "rep5", (5, 1, 5)),
+        ("rep03", "rep3", (3, 1, 3)),
+        ("rep+3", "rep3", (3, 1, 3)),
+        ("rep 3", "rep3", (3, 1, 3)),
+    ):
+        codec = Codec(name)
+        assert (codec.name, codec.n, codec.k, codec.d) == (echo, *nkd)
+        assert codec == Codec(echo)
+        assert SessionConfig(n_ghz=8, m_auth_check=1, codec=codec).to_dict()["codec"] == echo
+    for name in ("rep4", "rep0", "rep-1", "rep", "rep3.0", "turbo", None):
+        with pytest.raises(ValueError):
+            Codec(name)
 
 
 @given(bits, st.sampled_from(["none", "rep3", "rep5", "hamming74"]))
 @settings(max_examples=120, deadline=None)
 def test_round_trip_all_codecs(data, name):
-    codec = codec_by_name(name)
+    codec = Codec(name)
     got, fixed = decode_text(codec, encode_text(codec, data))
     assert got == data
     assert fixed == 0
@@ -134,7 +144,7 @@ def test_round_trip_all_codecs(data, name):
 @settings(max_examples=80, deadline=None)
 def test_round_trip_under_correctable_errors(data, name):
     """Flipping up to floor((d-1)/2) bits in each block is transparent."""
-    codec = codec_by_name(name)
+    codec = Codec(name)
     frame = encode_text(codec, data)
     body = frame[8:]
     t = (codec.d - 1) // 2
@@ -156,7 +166,7 @@ def test_repetition_exhaustive_correctable_patterns(r):
     """Every error pattern within the majority-vote bound, both bit values."""
     from itertools import combinations
 
-    codec = repetition_codec(r)
+    codec = Codec(f"rep{r}")
     t = (codec.d - 1) // 2
     for data in ("0", "1"):
         word = encode_text(codec, data)[8:]
@@ -171,7 +181,7 @@ def test_repetition_exhaustive_correctable_patterns(r):
 
 
 def test_padding_header_round_trip():
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     frame = encode_text(codec, "10110")  # 5 bits -> pad 3
     assert frame[:8] == format(3, "08b")
     assert len(frame) == 8 + 2 * 7
@@ -180,14 +190,14 @@ def test_padding_header_round_trip():
 
 
 def test_empty_message_frame():
-    codec = none_codec()
+    codec = Codec("none")
     frame = encode_text(codec, "")
     assert frame == "00000000"
     assert decode_text(codec, frame) == ("", 0)
 
 
 def test_framing_errors():
-    codec = hamming74_codec()
+    codec = Codec("hamming74")
     with pytest.raises(FramingError):
         decode_text(codec, "0000")  # shorter than the header
     with pytest.raises(FramingError):

@@ -1,17 +1,14 @@
 """Monte Carlo driver: aggregation, reproducibility, sweeps, CLI."""
 import csv
 import hashlib
-import importlib.util
 import io
 import json
-from pathlib import Path
-
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import reference_run, reference_sweep
+from oracles import load_script, reference_run, reference_sweep
 
 import ghzqdc.cli
 from ghzqdc import harness, protocol
@@ -24,7 +21,7 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.cli import main as cli_main, parse_complex, parse_message
-from ghzqdc.ecc import codec_by_name, format_bits
+from ghzqdc.ecc import Codec, format_bits
 from ghzqdc.harness import (
     RunSpec,
     _derive_trial_keys,
@@ -253,6 +250,13 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
         assert code == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+    # A NaN attack parameter fails the check that names it.
+    code = cli_main(["run", "--n-ghz", "20", "--auth-check-bits", "2", "--message-bits", "4",
+                     "--trials", "2", "--attack", "entangle-general", "--alpha", "nan",
+                     "--out", str(out)])
+    assert code == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
     # A malformed flag is a usage error, raised before --out is created.
     out = tmp_path / "r.csv"
     for m_values in ("0,1", "1,x", ","):
@@ -365,18 +369,7 @@ def test_codec_warning_only_when_a_used_channel_is_attacked(capsys):
     assert json.loads(captured.out)["message"]["error_rate"] > 0.25
 
 
-def _pin_golden_reports():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).parent.parent / "scripts" / "pin_golden_reports.py"
-    module_spec = importlib.util.spec_from_file_location("pin_golden_reports", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
-    return module
-
-
-GOLDEN = _pin_golden_reports()
+GOLDEN = load_script("scripts/pin_golden_reports.py")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN.CONFIGS))
@@ -404,10 +397,7 @@ def test_trial_draws_known_answer():
 def test_attack_comparison_script(protocol, capsys):
     """scripts/run_attack_comparison.py prints one row per attack model; the
     general attack lands on the protocol's own message channel."""
-    path = Path(__file__).parent.parent / "scripts" / "run_attack_comparison.py"
-    module_spec = importlib.util.spec_from_file_location("run_attack_comparison", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
+    module = load_script("scripts/run_attack_comparison.py")
     module.main(["--protocol", protocol, "--trials", "2"])
     lines = capsys.readouterr().out.splitlines()
     names = ["none", "intercept (auth)", "entangle-cnot (auth)", "entangle-general (msg)"]
@@ -435,7 +425,7 @@ def run_specs(draw):
         check_fraction_msg=draw(st.sampled_from([0.0, 0.1, 0.25])),
         error_threshold_auth=draw(st.sampled_from([0.0, 0.25, 1.0])),
         error_threshold_msg=draw(st.sampled_from([0.0, 0.3, 1.0])),
-        codec=codec_by_name(draw(st.sampled_from(["none", "rep3", "hamming74"]))),
+        codec=Codec(draw(st.sampled_from(["none", "rep3", "hamming74"]))),
         protocol_variant=draw(st.sampled_from(["qdc1", "qdc2"])),
         measure_order=draw(st.sampled_from(_ORDERS)),
     )
@@ -564,10 +554,7 @@ def test_sweep_skips_the_message_phase(monkeypatch):
 
 def test_perfbench_tracer_wraps_every_call_site(capsys):
     """The benchmark's tracer rebinds library names by string; each must still exist."""
-    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
-    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(tracing)
+    tracing = load_script("perfbench/tracing.py")
     original_run = harness.run
     tracer = tracing.Tracer()
     try:

@@ -17,7 +17,7 @@ from ghzqdc.adversary import (
     intercept_resend_attack,
 )
 from ghzqdc.authkeys import AuthKey, random_bits
-from ghzqdc.ecc import encode as ecc_encode, format_bits, hamming74_codec, parse_bits
+from ghzqdc.ecc import Codec, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.protocol import (
     CapacityError,
     ConfigError,
@@ -337,7 +337,7 @@ def test_message_check_and_deliver_discards_on_errors():
         is_check=np.arange(10) >= 8,
     )
     decoded = parse_bits("0" * 10)  # both check bits wrong
-    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=hamming74_codec())
+    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=Codec("hamming74"))
     assert res.verdict is Verdict.MESSAGE_DISCARDED
     assert res.error_rate == 1.0
     assert res.message is None
@@ -354,7 +354,7 @@ def test_message_check_and_deliver_discards_on_errors():
 def test_message_check_and_deliver_framing_failure_discards():
     plan = MessagePlan(positions=np.arange(9), bits=parse_bits("0" * 9), is_check=np.zeros(9, bool))
     decoded = parse_bits("0" * 9)  # 1-bit body cannot be hamming74
-    res = message_check_and_deliver(decoded, plan, threshold=0.5, codec=hamming74_codec())
+    res = message_check_and_deliver(decoded, plan, threshold=0.5, codec=Codec("hamming74"))
     assert res.verdict is Verdict.MESSAGE_DISCARDED
     assert res.diagnostic is not None
     tail = message_tail(plan, decoded, res)
@@ -368,14 +368,14 @@ def test_message_check_and_deliver_framing_failure_discards():
 
 
 def test_message_check_and_deliver_delivers_after_verdict():
-    frame = format_bits(ecc_encode(hamming74_codec(), parse_bits("1011")))
+    frame = format_bits(ecc_encode(Codec("hamming74"), parse_bits("1011")))
     n = len(frame) + 1
     plan = MessagePlan(  # the frame, then check bit 1 at the last position
         positions=np.arange(n), bits=parse_bits(frame + "1"), is_check=np.arange(n) == n - 1
     )
     decoded = plan.bits.copy()
     decoded[9] ^= 1  # one body error, corrected by the code
-    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=hamming74_codec())
+    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=Codec("hamming74"))
     assert res.verdict is Verdict.MESSAGE_DELIVERED
     assert (format_bits(res.message), res.corrected_errors) == ("1011", 1)
     tail = message_tail(plan, decoded, res)
@@ -596,20 +596,8 @@ def test_announcements_view_is_public_subset():
     assert not any(e.payload.get("what") == "bell_outcome" for e in announcements)
 
 
-def _script(name):
-    """The module of scripts/<name>.py."""
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _dump_transcript_script():
-    return _script("dump_honest_transcript")
+    return oracles.load_script("scripts/dump_honest_transcript.py")
 
 
 def _fixture_text(name):
@@ -653,7 +641,7 @@ def test_branch_table_digests():
     """Every array of every branch table over the grid of
     scripts/pin_branch_tables.py (396 tables) keeps its bytes. Regenerate
     with --write after an intentional change of the table."""
-    script = _script("pin_branch_tables")
+    script = oracles.load_script("scripts/pin_branch_tables.py")
     expected = json.loads(script.FIXTURE.read_text(encoding="ascii"))
     got = script.digests()
     assert sorted(got) == sorted(expected)
@@ -665,7 +653,7 @@ def test_branch_table_digests():
 def test_branch_table_cache_ignores_coverage(make):
     """Attacks that differ only in coverage share one cached table, and a
     fresh build at either coverage has the same bytes: no array reads it."""
-    script = _script("pin_branch_tables")
+    script = oracles.load_script("scripts/pin_branch_tables.py")
     order = ("bob", "trent", "eve")
     channels = {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}
     half, full = make(channels, 0.5), make(channels, 1.0)

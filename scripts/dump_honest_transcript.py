@@ -28,13 +28,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from ghzqdc.adversary import (
-    NO_ATTACK,
-    Channel,
-    entangle_cnot_attack,
-    entangle_general_attack,
-    intercept_resend_attack,
-)
+from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.authkeys import derive_key
 from ghzqdc.ecc import Codec, parse_bits
 from ghzqdc.protocol import SessionConfig, Transcript, render_transcript, run_session
@@ -66,8 +60,10 @@ def golden_attacked_session() -> Transcript:
         measure_order=("bob", "eve", "trent"),
         rng_seed=31,
     )
-    attack = entangle_general_attack(
-        {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}, coverage=0.5
+    attack = AttackModel(
+        "entangle-general",
+        {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB},
+        coverage=0.5,
     )
     return session(config, attack)
 
@@ -83,14 +79,14 @@ CASES = {
     "attacked": golden_attacked_session,
     "qdc2_hamming74": lambda: small_session(protocol_variant="qdc2", codec=Codec("hamming74")),
     "auth_aborted": lambda: small_session(
-        intercept_resend_attack({Channel.TRENT_TO_ALICE}), m_auth_check=8),
+        AttackModel("intercept", {Channel.TRENT_TO_ALICE}), m_auth_check=8),
     "auth_only": lambda: small_session(message=None),
-    "msg_discarded": lambda: small_session(entangle_cnot_attack({Channel.ALICE_TO_BOB})),
+    "msg_discarded": lambda: small_session(AttackModel("entangle-cnot", {Channel.ALICE_TO_BOB})),
     "intercept_qdc2": lambda: small_session(
-        intercept_resend_attack({Channel.ALICE_TO_TRENT}), protocol_variant="qdc2",
+        AttackModel("intercept", {Channel.ALICE_TO_TRENT}), protocol_variant="qdc2",
         measure_order=("eve", "trent", "bob"), error_threshold_msg=1.0),
     "cnot_two_slots": lambda: small_session(
-        entangle_cnot_attack({Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}),
+        AttackModel("entangle-cnot", {Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}),
         measure_order=("eve", "bob", "trent"), error_threshold_auth=1.0,
         error_threshold_msg=1.0),
 }

@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ghzqdc.adversary import (
-    NO_ATTACK,
-    Channel,
-    entangle_cnot_attack,
-    entangle_general_attack,
-    intercept_resend_attack,
-)
+from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.protocol import branch_table
 
 FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "data" / "branch_table_digests.json"
@@ -40,11 +34,11 @@ CHANNEL_SUBSETS = (
 )
 COVERAGES = (0.5, 1.0)
 ATTACKS = {
-    "cnot": entangle_cnot_attack,
-    "general_complex": lambda channels, coverage: entangle_general_attack(
-        channels, coverage, alpha=0.8j, beta=0.6, alpha_p=0.8, beta_p=-0.6j),
-    "intercept_z": lambda channels, coverage: intercept_resend_attack(channels, coverage, "z"),
-    "intercept_x": lambda channels, coverage: intercept_resend_attack(channels, coverage, "x"),
+    "cnot": lambda channels, coverage: AttackModel("entangle-cnot", channels, coverage),
+    "general_complex": lambda channels, coverage: AttackModel(
+        "entangle-general", channels, coverage, alpha=0.8j, beta=0.6, alpha_p=0.8, beta_p=-0.6j),
+    "intercept_z": lambda channels, coverage: AttackModel("intercept", channels, coverage, "z"),
+    "intercept_x": lambda channels, coverage: AttackModel("intercept", channels, coverage, "x"),
 }
 
 

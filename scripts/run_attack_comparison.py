@@ -7,13 +7,7 @@ entangling unitary hits the message channel of the chosen protocol.
 """
 import argparse
 
-from ghzqdc.adversary import (
-    Channel,
-    NO_ATTACK,
-    entangle_cnot_attack,
-    entangle_general_attack,
-    intercept_resend_attack,
-)
+from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.harness import RunSpec, run
 from ghzqdc.protocol import SessionConfig, message_channel
 
@@ -28,9 +22,9 @@ def main(argv=None) -> None:
     msg_channel = message_channel(args.protocol)
     attacks = {
         "none": NO_ATTACK,
-        "intercept (auth)": intercept_resend_attack({Channel.TRENT_TO_ALICE}),
-        "entangle-cnot (auth)": entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
-        "entangle-general (msg)": entangle_general_attack({msg_channel}),
+        "intercept (auth)": AttackModel("intercept", {Channel.TRENT_TO_ALICE}),
+        "entangle-cnot (auth)": AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE}),
+        "entangle-general (msg)": AttackModel("entangle-general", {msg_channel}),
     }
     config = SessionConfig(
         n_ghz=48,

@@ -4,15 +4,7 @@ A desk-scale simulator: a dense statevector core, keyed authentication,
 two direct-messaging protocol variants, eavesdropper models, and a
 seeded Monte Carlo harness with machine-readable reports.
 """
-from .adversary import (
-    AttackModel,
-    AttackVariant,
-    Channel,
-    NO_ATTACK,
-    entangle_cnot_attack,
-    entangle_general_attack,
-    intercept_resend_attack,
-)
+from .adversary import NO_ATTACK, AttackModel, AttackVariant, Channel
 from .authkeys import AuthKey, derive_key
 from .ecc import Codec
 from .harness import RunSpec, run, sweep_detection_curve

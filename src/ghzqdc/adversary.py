@@ -1,12 +1,14 @@
 """Eavesdropper models attached to the quantum channel hook points.
 
-Four variants:
-  * none: transparent channel.
-  * intercept-resend: Eve measures the transiting qubit (z basis by
-    default, x as a config option) and forwards the collapsed state.
-  * entangle-cnot: Eve appends a |0> ancilla and applies a controlled
+An attack is one `AttackModel(variant, channels, coverage, ...)`; the
+variant is named as on the CLI's --attack flag:
+  * "none": transparent channel.
+  * "intercept" (intercept-resend): Eve measures the transiting qubit (z
+    basis by default, `intercept_basis="x"` as an option) and forwards the
+    collapsed state.
+  * "entangle-cnot": Eve appends a |0> ancilla and applies a controlled
     flip, channel qubit as control, ancilla as target.
-  * entangle-general: Eve appends an ancilla in a configurable state and
+  * "entangle-general": Eve appends an ancilla in a configurable state and
     applies a two-qubit unitary specified by its action on |0>|E> and
     |1>|E>: alpha |0>|e00> + beta |1>|e01> and beta' |0>|e10> +
     alpha' |1>|e11>. The remaining two columns are filled by orthonormal
@@ -26,12 +28,12 @@ keeps that slot in her fresh state, a product factor she never measures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .statevector import ATOL, PureState, append_qubit, apply_two_qubit, measure_z
+from .statevector import ATOL, PureState, append_qubit, apply_two_qubit, complex_constant, measure_z
 from .statevector import measure_x  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 
 
@@ -53,16 +55,14 @@ class Channel(str, Enum):
     ALICE_TO_TRENT = "alice-trent"
 
 
-_CNOT = np.array(
+_CNOT = complex_constant(
     [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 1],
         [0, 0, 1, 0],
-    ],
-    dtype=complex,
+    ]
 )
-_CNOT.setflags(write=False)
 
 # Default general-attack parameters: maximal disturbance, orthogonal
 # ancilla marks. Satisfies |a|^2+|b|^2 = |a'|^2+|b'|^2 = 1 and
@@ -86,14 +86,7 @@ def _vec2(v, what: str) -> np.ndarray:
     return arr
 
 
-def _read_only(v) -> np.ndarray:
-    """A private complex copy of `v` that no caller can write into."""
-    arr = np.array(v, dtype=complex)
-    arr.setflags(write=False)
-    return arr
-
-
-_CNOT_ANCILLA = _read_only(_KET0)
+_CNOT_ANCILLA = complex_constant(_KET0)
 
 
 def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:
@@ -156,7 +149,14 @@ def build_entangling_unitary(
 
 @dataclass(frozen=True)
 class AttackModel:
-    """Immutable adversary configuration."""
+    """Immutable adversary configuration, e.g. AttackModel("entangle-cnot", {"trent-alice"}).
+
+    `variant` and each channel may be given by name; both are stored as
+    enum members, so an unknown name raises ValueError here. `unitary` and
+    `ancilla` are derived: the read-only 4x4 pair unitary and Eve's fresh
+    ancilla for the entangling variants, else None. They are built and
+    validated once, then shared by every attacked transmission.
+    """
 
     variant: AttackVariant = AttackVariant.NONE
     channels: frozenset[Channel] = frozenset()
@@ -171,20 +171,21 @@ class AttackModel:
     e10: tuple[complex, complex] = _KET0
     e11: tuple[complex, complex] = _KET1
     eve_state: tuple[complex, complex] = _KET0
+    unitary: np.ndarray | None = field(init=False, repr=False, compare=False)
+    ancilla: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", AttackVariant(self.variant))
         if not 0.0 <= self.coverage <= 1.0:
             raise InvalidAttackError("coverage must be in [0, 1]")
         if self.intercept_basis not in ("z", "x"):
             raise InvalidAttackError("intercept basis must be 'z' or 'x'")
         object.__setattr__(self, "channels", frozenset(Channel(c) for c in self.channels))
-        # Built and validated once here, then shared read-only by every
-        # attacked transmission.
         unitary = ancilla = None
         if self.variant == AttackVariant.ENTANGLE_CNOT:
             unitary, ancilla = _CNOT, _CNOT_ANCILLA
         elif self.variant == AttackVariant.ENTANGLE_GENERAL:
-            unitary = _read_only(
+            unitary = complex_constant(
                 build_entangling_unitary(
                     self.alpha,
                     self.beta,
@@ -197,17 +198,9 @@ class AttackModel:
                     self.eve_state,
                 )
             )
-            ancilla = _read_only(_vec2(self.eve_state, "eve_state"))
-        object.__setattr__(self, "_unitary", unitary)
-        object.__setattr__(self, "_ancilla", ancilla)
-
-    def unitary(self) -> np.ndarray | None:
-        """The read-only 4x4 pair unitary for the entangling variants, else None."""
-        return self._unitary
-
-    def ancilla_state(self) -> np.ndarray | None:
-        """Eve's read-only fresh ancilla for the entangling variants, else None."""
-        return self._ancilla
+            ancilla = complex_constant(_vec2(self.eve_state, "eve_state"))
+        object.__setattr__(self, "unitary", unitary)
+        object.__setattr__(self, "ancilla", ancilla)
 
     def targets(self, channel: Channel) -> bool:
         return self.variant != AttackVariant.NONE and channel in self.channels
@@ -219,30 +212,6 @@ class AttackModel:
 
 
 NO_ATTACK = AttackModel()
-
-
-def intercept_resend_attack(channels, coverage: float = 1.0, basis: str = "z") -> AttackModel:
-    return AttackModel(
-        variant=AttackVariant.INTERCEPT_RESEND,
-        channels=frozenset(channels),
-        coverage=coverage,
-        intercept_basis=basis,
-    )
-
-
-def entangle_cnot_attack(channels, coverage: float = 1.0) -> AttackModel:
-    return AttackModel(
-        variant=AttackVariant.ENTANGLE_CNOT, channels=frozenset(channels), coverage=coverage
-    )
-
-
-def entangle_general_attack(channels, coverage: float = 1.0, **params) -> AttackModel:
-    return AttackModel(
-        variant=AttackVariant.ENTANGLE_GENERAL,
-        channels=frozenset(channels),
-        coverage=coverage,
-        **params,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +263,13 @@ def apply_channel_attack(
     intercept is a measurement in `model.intercept_basis` of the rows she
     hit, which the caller makes.
     """
-    if not model.targets(channel) or model.unitary() is None:
+    if not model.targets(channel) or model.unitary is None:
         return state
     label = f"E{sum(lbl.startswith('E') for lbl in state.labels)}"
-    state = append_qubit(state, model.ancilla_state(), label)
+    state = append_qubit(state, model.ancilla, label)
     if not hit:  # the slot keeps Eve's fresh state, a product factor
         return state
-    return apply_two_qubit(state, model.unitary(), qubit, state.num_qubits - 1)
+    return apply_two_qubit(state, model.unitary, qubit, state.num_qubits - 1)
 
 
 def attack_to_dict(model: AttackModel) -> dict:

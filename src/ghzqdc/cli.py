@@ -141,23 +141,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_attack(args) -> AttackModel:
     """The attack the flags describe; a flag the chosen --attack would ignore is a ConfigError."""
-    variant = AttackVariant(args.attack)
     params = {name: getattr(args, name) for name in ("alpha", "beta", "alpha_p", "beta_p")}
-    ignored = {} if variant == AttackVariant.ENTANGLE_GENERAL else dict(params)
-    if variant == AttackVariant.NONE:
+    ignored = {} if args.attack == "entangle-general" else dict(params)
+    if args.attack == "none":
         ignored.update(attack_channels=args.attack_channels, attack_coverage=args.attack_coverage)
     for name, value in ignored.items():
         if value is not None:
             flag = "--" + name.replace("_", "-")
             raise ConfigError(f"{flag} has no effect with --attack {args.attack}")
-    if variant == AttackVariant.NONE:
+    if args.attack == "none":
         return NO_ATTACK
     channels = args.attack_channels
     if channels is None:
         channels = _default_channels(args.attack, args.protocol)
     coverage = 1.0 if args.attack_coverage is None else args.attack_coverage
     extra = {name: value for name, value in params.items() if value is not None}
-    return AttackModel(variant=variant, channels=channels, coverage=coverage, **extra)
+    return AttackModel(args.attack, channels, coverage, **extra)
 
 
 def _build_spec(args) -> RunSpec:

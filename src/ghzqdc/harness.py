@@ -22,9 +22,11 @@ trials it builds each trial's keys, message and seed once, and every row
 (one spec in a run, one m in a sweep) runs its own chunks from them.
 
 The JSON report schema (schema_version 1) is documented in the README.
-Alongside every empirical statistic the report carries the matching
-closed-form reference value where one exists, so a report is
-self-contained for acceptance checking.
+Its `analytic` block holds hard-coded reference values (0.25, 1/2 and
+1-(3/4)^m) beside the empirical rates. They hold only for the analysed
+configurations: an attack on both auth legs, a nonzero auth threshold, a
+coverage below 1 or a general attack other than the default one makes
+them wrong or leaves them out (ROADMAP item 1 lists the cases).
 """
 from __future__ import annotations
 

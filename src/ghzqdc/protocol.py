@@ -300,7 +300,7 @@ def _cross_all(front: _Nodes, attack: AttackModel, qubit: int, channel: Channel)
     hit = channel.value
     front, hits = _choose(front, hit, 2, lambda s, code: apply_channel_attack(
         attack, s, qubit, channel, code == 1))
-    if attack.unitary() is not None:  # an entangling attack
+    if attack.unitary is not None:  # an entangling attack
         return front, (hits,)
     front, intercept = _branch(front, (qubit,), attack.intercept_basis, front.codes[hit] == 1)
     return front, (hits, intercept)
@@ -311,9 +311,11 @@ _MEASUREMENTS = {("bob", "qdc1"): ((IDX_A, IDX_B), "bell"), ("trent", "qdc1"): (
                  ("bob", "qdc2"): ((IDX_B,), "x"), ("trent", "qdc2"): ((IDX_A, IDX_T), "bell")}
 
 
-# Every field of an attack but coverage: Eve's hits are choices in the
-# table, so coverage weights its paths but changes none of its arrays.
-_TABLE_FIELDS = operator.attrgetter(*(f.name for f in fields(AttackModel) if f.name != "coverage"))
+# Every init field of an attack but coverage: Eve's hits are choices in the
+# table, so coverage weights its paths but changes none of its arrays. The
+# derived operators follow from the init fields (and are unhashable arrays).
+_TABLE_FIELDS = operator.attrgetter(
+    *(f.name for f in fields(AttackModel) if f.init and f.name != "coverage"))
 _TABLES: dict[tuple, BranchTable] = {}  # at most 32, the oldest dropped first
 
 
@@ -355,7 +357,7 @@ def _build_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
     front, send = _cross_all(front, attack, IDX_A, channel)
     # Eve's ancilla slots, in the order the crossings appended them.
     slots = [c.value for c in (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, channel)
-             if attack.targets(c) and attack.unitary() is not None]
+             if attack.targets(c) and attack.unitary is not None]
     attached = np.array([front.codes[hit] == 1 for hit in slots], dtype=bool)
     attached = _read_only(attached.reshape(len(slots), front.state.rows).T)
     measure = []

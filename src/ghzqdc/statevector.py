@@ -50,6 +50,13 @@ MAX_QUBITS = 8
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
 
+def complex_constant(v) -> np.ndarray:
+    """A complex copy of `v` that no caller can write into."""
+    out = np.array(v, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 class XOutcome(Enum):
     """Outcome of a measurement in the {|+>, |->} basis."""
 
@@ -86,12 +93,11 @@ class Gate1Q:
     def __post_init__(self):
         if self.name not in ("I", "H", "X", "HX"):
             raise ValueError(f"unknown gate name: {self.name!r}")
-        m = np.array(self.matrix, dtype=complex)
+        m = complex_constant(self.matrix)
         if m.shape != (2, 2):
             raise ValueError("gate matrix must be 2x2")
         if not np.allclose(m @ m.conj().T, np.eye(2), atol=ATOL):
             raise ValueError(f"gate {self.name} is not unitary")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -238,22 +244,15 @@ def append_qubit(state: PureState, amplitudes, label: str) -> PureState:
 # Measurement
 
 
-def _basis(*vectors) -> np.ndarray:
-    """Outcome vectors as the rows of a read-only matrix."""
-    out = np.array(vectors, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 # One row per outcome code; pair vectors index 2*bit(first qubit) + bit(second).
-_Z_BASIS = _basis([1.0, 0.0], [0.0, 1.0])
-_X_BASIS = _basis([_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2])
-_BELL_BASIS = _basis(
+_Z_BASIS = complex_constant([[1.0, 0.0], [0.0, 1.0]])
+_X_BASIS = complex_constant([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
+_BELL_BASIS = complex_constant([
     [_INV_SQRT2, 0.0, 0.0, _INV_SQRT2],
     [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
     [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
     [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
-)
+])
 
 _DEGENERATE = 1e-12
 

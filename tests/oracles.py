@@ -248,9 +248,9 @@ class BranchTableOracle:
             nxt = int(hits[node, hit])
             if not self.intercept:
                 n = int(np.log2(len(v)))
-                w = np.kron(v, self.attack.ancilla_state())
+                w = np.kron(v, self.attack.ancilla)
                 if hit:
-                    w = embed_2q(self.attack.unitary(), qubit, n, n + 1) @ w
+                    w = embed_2q(self.attack.unitary, qubit, n, n + 1) @ w
                 yield nxt, w, slots + (hit,)
             elif hit:
                 basis = self.attack.intercept_basis

@@ -10,12 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghzqdc.adversary import (
-    Channel,
-    entangle_cnot_attack,
-    entangle_general_attack,
-    intercept_resend_attack,
-)
+from ghzqdc.adversary import AttackModel, Channel
 from ghzqdc.authkeys import AuthKey, random_bits, unitary_for_key_bit
 from ghzqdc.ecc import Codec, decode as ecc_decode, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
@@ -182,7 +177,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
 
 
 def test_04_intercept_resend_auth_error_rate():
-    attack = intercept_resend_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("intercept", {Channel.TRENT_TO_ALICE})
     config = SessionConfig(n_ghz=40, m_auth_check=32)
     spec = RunSpec(config=config, attack=attack, trials=313, seed=404, message_bits=None)
     rep = run(spec)
@@ -226,7 +221,7 @@ def test_05_cnot_entangle_auth():
     # The analyzed scenario puts a Hadamard on the attacked qubit (key bit
     # 1); with uniform keys the unconditional rate is 1/4 and feeds the
     # detection curve instead (criterion 6).
-    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE})
     config = SessionConfig(n_ghz=40, m_auth_check=32)
     errors = checked = 0
     for t in range(313):
@@ -243,7 +238,7 @@ def test_05_cnot_entangle_auth():
     # decode; amplitude-wise match up to global phase
     s = apply_gate(new_ghz3(), H, 0)
     s = append_qubit(s, [1, 0], "E0")
-    s = apply_two_qubit(s, attack.unitary(), 0, 3)
+    s = apply_two_qubit(s, attack.unitary, 0, 3)
     s = apply_gate(s, H, 0)
     assert states_equal_up_to_global_phase(s, expected_post_decode_state(), tol=ATOL)
     report(
@@ -262,7 +257,7 @@ def test_06_detection_curve():
     config = SessionConfig(n_ghz=5, m_auth_check=1)
     base = RunSpec(
         config=config,
-        attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
+        attack=AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE}),
         trials=10_000,
         seed=606,
         message_bits=None,
@@ -299,8 +294,8 @@ def test_07_message_attack_error_rate_order_invariant():
     # asymmetric amplitudes (still orthogonal ancilla marks) so the
     # conditional outcome distributions genuinely depend on what was
     # measured first; the check-bit error rate must not
-    attack = entangle_general_attack(
-        {Channel.ALICE_TO_BOB}, alpha=0.8, beta=0.6, alpha_p=0.8, beta_p=-0.6
+    attack = AttackModel(
+        "entangle-general", {Channel.ALICE_TO_BOB}, alpha=0.8, beta=0.6, alpha_p=0.8, beta_p=-0.6
     )
     rates = {}
     for order in itertools.permutations(("bob", "trent", "eve")):
@@ -337,12 +332,14 @@ ATTACK_PARAM_SETS = {
 def eve_public_joint(bit: int, variant: str, params: dict) -> dict:
     """Joint distribution of (Eve's z outcome, public announcement),
     computed by exact projection with no sampling."""
-    model = entangle_general_attack(
-        {Channel.ALICE_TO_BOB if variant == "qdc1" else Channel.ALICE_TO_TRENT}, **params
+    model = AttackModel(
+        "entangle-general",
+        {Channel.ALICE_TO_BOB if variant == "qdc1" else Channel.ALICE_TO_TRENT},
+        **params,
     )
     state = apply_gate(new_ghz3(), HX if bit else H, 0)
-    state = append_qubit(state, model.ancilla_state(), "E0")
-    state = apply_two_qubit(state, model.unitary(), 0, 3)
+    state = append_qubit(state, model.ancilla, "E0")
+    state = apply_two_qubit(state, model.unitary, 0, 3)
     dist = {}
     for ez in (0, 1):
         eve = oracles.z_proj(3, ez, 4)
@@ -405,7 +402,7 @@ def test_09b_partial_coverage_attack_with_repetition_code():
         error_threshold_msg=1.0,
         codec=codec,
     )
-    attack = intercept_resend_attack({Channel.ALICE_TO_BOB}, coverage=0.1)
+    attack = AttackModel("intercept", {Channel.ALICE_TO_BOB}, coverage=0.1)
     message = "101100111000111101010011"  # 24 bits -> 8 + 120 frame bits
     bound = (codec.d - 1) // 2
     predicted_ok = 0

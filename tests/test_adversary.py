@@ -1,5 +1,6 @@
 """Adversary models: disturbance statistics, secrecy, unitarity."""
 import itertools
+import json
 import re
 from dataclasses import replace
 
@@ -14,10 +15,7 @@ from ghzqdc.adversary import (
     NO_ATTACK,
     attack_draws,
     build_entangling_unitary,
-    entangle_cnot_attack,
-    entangle_general_attack,
     eve_measure_ancilla,
-    intercept_resend_attack,
 )
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import parse_bits
@@ -80,7 +78,7 @@ def test_intercept_on_z_eigenstate_is_transparent():
 
 
 def test_intercept_auth_error_rate_quarter():
-    attack = intercept_resend_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("intercept", {Channel.TRENT_TO_ALICE})
     checks = run_auth_trials(attack, trials=100, alice_key_fn=uniform_alice)
     rate = sum(err for _, err in checks) / len(checks)
     assert len(checks) >= 3000
@@ -101,7 +99,7 @@ def test_intercept_key_bit_zero_never_errs_exact():
 
 
 def test_intercept_key_bit_conditioning_in_sessions():
-    attack = intercept_resend_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("intercept", {Channel.TRENT_TO_ALICE})
     checks = run_auth_trials(attack, trials=60, alice_key_fn=uniform_alice)
     zero_bit = [err for bit, err in checks if bit == 0]
     one_bit = [err for bit, err in checks if bit == 1]
@@ -130,7 +128,7 @@ def cnot_auth_scenario_state():
     """Key bit 1 on the A channel: encode, entangle, decode."""
     s = apply_gate(new_ghz3(), H, 0)
     s = append_qubit(s, [1, 0], "E0")
-    s = apply_two_qubit(s, entangle_cnot_attack(set()).unitary(), 0, 3)
+    s = apply_two_qubit(s, AttackModel("entangle-cnot").unitary, 0, 3)
     return apply_gate(s, H, 0)
 
 
@@ -149,14 +147,14 @@ def test_cnot_attack_error_half_exact():
 
 
 def test_cnot_attack_error_rate_sessions():
-    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE})
     checks = run_auth_trials(attack, trials=100, alice_key_fn=ones_alice)
     rate = sum(err for _, err in checks) / len(checks)
     assert rate == pytest.approx(0.5, abs=0.03)
 
 
 def test_cnot_detection_rate_follows_formula():
-    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE})
     cfg = config(n_ghz=8, m_auth_check=4)
     detected = 0
     trials = 1500
@@ -211,15 +209,15 @@ def test_general_attack_rejects_nan_at_its_check(param):
     nan = complex("nan")
     value = nan if param in ("alpha", "beta", "alpha_p", "beta_p") else (nan, 0)
     with pytest.raises(InvalidAttackError, match=re.escape(_NAN_CHECKS[param])):
-        entangle_general_attack({Channel.ALICE_TO_BOB}, **{param: value})
+        AttackModel("entangle-general", {Channel.ALICE_TO_BOB}, **{param: value})
 
 
 def test_general_attack_unitarity():
     for model in (
-        entangle_general_attack({Channel.ALICE_TO_BOB}),
-        entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
+        AttackModel("entangle-general", {Channel.ALICE_TO_BOB}),
+        AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE}),
     ):
-        u = model.unitary()
+        u = model.unitary
         assert np.allclose(u @ u.conj().T, np.eye(4), atol=ATOL)
 
 
@@ -240,7 +238,7 @@ def test_degenerate_parameters_act_as_identity():
             e01=(0, 1),
             e10=(0, 1),
             e11=(1, 0),
-        ).unitary(),
+        ).unitary,
         0,
         3,
     )
@@ -261,19 +259,19 @@ def test_general_with_cnot_parameters_equals_cnot_matrix():
         e11=(0, 1),
     )
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    assert np.allclose(model.unitary(), cnot, atol=ATOL)
+    assert np.allclose(model.unitary, cnot, atol=ATOL)
     # amplitude-wise agreement on every basis input
     for k in range(4):
         s = basis_state(format(k, "02b"))
-        via_general = apply_two_qubit(s, model.unitary(), 0, 1)
-        via_cnot = apply_two_qubit(s, entangle_cnot_attack(set()).unitary(), 0, 1)
+        via_general = apply_two_qubit(s, model.unitary, 0, 1)
+        via_cnot = apply_two_qubit(s, AttackModel("entangle-cnot").unitary, 0, 1)
         assert np.allclose(via_general.amplitudes, via_cnot.amplitudes, atol=ATOL)
 
 
 def message_attack_state(bit: int, model: AttackModel):
     s = apply_gate(new_ghz3(), HX if bit else H, 0)
-    s = append_qubit(s, model.ancilla_state(), "E0")
-    return apply_two_qubit(s, model.unitary(), 0, 3)
+    s = append_qubit(s, model.ancilla, "E0")
+    return apply_two_qubit(s, model.unitary, 0, 3)
 
 
 def exact_msg_error(bit: int, model: AttackModel, order) -> float:
@@ -293,7 +291,7 @@ def exact_msg_error(bit: int, model: AttackModel, order) -> float:
 
 
 def test_general_message_attack_error_half_any_order():
-    model = entangle_general_attack({Channel.ALICE_TO_BOB})
+    model = AttackModel("entangle-general", {Channel.ALICE_TO_BOB})
     for order in itertools.permutations(("bob", "trent", "eve")):
         for bit in (0, 1):
             assert exact_msg_error(bit, model, order) == pytest.approx(0.5, abs=ATOL)
@@ -302,7 +300,7 @@ def test_general_message_attack_error_half_any_order():
 def test_general_message_attack_secrecy_exact():
     """Joint (Eve z outcome, public announcement) distributions are equal
     for both message bits, both in qdc1 and qdc2 form."""
-    model = entangle_general_attack({Channel.ALICE_TO_BOB})
+    model = AttackModel("entangle-general", {Channel.ALICE_TO_BOB})
 
     def qdc1_dist(bit):
         state = message_attack_state(bit, model)
@@ -341,7 +339,7 @@ def test_zero_coverage_matches_no_attack_exactly():
     message = parse_bits("110010")
     baseline = run_session(cfg, ka, kb, message, NO_ATTACK)
     covered = run_session(
-        cfg, ka, kb, message, intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.0)
+        cfg, ka, kb, message, AttackModel("intercept", {Channel.TRENT_TO_ALICE}, coverage=0.0)
     )
     transcripts = [render_transcript(cfg, res).to_jsonl() for res in (baseline, covered)]
     assert transcripts[0] == transcripts[1]
@@ -356,7 +354,7 @@ def test_intercept_x_basis_option():
     assert reached.tolist() == [[True, False]]  # |+> reads 0 in x
     # and it runs end to end inside a session
     cfg = config(n_ghz=12, m_auth_check=4, rng_seed=2)
-    attack = intercept_resend_attack({Channel.TRENT_TO_ALICE}, basis="x")
+    attack = AttackModel("intercept", {Channel.TRENT_TO_ALICE}, intercept_basis="x")
     kb = AuthKey(random_bits(np.random.default_rng(1), 12))
     res = run_session(cfg, uniform_alice(0, 12), kb, None, attack)
     assert res.auth_verdict in (Verdict.AUTHENTICATED, Verdict.AUTH_ABORTED)
@@ -393,6 +391,30 @@ def test_attack_model_validation():
         AttackModel(coverage=1.5)
     with pytest.raises(InvalidAttackError):
         AttackModel(intercept_basis="y")
+    with pytest.raises(ValueError, match="teleport"):
+        AttackModel("teleport", {"trent-alice"})
+    for variant in AttackVariant:  # a name is stored as its enum member
+        by_name = AttackModel(variant.value, {"trent-alice"})
+        assert by_name.variant is variant
+        assert by_name == AttackModel(variant, {Channel.TRENT_TO_ALICE})
+
+
+def test_run_with_variant_by_name_reports_like_the_enum_member():
+    from ghzqdc.harness import RunSpec, run
+
+    def report(variant):
+        spec = RunSpec(
+            config=SessionConfig(n_ghz=24, m_auth_check=4, error_threshold_auth=1.0),
+            attack=AttackModel(variant, {"trent-alice"}, coverage=0.5),
+            trials=6,
+            seed=4,
+            message_bits=4,
+        )
+        return run(spec).to_json(include_timestamp=False)
+
+    by_name = report("intercept")
+    assert json.loads(by_name)["spec"]["attack"]["variant"] == "intercept"
+    assert by_name == report(AttackVariant.INTERCEPT_RESEND)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +424,18 @@ def test_attack_model_validation():
 @pytest.mark.parametrize(
     "model",
     [
-        entangle_general_attack({Channel.ALICE_TO_BOB}),
-        entangle_cnot_attack({Channel.TRENT_TO_ALICE}),
+        AttackModel("entangle-general", {Channel.ALICE_TO_BOB}),
+        AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE}),
     ],
     ids=["general", "cnot"],
 )
 def test_attack_operators_are_shared_read_only(model):
-    assert model.unitary() is model.unitary()
-    assert model.ancilla_state() is model.ancilla_state()
+    assert model.unitary is model.unitary
+    assert model.ancilla is model.ancilla
     with pytest.raises(ValueError):
-        model.unitary()[0, 0] = 0.0
+        model.unitary[0, 0] = 0.0
     with pytest.raises(ValueError):
-        model.ancilla_state()[0] = 0.0
+        model.ancilla[0] = 0.0
 
 
 def test_run_builds_general_unitary_once(monkeypatch):
@@ -430,7 +452,7 @@ def test_run_builds_general_unitary_once(monkeypatch):
     spec = RunSpec(
         config=SessionConfig(n_ghz=40, m_auth_check=4, check_fraction_msg=0.5,
                              error_threshold_msg=1.0),
-        attack=entangle_general_attack({Channel.ALICE_TO_BOB}),
+        attack=AttackModel("entangle-general", {Channel.ALICE_TO_BOB}),
         trials=5,
         seed=0,
         message_bits=8,
@@ -441,12 +463,12 @@ def test_run_builds_general_unitary_once(monkeypatch):
 
 
 def test_replace_builds_its_own_unitary():
-    model = entangle_general_attack({Channel.ALICE_TO_BOB})
+    model = AttackModel("entangle-general", {Channel.ALICE_TO_BOB})
     cnot_like = replace(
         model, alpha=1.0, beta=0.0, alpha_p=1.0, beta_p=0.0, e00=(1, 0), e10=(1, 0)
     )
-    assert cnot_like.unitary() is not model.unitary()
-    assert np.allclose(cnot_like.unitary(), entangle_cnot_attack(set()).unitary(), atol=ATOL)
+    assert cnot_like.unitary is not model.unitary
+    assert np.allclose(cnot_like.unitary, AttackModel("entangle-cnot").unitary, atol=ATOL)
     s = INV_SQRT2
     default = build_entangling_unitary(s, s, s, -s, [1, 0], [0, 1], [1, 0], [0, 1])
-    assert np.array_equal(model.unitary(), default)
+    assert np.array_equal(model.unitary, default)

@@ -12,14 +12,7 @@ from oracles import load_script, reference_run, reference_sweep
 
 import ghzqdc.cli
 from ghzqdc import harness, protocol
-from ghzqdc.adversary import (
-    NO_ATTACK,
-    AttackModel,
-    AttackVariant,
-    Channel,
-    entangle_cnot_attack,
-    intercept_resend_attack,
-)
+from ghzqdc.adversary import NO_ATTACK, AttackModel, AttackVariant, Channel
 from ghzqdc.cli import main as cli_main, parse_complex, parse_message
 from ghzqdc.ecc import Codec, format_bits
 from ghzqdc.harness import (
@@ -102,7 +95,7 @@ def test_config_errors_raised_before_trials():
 def test_intercept_run_statistics():
     s = spec(
         config=SessionConfig(n_ghz=40, m_auth_check=32),
-        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE}),
+        attack=AttackModel("intercept", {Channel.TRENT_TO_ALICE}),
         trials=70,
         message_bits=None,
         seed=3,
@@ -124,7 +117,7 @@ def test_sweep_detection_curve():
     # Each row's reference comes from its own run's analytic block: the
     # closed form under the attack, 0 for an honest run.
     for attack, reference in (
-        (entangle_cnot_attack({Channel.TRENT_TO_ALICE}), detection_rate_reference),
+        (AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE}), detection_rate_reference),
         (NO_ATTACK, lambda m: 0.0),
     ):
         base = spec(
@@ -447,7 +440,7 @@ def run_specs(draw):
 @example(  # chunks of two trials in which every trial aborts
     spec=RunSpec(
         config=SessionConfig(n_ghz=24, m_auth_check=6),
-        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}),
+        attack=AttackModel("intercept", {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}),
         trials=4, seed=2, message_bits=4,
     ),
     row_cap=48,
@@ -455,7 +448,7 @@ def run_specs(draw):
 @example(  # chunks of 3 trials, each full one with all three verdicts, the last one partial
     spec=RunSpec(
         config=SessionConfig(n_ghz=20, m_auth_check=4, error_threshold_msg=0.3),
-        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE}, coverage=0.3),
+        attack=AttackModel("intercept", {Channel.TRENT_TO_ALICE}, coverage=0.3),
         trials=8, seed=54, message_bits=2,
     ),
     row_cap=60,
@@ -498,7 +491,7 @@ def test_chunks_stay_within_row_cap(monkeypatch):
 @example(  # rows of 125, 128 and 132 triples: only the widest row's key has a second block
     base=RunSpec(
         config=SessionConfig(n_ghz=126, m_auth_check=2, error_threshold_auth=0.3),
-        attack=intercept_resend_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB},
+        attack=AttackModel("intercept", {Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB},
                                        coverage=0.5),
         trials=12, seed=27, message_bits=8,
     ),
@@ -523,7 +516,7 @@ def test_sweep_derives_each_trials_keys_once(monkeypatch):
 
     monkeypatch.setattr(harness, "derive_key", counting_derive_key)
     base = spec(config=SessionConfig(n_ghz=8, m_auth_check=2),
-                attack=entangle_cnot_attack({Channel.TRENT_TO_ALICE}), trials=7,
+                attack=AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE}), trials=7,
                 message_bits=None)
     # Alice's and Bob's key per trial, each long enough for the widest row:
     # n + 1 = 9 triples in the sweep, n in a run.

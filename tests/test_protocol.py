@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzqdc import protocol
-from ghzqdc.adversary import (
-    NO_ATTACK,
-    Channel,
-    entangle_cnot_attack,
-    entangle_general_attack,
-    intercept_resend_attack,
-)
+from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import Codec, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.protocol import (
@@ -220,9 +214,9 @@ def attack_models(draw):
     coverage = draw(st.sampled_from([0.5, 1.0]))
     kind = draw(st.sampled_from(["cnot", "general", "intercept-z", "intercept-x"]))
     if kind == "cnot":
-        return entangle_cnot_attack(channels, coverage)
+        return AttackModel("entangle-cnot", channels, coverage)
     if kind.startswith("intercept"):
-        return intercept_resend_attack(channels, coverage, basis=kind[-1])
+        return AttackModel("intercept", channels, coverage, intercept_basis=kind[-1])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def unit(size):
@@ -232,8 +226,8 @@ def attack_models(draw):
     alpha, beta = unit(2)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     mark0, mark1, eve = unit(2), unit(2), unit(2)
-    return entangle_general_attack(
-        channels, coverage, alpha=complex(alpha), beta=complex(beta),
+    return AttackModel(
+        "entangle-general", channels, coverage, alpha=complex(alpha), beta=complex(beta),
         alpha_p=complex(phase * np.conj(alpha)), beta_p=complex(-phase * np.conj(beta)),
         e00=tuple(mark0), e01=tuple(mark1), e10=tuple(mark0), e11=tuple(mark1),
         eve_state=tuple(eve),
@@ -453,7 +447,7 @@ def test_chunk_trial_renders_its_lone_session_transcript(variant):
     """A trial of a multi-trial chunk renders the transcript it has when run
     alone, whether Eve attacked its message, it aborted or it sent nothing."""
     config = small_config(protocol_variant=variant, n_ghz=24, error_threshold_msg=1.0)
-    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE, message_channel(variant)}, 0.5)
+    attack = AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE, message_channel(variant)}, 0.5)
     trials = []
     for seed in range(6):
         ka, kb = keys_for(config, seed=seed)
@@ -527,7 +521,7 @@ def test_transcript_abort_records_error_rate():
         n_ghz=24, m_auth_check=16, protocol_variant="qdc1", rng_seed=11
     )
     ka, kb = keys_for(config, seed=2)
-    attack = entangle_general_attack({Channel.TRENT_TO_ALICE})
+    attack = AttackModel("entangle-general", {Channel.TRENT_TO_ALICE})
     res = run_session(config, ka, kb, parse_bits("1010"), attack)
     assert res.auth_verdict is Verdict.AUTH_ABORTED
     abort_events = [
@@ -544,7 +538,7 @@ def test_transcript_eve_measures_only_message_triples():
     Alice's bit, and measures nothing on check or unused triples."""
     config = small_config(error_threshold_auth=1.0, error_threshold_msg=1.0, rng_seed=3)
     ka, kb = keys_for(config, seed=3)
-    attack = entangle_cnot_attack({Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB})
+    attack = AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE, Channel.ALICE_TO_BOB})
     res = run_session(config, ka, kb, parse_bits("10110100"), attack)
     checked = set(res.checks[:, 0].tolist())
     surviving = [p for p in range(config.n_ghz) if p not in checked]
@@ -648,15 +642,14 @@ def test_branch_table_digests():
     assert [key for key in expected if got[key] != expected[key]] == []
 
 
-@pytest.mark.parametrize("make", [entangle_cnot_attack, entangle_general_attack,
-                                  intercept_resend_attack])
-def test_branch_table_cache_ignores_coverage(make):
+@pytest.mark.parametrize("variant", ["entangle-cnot", "entangle-general", "intercept"])
+def test_branch_table_cache_ignores_coverage(variant):
     """Attacks that differ only in coverage share one cached table, and a
     fresh build at either coverage has the same bytes: no array reads it."""
     script = oracles.load_script("scripts/pin_branch_tables.py")
     order = ("bob", "trent", "eve")
     channels = {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, Channel.ALICE_TO_BOB}
-    half, full = make(channels, 0.5), make(channels, 1.0)
+    half, full = AttackModel(variant, channels, 0.5), AttackModel(variant, channels, 1.0)
     assert branch_table("qdc1", order, half) is branch_table("qdc1", order, full)
 
     def fresh_digest(attack):

@@ -1,4 +1,6 @@
 """Statevector core: gates, collapse, Born statistics, invariants."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,6 +341,18 @@ def test_branch_probabilities_and_collapse_match_oracle(n, seed, sparse, basis, 
             assert code.tolist() == [k]
             assert states_equal_up_to_global_phase(after, oracles.collapse(state, projectors[k])[1])
         below += p
+
+
+def test_sampling_kernels_known_answer():
+    """measure_z, measure_x, measure_bell and eve_measure_ancilla keep their
+    outcome codes and post-state bytes on the seeded 1-6 qubit stacks of
+    scripts/pin_sampling_kernels.py. Regenerate with --write after an
+    intentional change of the kernels."""
+    script = oracles.load_script("scripts/pin_sampling_kernels.py")
+    expected = json.loads(script.FIXTURE.read_text(encoding="ascii"))
+    got = script.digests()
+    assert sorted(got) == sorted(expected)
+    assert [key for key in expected if got[key] != expected[key]] == []
 
 
 def test_global_phase_equality_helper():

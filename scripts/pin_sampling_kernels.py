@@ -44,7 +44,7 @@ def random_stack(n: int):
     amps[sparse] *= rng.random((int(sparse.sum()), 2**n)) >= 0.6
     amps[sparse, rng.integers(2**n)] += 1.0
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    return make_state(amps, tuple(f"q{i}" for i in range(n)))
+    return make_state(amps)
 
 
 def _feed(digest, value: np.ndarray) -> None:
@@ -60,7 +60,7 @@ def kernel_digest(name: str, n: int) -> str:
     for qubits in permutations(range(n), arity):
         outcomes, after = kernel(state, *qubits, urng.random(ROWS))
         _feed(digest, outcomes)
-        _feed(digest, after.amplitudes)
+        _feed(digest, after)
     return digest.hexdigest()
 
 

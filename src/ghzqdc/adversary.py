@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statevector import ATOL, PureState, append_qubit, apply_two_qubit, complex_constant, measure_z
+from .statevector import ATOL, append_qubit, apply_two_qubit, complex_constant, measure_z, num_qubits
 from .statevector import measure_x  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 
 
@@ -218,7 +218,7 @@ NO_ATTACK = AttackModel()
 # Attack operations
 
 
-def eve_measure_ancilla(state: PureState, ancilla: int, u) -> tuple[np.ndarray, PureState]:
+def eve_measure_ancilla(state: np.ndarray, ancilla: int, u) -> tuple[np.ndarray, np.ndarray]:
     """z-measure one of Eve's ancilla slots in every row."""
     return measure_z(state, ancilla, u)
 
@@ -253,23 +253,21 @@ def attack_draws(
 
 
 def apply_channel_attack(
-    model: AttackModel, state: PureState, qubit: int, channel: Channel, hit: bool
-) -> PureState:
+    model: AttackModel, state: np.ndarray, qubit: int, channel: Channel, hit: bool
+) -> np.ndarray:
     """Channel hook for the unitary part of an attack: every row's `qubit` crosses `channel`.
 
     An entangling attack on the channel appends one ancilla slot to every
-    row as the last qubit, labelled E0, E1, ... by slot, and entangles it
-    if Eve `hit` the stack. Any other attack leaves the state as it is: an
+    row as the last qubit, and entangles it if Eve `hit` the stack. Any other attack leaves the state as it is: an
     intercept is a measurement in `model.intercept_basis` of the rows she
     hit, which the caller makes.
     """
     if not model.targets(channel) or model.unitary is None:
         return state
-    label = f"E{sum(lbl.startswith('E') for lbl in state.labels)}"
-    state = append_qubit(state, model.ancilla, label)
+    state = append_qubit(state, model.ancilla)
     if not hit:  # the slot keeps Eve's fresh state, a product factor
         return state
-    return apply_two_qubit(state, model.unitary, qubit, state.num_qubits - 1)
+    return apply_two_qubit(state, model.unitary, qubit, num_qubits(state) - 1)
 
 
 def attack_to_dict(model: AttackModel) -> dict:

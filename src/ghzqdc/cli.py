@@ -173,6 +173,8 @@ def _build_spec(args) -> RunSpec:
     )
     message = args.message
     message_bits = len(message) if message is not None else args.message_bits
+    if args.command == "sweep":  # its rows run authentication only, so no message is checked
+        message, message_bits = None, 0
     return RunSpec(
         config=config,
         attack=attack,

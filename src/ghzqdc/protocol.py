@@ -54,8 +54,7 @@ from .adversary import AttackModel, Channel, NO_ATTACK, apply_channel_attack, at
 from .authkeys import AuthKey, random_bits, unitary_for_key_bit
 from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits
 from .statevector import (
-    BELL_OUTCOMES, H, HX, X_OUTCOMES, PureState, apply_gate, make_state, measure_branches,
-    new_ghz3, pick,
+    BELL_OUTCOMES, H, HX, X_OUTCOMES, apply_gate, measure_branches, new_ghz3, pick,
 )
 
 # Not called here since the branch table replaced per-chunk kernels; perfbench's
@@ -250,7 +249,7 @@ def _cross(crossing: tuple, node, hit, u) -> tuple[np.ndarray, np.ndarray | None
 class _Nodes(NamedTuple):
     """The nodes a step reaches: a register row each, and the code each choice took."""
 
-    state: PureState
+    state: np.ndarray  # (nodes, 2**n) amplitudes
     codes: dict[str, np.ndarray]
 
 
@@ -258,39 +257,36 @@ def _choose(front: _Nodes, name: str, count: int, act) -> tuple[_Nodes, np.ndarr
     """Branch every node on a code in range(count), applied to each code's copy
     of the nodes by act(state, code); node r with code c leads to node
     c * (number of nodes) + r."""
-    rows = np.tile(np.arange(front.state.rows), count)
-    code = np.repeat(np.arange(count), front.state.rows)
+    rows = np.tile(np.arange(len(front.state)), count)
+    code = np.repeat(np.arange(count), len(front.state))
     codes = {key: v[rows] for key, v in front.codes.items()} | {name: code}
-    copies = [act(front.state, c) for c in range(count)]
-    state = make_state(np.concatenate([s.amplitudes for s in copies]), copies[0].labels)
+    state = np.concatenate([act(front.state, c) for c in range(count)])
     return _Nodes(state, codes), _read_only(np.arange(len(rows)).reshape(count, -1).T)
 
 
 def _per_code(front: _Nodes, name: str, count: int, act) -> _Nodes:
     """act(state, code) on each node with the node's own code under `name`, in node order."""
-    copies = np.stack([act(front.state, c).amplitudes for c in range(count)])
-    amps = copies[front.codes[name], np.arange(front.state.rows)]
-    return front._replace(state=make_state(amps, front.state.labels))
+    copies = np.stack([act(front.state, c) for c in range(count)])
+    return front._replace(state=copies[front.codes[name], np.arange(len(front.state))])
 
 
 def _branch(front: _Nodes, qubits, basis: str, acts=None) -> tuple[_Nodes, Measurement]:
     """Expand the `acts` nodes (all by default) into every branch of a measurement;
     the other nodes pass through."""
     state = front.state
-    acts = np.ones(state.rows, dtype=bool) if acts is None else acts
-    probs, reached, branches = measure_branches(state.take(acts), qubits, basis)
+    acts = np.ones(len(state), dtype=bool) if acts is None else acts
+    probs, reached, branches = measure_branches(state[acts], qubits, basis)
     at, k = np.nonzero(reached)
     passing, parents = np.flatnonzero(~acts), np.flatnonzero(acts)[at]
-    shape = (state.rows, probs.shape[1])
+    shape = (len(state), probs.shape[1])
     all_probs, child = np.zeros(shape), np.full(shape, -1)
     all_probs[acts] = probs
     child[passing] = np.arange(len(passing))[:, None]
     child[parents, k] = len(passing) + np.arange(len(k))
     step = Measurement(acts, all_probs, child)
     rows = np.concatenate([passing, parents])
-    amps = np.concatenate([state.amplitudes[passing], branches.amplitudes])
     codes = {key: v[rows] for key, v in front.codes.items()}
-    return _Nodes(make_state(amps, state.labels), codes), step
+    return _Nodes(np.concatenate([state[passing], branches]), codes), step
 
 
 def _cross_all(front: _Nodes, attack: AttackModel, qubit: int, channel: Channel):
@@ -359,7 +355,7 @@ def _build_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
     slots = [c.value for c in (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB, channel)
              if attack.targets(c) and attack.unitary is not None]
     attached = np.array([front.codes[hit] == 1 for hit in slots], dtype=bool)
-    attached = _read_only(attached.reshape(len(slots), front.state.rows).T)
+    attached = _read_only(attached.reshape(len(slots), len(front.state)).T)
     measure = []
     for party in order:
         if party != "eve":

@@ -7,23 +7,23 @@ measurements are implemented directly as a four-projector family, not via
 a basis-change circuit.
 
 Conventions:
-  * A PureState is a stack of independent registers over the same
-    labelled qubits: ``amplitudes`` has shape (rows, 2**num_qubits), one
-    row per register. Every kernel acts on all rows in one numpy
+  * A register stack is a read-only complex array of shape (rows, 2**n),
+    one row of amplitudes per independent n-qubit register; n follows
+    from the row width. Every kernel acts on all rows in one numpy
     expression. A caller that wants different operations on different rows
     runs each on its own rows and stacks the results, as the session
     engine's branch-table builder does per code.
   * Qubit 0 is the leftmost slot in ket notation and the most significant
-    bit of an amplitude index: with labels (A, T, B), ``amplitudes[r, 0b011]``
-    multiplies |0>_A |1>_T |1>_B in row r.
-  * Operations never mutate their input; they return fresh states, so
-    states can be handed between threads without locking.
+    bit of an amplitude index: in a GHZ triple's register, whose qubits are
+    A, T, B in that order, ``state[r, 0b011]`` multiplies |0>_A |1>_T |1>_B
+    in row r.
+  * Operations never mutate their input; they return fresh arrays.
   * A measurement takes one uniform variate per row, drawn by the caller,
     and returns an outcome code per row: the first outcome whose
     cumulative probability exceeds the uniform. Codes index the outcome
     order: z 0/1, x ``X_OUTCOMES`` (plus, minus), Bell ``BELL_OUTCOMES``.
-    ``measure_branches`` returns every branch of a measurement instead,
-    and ``pick`` applies the same rule to given probabilities.
+    Each sampling kernel is ``pick`` over ``measure_branches``, which
+    returns every branch of a measurement.
   * The squared norm of every row is re-checked after every operation
     (tolerance 1e-9); a NaN or Inf amplitude fails that check as well.
     Measurements also check each row's probability sum and refuse to
@@ -45,7 +45,6 @@ from math import sqrt
 import numpy as np
 
 ATOL = 1e-9
-MAX_QUBITS = 8
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 
@@ -107,46 +106,17 @@ X = Gate1Q("X", np.array([[0.0, 1.0], [1.0, 0.0]]))
 HX = Gate1Q("HX", H.matrix @ X.matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Rows of normalized complex amplitudes over one labelled qubit register."""
-
-    amplitudes: np.ndarray  # (rows, 2**num_qubits)
-    labels: tuple[str, ...]
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.labels)
-
-    @property
-    def rows(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def take(self, rows) -> PureState:
-        """The selected rows (an index array or a boolean mask), in order."""
-        return _wrap(self.amplitudes[rows], self.labels)
-
-
-def make_state(amplitudes, labels) -> PureState:
-    """Validate and wrap one amplitude vector, or a (rows, 2**n) stack, as a PureState."""
-    amps = np.array(amplitudes, dtype=complex)
+def make_state(amplitudes) -> np.ndarray:
+    """A checked, read-only copy of one amplitude vector, or of a (rows, 2**n)
+    stack with n >= 1, as a (rows, 2**n) register stack."""
+    amps = np.array(amplitudes, dtype=complex, order="C")
     if amps.ndim == 1:
         amps = amps[None, :]
-    labels = tuple(labels)
-    n = len(labels)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n}")
-    if len(set(labels)) != n:
-        raise ValueError(f"duplicate qubit labels: {labels}")
-    if amps.ndim != 2 or amps.shape[1] != 2**n:
-        raise ValueError(f"expected rows of {2**n} amplitudes for {n} qubits, got {amps.shape}")
-    return _wrap(amps, labels)
-
-
-def _wrap(amps: np.ndarray, labels: tuple[str, ...]) -> PureState:
+    width = amps.shape[1] if amps.ndim == 2 else 0
+    if width < 2 or width & (width - 1):
+        raise ValueError(f"expected rows of 2**n amplitudes with n >= 1, got shape {amps.shape}")
     # Single check per row covers both invariants: a NaN/Inf amplitude
     # makes the norm comparison fail too.
-    amps = np.ascontiguousarray(amps)
     flat = amps.view(np.float64)
     nrm = np.einsum("ij,ij->i", flat, flat)
     bad = ~(np.abs(nrm - 1.0) <= ATOL)
@@ -154,7 +124,12 @@ def _wrap(amps: np.ndarray, labels: tuple[str, ...]) -> PureState:
         row = int(np.flatnonzero(bad)[0])
         raise ValueError(f"row {row}: state norm^2 = {nrm[row]!r}, not 1 within {ATOL}")
     amps.setflags(write=False)
-    return PureState(amps, labels)
+    return amps
+
+
+def num_qubits(state: np.ndarray) -> int:
+    """The qubit count n of a (rows, 2**n) register stack."""
+    return state.shape[1].bit_length() - 1
 
 
 _GHZ3 = np.zeros(8, dtype=complex)
@@ -162,9 +137,9 @@ _GHZ3[0b000] = _INV_SQRT2
 _GHZ3[0b111] = _INV_SQRT2
 
 
-def new_ghz3(rows: int = 1) -> PureState:
-    """`rows` fresh (|000> + |111>)/sqrt(2) registers with labels (A, T, B)."""
-    return _wrap(np.tile(_GHZ3, (rows, 1)), ("A", "T", "B"))
+def new_ghz3(rows: int = 1) -> np.ndarray:
+    """`rows` fresh (|000> + |111>)/sqrt(2) registers over qubits (A, T, B)."""
+    return make_state(np.tile(_GHZ3, (rows, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +171,20 @@ def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], m: np.ndarray) -> 
     return _qubits_back(np.einsum("ij,kj->ik", _qubits_last(amps, n, qubits), m), n, qubits)
 
 
-def _check_qubit(state: PureState, qubit: int) -> None:
-    if not 0 <= qubit < len(state.labels):
-        raise ValueError(f"qubit {qubit} out of range for {len(state.labels)} qubits")
+def _check_qubit(state: np.ndarray, qubit: int) -> None:
+    if not 0 <= qubit < num_qubits(state):
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits(state)} qubits")
 
 
-def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
+def apply_gate(state: np.ndarray, gate: Gate1Q, target: int) -> np.ndarray:
     """Apply a single-qubit unitary to ``target`` (identity elsewhere) on every row."""
     _check_qubit(state, target)
     if gate.name == "I":
         return state
-    return _wrap(_apply(state.amplitudes, state.num_qubits, (target,), gate.matrix), state.labels)
+    return make_state(_apply(state, num_qubits(state), (target,), gate.matrix))
 
 
-def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int) -> PureState:
+def apply_two_qubit(state: np.ndarray, matrix: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Apply a 4x4 unitary to the ordered qubit pair (q1, q2) on every row.
 
     The matrix acts on the pair basis |q1 q2>, index 2*bit(q1) + bit(q2).
@@ -223,21 +198,16 @@ def apply_two_qubit(state: PureState, matrix: np.ndarray, q1: int, q2: int) -> P
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("two-qubit matrix must be 4x4")
-    return _wrap(_apply(state.amplitudes, state.num_qubits, (q1, q2), m), state.labels)
+    return make_state(_apply(state, num_qubits(state), (q1, q2), m))
 
 
-def append_qubit(state: PureState, amplitudes, label: str) -> PureState:
+def append_qubit(state: np.ndarray, amplitudes) -> np.ndarray:
     """Tensor the same fresh single qubit onto every row as the last qubit."""
-    if label in state.labels:
-        raise ValueError(f"label {label!r} already present")
-    if state.num_qubits + 1 > MAX_QUBITS:
-        raise ValueError(f"register limited to {MAX_QUBITS} qubits")
     extra = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if extra.shape[0] != 2:
         raise ValueError("appended qubit needs exactly 2 amplitudes")
-    amps = state.amplitudes
-    out = (amps[:, :, None] * extra[None, None, :]).reshape(amps.shape[0], 2 * amps.shape[1])
-    return _wrap(out, state.labels + (label,))
+    out = (state[:, :, None] * extra[None, None, :]).reshape(state.shape[0], 2 * state.shape[1])
+    return make_state(out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,55 +263,52 @@ _BASES = {"z": _Z_BASIS, "x": _X_BASIS, "bell": _BELL_BASIS}
 
 
 def measure_branches(
-    state: PureState, qubits: tuple[int, ...], basis: str
-) -> tuple[np.ndarray, np.ndarray, PureState]:
+    state: np.ndarray, qubits: tuple[int, ...], basis: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every branch of measuring `qubits` of each row in `basis` ("z", "x" or "bell").
 
     Returns the Born probabilities (rows, outcomes), the mask of branches a
     uniform can pick (not degenerate), and those branches collapsed, one row
-    each in row-major (row, outcome) order: bit for bit what the measure_*
-    kernel gives a row whose uniform picks that outcome.
+    each in row-major (row, outcome) order. It is the only measurement
+    implementation: each measure_* kernel picks one of these branches per row.
     """
     for q in qubits:
         _check_qubit(state, q)
-    vecs = _BASES[basis]
-    residuals = _residuals(state.amplitudes, state.num_qubits, qubits, vecs)
+    n, vecs = num_qubits(state), _BASES[basis]
+    residuals = _residuals(state, n, qubits, vecs)
     probs = _probs(residuals)
     reached = probs >= _DEGENERATE
     rows, k = np.nonzero(reached)
-    amps = _collapse(residuals, probs, rows, k, vecs, state.num_qubits, qubits)
-    return probs, reached, _wrap(amps, state.labels)
+    return probs, reached, make_state(_collapse(residuals, probs, rows, k, vecs, n, qubits))
 
 
-def _measure(state: PureState, qubits: tuple[int, ...], basis: np.ndarray, u):
-    for q in qubits:
-        _check_qubit(state, q)
+def _measure(state: np.ndarray, qubits: tuple[int, ...], basis: str, u):
+    """`pick` over `measure_branches`: each row's outcome and its collapsed branch."""
     u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != state.rows:
-        raise ValueError(f"{u.shape[0]} uniforms for {state.rows} rows")
-    n = state.num_qubits
-    residuals = _residuals(state.amplitudes, n, qubits, basis)
-    probs = _probs(residuals)
+    if u.shape[0] != len(state):
+        raise ValueError(f"{u.shape[0]} uniforms for {len(state)} rows")
+    probs, reached, branches = measure_branches(state, qubits, basis)
     k = pick(probs, u)
-    amps = _collapse(residuals, probs, np.arange(len(k)), k, basis, n, qubits)
-    return k, _wrap(amps, state.labels)
+    # Where each reached branch sits in `branches`, which lists them row-major.
+    at = np.cumsum(reached).reshape(reached.shape) - 1
+    return k, make_state(branches[at[np.arange(len(k)), k]])
 
 
-def measure_z(state: PureState, target: int, u) -> tuple[np.ndarray, PureState]:
+def measure_z(state: np.ndarray, target: int, u) -> tuple[np.ndarray, np.ndarray]:
     """Projective z-basis measurement of each row with its uniform from `u`.
 
     Returns (outcomes 0/1, collapsed state).
     """
-    return _measure(state, (target,), _Z_BASIS, u)
+    return _measure(state, (target,), "z", u)
 
 
-def measure_x(state: PureState, target: int, u) -> tuple[np.ndarray, PureState]:
+def measure_x(state: np.ndarray, target: int, u) -> tuple[np.ndarray, np.ndarray]:
     """Projective {|+>, |->} measurement; outcome codes index X_OUTCOMES."""
-    return _measure(state, (target,), _X_BASIS, u)
+    return _measure(state, (target,), "x", u)
 
 
-def measure_bell(state: PureState, q1: int, q2: int, u) -> tuple[np.ndarray, PureState]:
+def measure_bell(state: np.ndarray, q1: int, q2: int, u) -> tuple[np.ndarray, np.ndarray]:
     """Bell-basis measurement of the ordered pair (q1, q2); codes index BELL_OUTCOMES."""
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
-    return _measure(state, (q1, q2), _BELL_BASIS, u)
+    return _measure(state, (q1, q2), "bell", u)

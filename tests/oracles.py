@@ -113,8 +113,8 @@ def bell_proj(q1: int, q2: int, outcome, n: int = 3) -> np.ndarray:
 
 
 def _vec(state) -> np.ndarray:
-    """A one-row PureState's amplitudes, or an amplitude vector, as 1-D."""
-    return np.ravel(getattr(state, "amplitudes", state))
+    """A one-row register stack, or an amplitude vector, as 1-D."""
+    return np.ravel(state)
 
 
 def prob(state, projector: np.ndarray) -> float:
@@ -130,19 +130,19 @@ def collapse(state, projector: np.ndarray) -> tuple[float, np.ndarray | None]:
     return p, v / np.linalg.norm(v)
 
 
-def basis_state(bits: str, labels=None):
-    """Computational basis state |bits>, e.g. basis_state("010"), as a one-row PureState."""
+def basis_state(bits: str):
+    """Computational basis state |bits>, e.g. basis_state("010"), as a one-row register stack."""
     from ghzqdc.statevector import make_state
 
     amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[int(bits, 2)] = 1.0
-    return make_state(amps, labels or tuple(f"q{i}" for i in range(len(bits))))
+    return make_state(amps)
 
 
 def states_equal_up_to_global_phase(a, b, tol: float = 1e-9) -> bool:
-    """True when two normalised states (PureStates or amplitude arrays) differ
-    row by row only by a global phase."""
-    va, vb = (np.atleast_2d(getattr(s, "amplitudes", s)) for s in (a, b))
+    """True when two normalised states (register stacks or amplitude vectors)
+    differ row by row only by a global phase."""
+    va, vb = (np.atleast_2d(s) for s in (a, b))
     if va.shape != vb.shape:
         return False
     overlap = np.abs(np.einsum("ij,ij->i", va.conj(), vb))

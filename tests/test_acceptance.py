@@ -88,7 +88,7 @@ def encoded(bit: int):
 def sampled_bell_x(state, bell_pair, x_qubit, rng, shots=10_000):
     """(Bell outcome, x outcome) of `shots` copies of `state`, the Bell
     measurement first; each shot draws its Bell uniform, then its x uniform."""
-    copies = make_state(np.tile(state.amplitudes, (shots, 1)), state.labels)
+    copies = make_state(np.tile(state, (shots, 1)))
     u = rng.random((shots, 2))
     bell, after = measure_bell(copies, *bell_pair, u[:, 0])
     x, _ = measure_x(after, x_qubit, u[:, 1])
@@ -237,7 +237,7 @@ def test_05_cnot_entangle_auth():
     # state check: encode (key bit 1), entangle with a fresh |0> ancilla,
     # decode; amplitude-wise match up to global phase
     s = apply_gate(new_ghz3(), H, 0)
-    s = append_qubit(s, [1, 0], "E0")
+    s = append_qubit(s, [1, 0])
     s = apply_two_qubit(s, attack.unitary, 0, 3)
     s = apply_gate(s, H, 0)
     assert states_equal_up_to_global_phase(s, expected_post_decode_state(), tol=ATOL)
@@ -338,7 +338,7 @@ def eve_public_joint(bit: int, variant: str, params: dict) -> dict:
         **params,
     )
     state = apply_gate(new_ghz3(), HX if bit else H, 0)
-    state = append_qubit(state, model.ancilla, "E0")
+    state = append_qubit(state, model.ancilla)
     state = apply_two_qubit(state, model.unitary, 0, 3)
     dist = {}
     for ez in (0, 1):
@@ -452,25 +452,25 @@ def test_10_algebraic_suite():
     for _ in range(1000):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        state = make_state(amps, ("A", "T", "B"))
+        state = make_state(amps)
 
         # normalization under a random keyed-gate layer
         a_bit, b_bit = int(rng.integers(2)), int(rng.integers(2))
         encoded_state = apply_gate(state, unitary_for_key_bit(a_bit), 0)
         encoded_state = apply_gate(encoded_state, unitary_for_key_bit(b_bit), 2)
-        nrm = abs(np.vdot(encoded_state.amplitudes, encoded_state.amplitudes).real - 1.0)
+        nrm = abs(np.vdot(encoded_state, encoded_state).real - 1.0)
         worst_norm = max(worst_norm, nrm)
 
         # involution of H and X on a random qubit
         q = int(rng.integers(3))
         for g in (H, X):
             twice = apply_gate(apply_gate(state, g, q), g, q)
-            worst_restore = max(worst_restore, np.abs(twice.amplitudes - state.amplitudes).max())
+            worst_restore = max(worst_restore, np.abs(twice - state).max())
 
         # keyed encode followed by keyed decode restores the input exactly
         decoded = apply_gate(encoded_state, unitary_for_key_bit(a_bit), 0)
         decoded = apply_gate(decoded, unitary_for_key_bit(b_bit), 2)
-        worst_restore = max(worst_restore, np.abs(decoded.amplitudes - state.amplitudes).max())
+        worst_restore = max(worst_restore, np.abs(decoded - state).max())
     assert worst_norm <= ATOL
     assert worst_restore <= ATOL
     report(

@@ -74,7 +74,7 @@ def test_intercept_on_z_eigenstate_is_transparent():
     state = basis_state("0")
     _, reached, after = measure_branches(state, (0,), "z")
     assert reached.tolist() == [[True, False]]
-    assert np.allclose(after.amplitudes, state.amplitudes, atol=ATOL)
+    assert np.allclose(after, state, atol=ATOL)
 
 
 def test_intercept_auth_error_rate_quarter():
@@ -127,7 +127,7 @@ def expected_cnot_state():
 def cnot_auth_scenario_state():
     """Key bit 1 on the A channel: encode, entangle, decode."""
     s = apply_gate(new_ghz3(), H, 0)
-    s = append_qubit(s, [1, 0], "E0")
+    s = append_qubit(s, [1, 0])
     s = apply_two_qubit(s, AttackModel("entangle-cnot").unitary, 0, 3)
     return apply_gate(s, H, 0)
 
@@ -224,7 +224,7 @@ def test_general_attack_unitarity():
 def test_degenerate_parameters_act_as_identity():
     # alpha = alpha' = 1 with e00 = e11 = |0> makes the attack invisible
     s = apply_gate(new_ghz3(), H, 0)
-    s = append_qubit(s, [1, 0], "E0")
+    s = append_qubit(s, [1, 0])
     after = apply_two_qubit(
         s,
         AttackModel(
@@ -242,7 +242,7 @@ def test_degenerate_parameters_act_as_identity():
         0,
         3,
     )
-    assert np.allclose(after.amplitudes, s.amplitudes, atol=ATOL)
+    assert np.allclose(after, s, atol=ATOL)
 
 
 def test_general_with_cnot_parameters_equals_cnot_matrix():
@@ -265,12 +265,12 @@ def test_general_with_cnot_parameters_equals_cnot_matrix():
         s = basis_state(format(k, "02b"))
         via_general = apply_two_qubit(s, model.unitary, 0, 1)
         via_cnot = apply_two_qubit(s, AttackModel("entangle-cnot").unitary, 0, 1)
-        assert np.allclose(via_general.amplitudes, via_cnot.amplitudes, atol=ATOL)
+        assert np.allclose(via_general, via_cnot, atol=ATOL)
 
 
 def message_attack_state(bit: int, model: AttackModel):
     s = apply_gate(new_ghz3(), HX if bit else H, 0)
-    s = append_qubit(s, model.ancilla, "E0")
+    s = append_qubit(s, model.ancilla)
     return apply_two_qubit(s, model.unitary, 0, 3)
 
 
@@ -361,7 +361,7 @@ def test_intercept_x_basis_option():
 
 
 def test_eve_measure_ancilla_product_state():
-    s = append_qubit(new_ghz3(), [1, 0], "E0")
+    s = append_qubit(new_ghz3(), [1, 0])
     outcome, _ = eve_measure_ancilla(s, 3, np.random.default_rng(0).random(1))
     assert outcome.tolist() == [0]
 

@@ -132,13 +132,13 @@ def test_encode_then_decode_with_same_bits_is_identity(values, a_bit, b_bit):
     if np.linalg.norm(amps) < 1e-3:
         amps = np.array([1.0, 0, 0, 0])
     amps = amps / np.linalg.norm(amps)
-    s = make_state(amps, ("p", "q"))
+    s = make_state(amps)
     out = s
     for bit, target in ((a_bit, 0), (b_bit, 1)):
         out = apply_gate(out, unitary_for_key_bit(bit), target)
     for bit, target in ((a_bit, 0), (b_bit, 1)):
         out = apply_gate(out, unitary_for_key_bit(bit), target)
-    assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
+    assert np.allclose(out, s, atol=ATOL)
 
 
 def test_golden_identity_keys_known_answer():

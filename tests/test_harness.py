@@ -213,13 +213,16 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
     code = cli_main(["run", "--n-ghz", "4", "--auth-check-bits", "9", "--trials", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
-    # A sweep checks the default 64 message bits against the base survivors,
-    # which every row shares, though its rows send no message.
+    # A run spec checks its 64 message bits against the survivors, but a sweep's
+    # rows send no message, so the CLI gives it an auth-only base spec: the
+    # default --message-bits no longer rejects a sweep with 6 survivors.
     with pytest.raises(CapacityError):
         spec(config=SessionConfig(n_ghz=8, m_auth_check=2), message_bits=64)
-    code = cli_main(["sweep", "--n-ghz", "8", "--auth-check-bits", "2", "--trials", "1"])
-    assert code == 1
-    assert "exceeds 6 surviving triples" in capsys.readouterr().err
+    sweep = ["sweep", "--n-ghz", "8", "--auth-check-bits", "2", "--trials", "1"]
+    assert cli_main(sweep) == 0
+    rows = capsys.readouterr().out
+    assert cli_main(sweep + ["--message-bits", "0"]) == 0
+    assert capsys.readouterr().out == rows
     # A negative seed is a configuration error too, caught before --out is created.
     out = tmp_path / "r.json"
     for command in ("run", "sweep"):

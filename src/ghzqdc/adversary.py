@@ -33,7 +33,8 @@ from enum import Enum
 
 import numpy as np
 
-from .statevector import ATOL, append_qubit, apply_two_qubit, complex_constant, measure_z, num_qubits
+from .statevector import ATOL, append_qubit, apply_two_qubit, complex_constant
+from .statevector import measure_z, num_qubits
 from .statevector import measure_x  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 
 
@@ -258,9 +259,9 @@ def apply_channel_attack(
     """Channel hook for the unitary part of an attack: every row's `qubit` crosses `channel`.
 
     An entangling attack on the channel appends one ancilla slot to every
-    row as the last qubit, and entangles it if Eve `hit` the stack. Any other attack leaves the state as it is: an
-    intercept is a measurement in `model.intercept_basis` of the rows she
-    hit, which the caller makes.
+    row as the last qubit, and entangles it if Eve `hit` the stack. Any
+    other attack leaves the state as it is: an intercept is a measurement
+    in `model.intercept_basis` of the rows she hit, which the caller makes.
     """
     if not model.targets(channel) or model.unitary is None:
         return state

@@ -151,6 +151,13 @@ def test_make_state_validation():
         make_state([1])  # no qubit
 
 
+def test_make_state_locks_a_copy():
+    amps = np.array([0.6, 0.8j])
+    s = make_state(amps)
+    assert not s.flags.writeable
+    assert amps.flags.writeable  # the caller's array stays its own
+
+
 def test_append_qubit_and_two_qubit_gate():
     s = append_qubit(basis_state("10"), [1, 0])
     assert np.allclose(s[0, 0b100], 1.0)

@@ -9,6 +9,6 @@ from .authkeys import AuthKey, derive_key
 from .ecc import Codec
 from .harness import RunSpec, run, sweep_detection_curve
 from .protocol import SessionConfig, SessionResult, Verdict, render_transcript, run_session
-from .statevector import BellOutcome, XOutcome, new_ghz3
+from .statevector import new_ghz3
 
 __version__ = "0.1.0"

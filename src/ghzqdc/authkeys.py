@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecc import parse_bits
-from .statevector import H, I, Gate1Q
 
 _BLOCK_BITS = 128
 _COUNTER_VALUES = 2**32  # the counter is written as 32 binary digits
@@ -68,11 +67,3 @@ def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniformly random bits as a uint8 array, from one integers() draw."""
     return rng.integers(0, 2, size=n).astype(np.uint8)
 
-
-def unitary_for_key_bit(bit: int) -> Gate1Q:
-    """Key bit 0 selects the identity, 1 selects the Hadamard."""
-    if bit == 0:
-        return I
-    if bit == 1:
-        return H
-    raise ValueError(f"key bit must be 0 or 1, got {bit!r}")

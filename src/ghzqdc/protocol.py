@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversary import AttackModel, Channel, NO_ATTACK, apply_channel_attack, attack_draws
-from .authkeys import AuthKey, random_bits, unitary_for_key_bit
+from .authkeys import AuthKey, random_bits
 from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits
 from .statevector import (
     BELL_OUTCOMES, H, HX, X_OUTCOMES, apply_gate, measure_branches, new_ghz3, pick,
@@ -64,8 +64,9 @@ from .statevector import measure_bell, measure_x, measure_z  # noqa: F401
 
 # Qubit slots inside a triple's register; Eve's ancilla slots follow.
 IDX_A, IDX_T, IDX_B = 0, 1, 2
-# Alice's message gate by bit: H encodes 0, HX encodes 1.
+# Alice's message gate by bit, and its name: H encodes 0, HX encodes 1.
 _MESSAGE_GATE = (H, HX)
+_MESSAGE_GATE_NAME = ("H", "HX")
 
 
 class ConfigError(ValueError):
@@ -117,15 +118,8 @@ class Transcript:
         self.events.append(ev)
         return ev
 
-    def announcements(self) -> list[Event]:
-        """The public-channel subset, i.e. everything the adversary reads."""
-        return [e for e in self.events if e.kind == "announce"]
-
     def to_jsonl(self) -> str:
         return "\n".join(e.to_json() for e in self.events) + "\n"
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True)
@@ -335,9 +329,11 @@ def branch_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
 
 
 def _build_table(variant: str, order: tuple[str, str, str], attack: AttackModel) -> BranchTable:
-    def keyed(state, pair):  # the owners' gates for key bits (a, b) = divmod(pair, 2)
-        state = apply_gate(state, unitary_for_key_bit(pair // 2), IDX_A)
-        return apply_gate(state, unitary_for_key_bit(pair % 2), IDX_B)
+    def keyed(state, pair):  # key bits (a, b) = divmod(pair, 2): H where an owner's bit is 1
+        for bit, qubit in zip(divmod(pair, 2), (IDX_A, IDX_B)):
+            if bit:
+                state = apply_gate(state, H, qubit)
+        return state
 
     front, keys = _choose(_Nodes(new_ghz3(), {}), "keys", 4, keyed)
     front, to_alice = _cross_all(front, attack, IDX_A, Channel.TRENT_TO_ALICE)
@@ -817,7 +813,7 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
     channel = message_channel(variant).value
     for seq, bit, check in zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist()):
         emit("alice", "msg_encode", position=seq, bit=bit, source="check" if check else "message",
-             gate=_MESSAGE_GATE[bit].name)
+             gate=_MESSAGE_GATE_NAME[bit])
         emit("alice", "transmit", position=seq, channel=channel)
     # The GHZ position of each used survivor.
     positions = np.delete(np.arange(n), checks[:, 0])[plan.positions]
@@ -826,7 +822,7 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
                result.x.tolist(), result.eve.tolist(), labels.tolist(),
                result.decoded_bits.tolist())
     for seq, pos, b, xo, eve_row, label_row, bit in rows:
-        bell, x = BELL_OUTCOMES[b].value, X_OUTCOMES[xo].value
+        bell, x = BELL_OUTCOMES[b], X_OUTCOMES[xo]
         for party in config.resolved_measure_order():
             if party == "eve":
                 for outcome, label in zip(eve_row, label_row):

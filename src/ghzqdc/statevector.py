@@ -18,10 +18,12 @@ Conventions:
     A, T, B in that order, ``state[r, 0b011]`` multiplies |0>_A |1>_T |1>_B
     in row r.
   * Operations never mutate their input; they return fresh arrays.
+  * A gate is a read-only complex 2x2 matrix: ``H``, and ``HX`` (X first,
+    then H).
   * A measurement takes one uniform variate per row, drawn by the caller,
     and returns an outcome code per row: the first outcome whose
-    cumulative probability exceeds the uniform. Codes index the outcome
-    order: z 0/1, x ``X_OUTCOMES`` (plus, minus), Bell ``BELL_OUTCOMES``.
+    cumulative probability exceeds the uniform. A z code is the bit; x and
+    Bell codes index the name tuples ``X_OUTCOMES`` and ``BELL_OUTCOMES``.
     Each sampling kernel is ``pick`` over ``measure_branches``, which
     returns every branch of a measurement.
   * The squared norm of every row is re-checked after every operation
@@ -37,8 +39,6 @@ whose work buffers would outweigh these small registers).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import sqrt
 
@@ -56,54 +56,12 @@ def complex_constant(v) -> np.ndarray:
     return out
 
 
-class XOutcome(Enum):
-    """Outcome of a measurement in the {|+>, |->} basis."""
+# Outcome codes returned by measure_x and measure_bell index these names.
+X_OUTCOMES = ("plus", "minus")
+BELL_OUTCOMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-class BellOutcome(Enum):
-    """Outcome of a two-qubit Bell-basis measurement."""
-
-    PHI_PLUS = "phi_plus"
-    PHI_MINUS = "phi_minus"
-    PSI_PLUS = "psi_plus"
-    PSI_MINUS = "psi_minus"
-
-
-# Outcome codes returned by measure_x and measure_bell index these.
-X_OUTCOMES = (XOutcome.PLUS, XOutcome.MINUS)
-BELL_OUTCOMES = (
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class Gate1Q:
-    """A named single-qubit unitary. "HX" means: apply X first, then H."""
-
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.name not in ("I", "H", "X", "HX"):
-            raise ValueError(f"unknown gate name: {self.name!r}")
-        m = complex_constant(self.matrix)
-        if m.shape != (2, 2):
-            raise ValueError("gate matrix must be 2x2")
-        if not np.allclose(m @ m.conj().T, np.eye(2), atol=ATOL):
-            raise ValueError(f"gate {self.name} is not unitary")
-        object.__setattr__(self, "matrix", m)
-
-
-I = Gate1Q("I", np.eye(2))
-H = Gate1Q("H", np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2)
-X = Gate1Q("X", np.array([[0.0, 1.0], [1.0, 0.0]]))
-HX = Gate1Q("HX", H.matrix @ X.matrix)
+H = complex_constant(np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2)
+HX = complex_constant(H @ np.array([[0.0, 1.0], [1.0, 0.0]]))  # X first, then H
 
 
 def make_state(amplitudes) -> np.ndarray:
@@ -176,12 +134,10 @@ def _check_qubit(state: np.ndarray, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {num_qubits(state)} qubits")
 
 
-def apply_gate(state: np.ndarray, gate: Gate1Q, target: int) -> np.ndarray:
-    """Apply a single-qubit unitary to ``target`` (identity elsewhere) on every row."""
+def apply_gate(state: np.ndarray, matrix: np.ndarray, target: int) -> np.ndarray:
+    """Apply a 2x2 unitary to ``target`` (identity elsewhere) on every row."""
     _check_qubit(state, target)
-    if gate.name == "I":
-        return state
-    return make_state(_apply(state, num_qubits(state), (target,), gate.matrix))
+    return make_state(_apply(state, num_qubits(state), (target,), matrix))
 
 
 def apply_two_qubit(state: np.ndarray, matrix: np.ndarray, q1: int, q2: int) -> np.ndarray:

@@ -102,14 +102,14 @@ def z_proj(q: int, bit: int, n: int = 3) -> np.ndarray:
     return single_qubit_projector(Z_VEC[bit], q, n)
 
 
-def x_proj(q: int, outcome, n: int = 3) -> np.ndarray:
-    """Projector onto an x outcome (an XOutcome, read by value) of qubit q."""
-    return single_qubit_projector(X_VEC[outcome.value], q, n)
+def x_proj(q: int, outcome: str, n: int = 3) -> np.ndarray:
+    """Projector onto an x outcome ("plus" or "minus") of qubit q."""
+    return single_qubit_projector(X_VEC[outcome], q, n)
 
 
-def bell_proj(q1: int, q2: int, outcome, n: int = 3) -> np.ndarray:
-    """Projector onto a Bell outcome (a BellOutcome, read by value) of the pair (q1, q2)."""
-    return pair_projector(BELL[outcome.value], q1, q2, n)
+def bell_proj(q1: int, q2: int, outcome: str, n: int = 3) -> np.ndarray:
+    """Projector onto a Bell outcome (a key of BELL) of the pair (q1, q2)."""
+    return pair_projector(BELL[outcome], q1, q2, n)
 
 
 def _vec(state) -> np.ndarray:

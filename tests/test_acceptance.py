@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ghzqdc.adversary import AttackModel, Channel
-from ghzqdc.authkeys import AuthKey, random_bits, unitary_for_key_bit
+from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import Codec, decode as ecc_decode, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
 from ghzqdc.protocol import SessionConfig, Verdict, run_session, _decode
@@ -19,12 +19,8 @@ from ghzqdc.statevector import (
     ATOL,
     BELL_OUTCOMES,
     X_OUTCOMES,
-    BellOutcome,
     H,
     HX,
-    I,
-    X,
-    XOutcome,
     append_qubit,
     apply_gate,
     apply_two_qubit,
@@ -73,12 +69,12 @@ def test_01_honest_end_to_end(variant):
 # 2. Joint (Bell on (A,B), x on T) statistics per encoded bit
 
 ALLOWED_BIT0 = {
-    (BellOutcome.PHI_PLUS, XOutcome.MINUS),
-    (BellOutcome.PHI_MINUS, XOutcome.PLUS),
-    (BellOutcome.PSI_PLUS, XOutcome.PLUS),
-    (BellOutcome.PSI_MINUS, XOutcome.MINUS),
+    ("phi_plus", "minus"),
+    ("phi_minus", "plus"),
+    ("psi_plus", "plus"),
+    ("psi_minus", "minus"),
 }
-ALL_PAIRS = {(b, x) for b in BellOutcome for x in XOutcome}
+ALL_PAIRS = {(b, x) for b in BELL_OUTCOMES for x in X_OUTCOMES}
 
 
 def encoded(bit: int):
@@ -101,8 +97,8 @@ def test_02_bell_x_joint_statistics(bit):
     allowed = ALLOWED_BIT0 if bit == 0 else ALL_PAIRS - ALLOWED_BIT0
 
     # exact side: allowed pairs at 1/4, forbidden pairs at probability zero
-    for bell in BellOutcome:
-        for x in XOutcome:
+    for bell in BELL_OUTCOMES:
+        for x in X_OUTCOMES:
             joint = oracles.joint_prob(state, [oracles.bell_proj(0, 2, bell), oracles.x_proj(1, x)])
             if (bell, x) in allowed:
                 assert joint == pytest.approx(0.25, abs=ATOL)
@@ -131,17 +127,17 @@ def test_02_bell_x_joint_statistics(bit):
 @pytest.mark.parametrize("bit", [0, 1])
 def test_03_trent_bit_x_joint_statistics(bit):
     state = encoded(bit)
-    compatible_bit1 = {(0, XOutcome.PLUS), (1, XOutcome.MINUS)}
-    all_tx = {(t, x) for t in (0, 1) for x in XOutcome}
+    compatible_bit1 = {(0, "plus"), (1, "minus")}
+    all_tx = {(t, x) for t in (0, 1) for x in X_OUTCOMES}
     compatible = compatible_bit1 if bit == 1 else all_tx - compatible_bit1
 
     # exact side over the fine-grained (Bell on (A,T), x on B) outcomes:
     # four allowed pairs at 1/4, the rest at probability zero
     fine_allowed = set()
-    for bell in BellOutcome:
-        for x in XOutcome:
+    for bell in BELL_OUTCOMES:
+        for x in X_OUTCOMES:
             joint = oracles.joint_prob(state, [oracles.bell_proj(0, 1, bell), oracles.x_proj(2, x)])
-            if (oracles.TRENT_BIT[bell.value], x) in compatible:
+            if (oracles.TRENT_BIT[bell], x) in compatible:
                 assert joint == pytest.approx(0.25, abs=ATOL)
                 fine_allowed.add((bell, x))
             else:
@@ -154,7 +150,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
     fine_counts = {}
     coarse_counts = {}
     for bell, x in sampled_bell_x(state, (0, 1), 2, rng):
-        pair = (oracles.TRENT_BIT[bell.value], x)
+        pair = (oracles.TRENT_BIT[bell], x)
         fine_counts[(bell, x)] = fine_counts.get((bell, x), 0) + 1
         coarse_counts[pair] = coarse_counts.get(pair, 0) + 1
         assert _decode(pair[0], X_OUTCOMES.index(x)) == bit
@@ -165,7 +161,7 @@ def test_03_trent_bit_x_joint_statistics(bit):
     for pair in compatible:
         assert coarse_counts[pair] / 10_000 == pytest.approx(0.5, abs=0.02)
     # worked example: 0 published and |+> measured decodes to 1
-    assert _decode(0, X_OUTCOMES.index(XOutcome.PLUS)) == 1
+    assert _decode(0, X_OUTCOMES.index("plus")) == 1
     report(
         f"published-bit/x statistics (bit {bit})",
         "fine pairs at 1/4, compatible published pairs at 1/2; (0, plus) decodes to 1",
@@ -344,12 +340,12 @@ def eve_public_joint(bit: int, variant: str, params: dict) -> dict:
     for ez in (0, 1):
         eve = oracles.z_proj(3, ez, 4)
         if variant == "qdc1":
-            for x in XOutcome:
-                dist[(ez, x.value)] = oracles.joint_prob(state, [eve, oracles.x_proj(1, x, 4)])
+            for x in X_OUTCOMES:
+                dist[(ez, x)] = oracles.joint_prob(state, [eve, oracles.x_proj(1, x, 4)])
         else:
             for tbit, group in (
-                (0, (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS)),
-                (1, (BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS)),
+                (0, ("phi_plus", "psi_minus")),
+                (1, ("phi_minus", "psi_plus")),
             ):
                 dist[(ez, tbit)] = sum(
                     oracles.joint_prob(state, [eve, oracles.bell_proj(0, 1, b, 4)]) for b in group
@@ -447,8 +443,9 @@ def test_09b_partial_coverage_attack_with_repetition_code():
 def test_10_algebraic_suite():
     rng = np.random.default_rng(1010)
     worst_norm = worst_restore = 0.0
-    for gate in (I, H, X, HX):
-        assert np.allclose(gate.matrix @ gate.matrix.conj().T, np.eye(2), atol=ATOL)
+    for gate in (oracles.M_I, H, oracles.M_X, HX):
+        assert np.allclose(gate @ gate.conj().T, np.eye(2), atol=ATOL)
+    key_gate = (oracles.M_I, H)  # key bit 0 selects the identity, 1 the Hadamard
     for _ in range(1000):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
@@ -456,20 +453,20 @@ def test_10_algebraic_suite():
 
         # normalization under a random keyed-gate layer
         a_bit, b_bit = int(rng.integers(2)), int(rng.integers(2))
-        encoded_state = apply_gate(state, unitary_for_key_bit(a_bit), 0)
-        encoded_state = apply_gate(encoded_state, unitary_for_key_bit(b_bit), 2)
+        encoded_state = apply_gate(state, key_gate[a_bit], 0)
+        encoded_state = apply_gate(encoded_state, key_gate[b_bit], 2)
         nrm = abs(np.vdot(encoded_state, encoded_state).real - 1.0)
         worst_norm = max(worst_norm, nrm)
 
         # involution of H and X on a random qubit
         q = int(rng.integers(3))
-        for g in (H, X):
+        for g in (H, oracles.M_X):
             twice = apply_gate(apply_gate(state, g, q), g, q)
             worst_restore = max(worst_restore, np.abs(twice - state).max())
 
         # keyed encode followed by keyed decode restores the input exactly
-        decoded = apply_gate(encoded_state, unitary_for_key_bit(a_bit), 0)
-        decoded = apply_gate(decoded, unitary_for_key_bit(b_bit), 2)
+        decoded = apply_gate(encoded_state, key_gate[a_bit], 0)
+        decoded = apply_gate(decoded, key_gate[b_bit], 2)
         worst_restore = max(worst_restore, np.abs(decoded - state).max())
     assert worst_norm <= ATOL
     assert worst_restore <= ATOL

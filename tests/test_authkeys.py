@@ -12,12 +12,13 @@ from ghzqdc.authkeys import (
     CounterOverflowError,
     derive_key,
     random_bits,
-    unitary_for_key_bit,
 )
 from ghzqdc.ecc import format_bits, parse_bits
-from ghzqdc.statevector import ATOL, H, I, apply_gate, make_state
+from ghzqdc.statevector import ATOL, H, apply_gate, make_state
 
 ALICE = "1011"
+# Key bit 0 selects the identity, 1 the Hadamard.
+KEY_GATE = (np.eye(2, dtype=complex), H)
 
 
 def shake_block(id_bits: str, counter: int) -> np.ndarray:
@@ -113,13 +114,6 @@ def test_authkey_bits_are_read_only():
         key.bits[0] = 1
 
 
-def test_unitary_for_key_bit_mapping():
-    assert unitary_for_key_bit(0) is I
-    assert unitary_for_key_bit(1) is H
-    with pytest.raises(ValueError):
-        unitary_for_key_bit(2)
-
-
 @given(
     st.lists(st.floats(-1, 1, allow_nan=False), min_size=8, max_size=8),
     st.integers(0, 1),
@@ -135,9 +129,9 @@ def test_encode_then_decode_with_same_bits_is_identity(values, a_bit, b_bit):
     s = make_state(amps)
     out = s
     for bit, target in ((a_bit, 0), (b_bit, 1)):
-        out = apply_gate(out, unitary_for_key_bit(bit), target)
+        out = apply_gate(out, KEY_GATE[bit], target)
     for bit, target in ((a_bit, 0), (b_bit, 1)):
-        out = apply_gate(out, unitary_for_key_bit(bit), target)
+        out = apply_gate(out, KEY_GATE[bit], target)
     assert np.allclose(out, s, atol=ATOL)
 
 

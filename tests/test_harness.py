@@ -3,11 +3,14 @@ import csv
 import hashlib
 import io
 import json
+import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracles import load_script, reference_run, reference_sweep
 
 import ghzqdc.cli
@@ -347,6 +350,134 @@ def test_cli_parse_helpers():
     assert parse_message("a5") == "10100101"
     with pytest.raises(Exception):
         parse_message("zz")
+
+
+def test_cli_entry_exit_codes(capsys, tmp_path, monkeypatch):
+    """`entry`, the console-script target, exits with `main`'s status for the process argv."""
+    flags = ["--auth-check-bits", "2", "--message-bits", "2", "--trials", "2"]
+    for argv, status in (
+        (["run", "--n-ghz", "24", *flags], 0),
+        (["sweep", "--n-ghz", "24", "--m-values", "1,2", *flags], 0),
+        (["run", "--n-ghz", "0", *flags], 1),
+    ):
+        out = tmp_path / f"{argv[0]}-{argv[2]}.json"
+        monkeypatch.setattr(sys, "argv", ["ghzqdc", *argv, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            ghzqdc.cli.entry()
+        assert exc.value.code == status
+        if status:
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert json.loads(out.read_text())["trials"] == 2
+
+
+CHANNEL_NAMES = [c.value for c in Channel]
+
+
+@st.composite
+def run_argvs(draw):
+    """A small `run` command line; some draws are invalid on purpose. No message,
+    no codec and no channel list are drawn more often, so that most draws fit."""
+    argv = [
+        "run",
+        "--protocol", draw(st.sampled_from(["qdc1", "qdc2"])),
+        "--attack", draw(st.sampled_from([v.value for v in AttackVariant])),
+        "--n-ghz", str(draw(st.integers(5, 24))),
+        "--auth-check-bits", str(draw(st.integers(0, 4))),
+        "--message-bits", str(draw(st.just(0) | st.integers(0, 8))),
+        "--ecc", draw(st.just("none") | st.sampled_from(["hamming74", "rep3"])),
+        "--threshold-auth", draw(st.sampled_from(["0", "0.25", "1"])),
+        "--threshold-msg", draw(st.sampled_from(["0", "0.25", "1"])),
+        "--trials", str(draw(st.integers(1, 4))),
+        "--seed", str(draw(st.integers(0, 3))),
+    ]
+    channels = draw(st.just([]) | st.lists(st.sampled_from(CHANNEL_NAMES), unique=True, max_size=4))
+    if channels:
+        argv += ["--attack-channels", ",".join(channels)]
+    coverage = draw(st.sampled_from([None, "0", "0.5", "1"]))
+    if coverage is not None:
+        argv += ["--attack-coverage", coverage]
+    return argv
+
+
+def _cli_run(argv, out) -> tuple[int, str]:
+    """(exit status, stderr) of `main` on `argv` writing to `out`."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            status = cli_main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            status = exc.code
+    return status, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=run_argvs())
+def test_cli_run_argv_gives_a_consistent_report_or_an_error(tmp_path, argv):
+    """Every drawn `run` command line either writes a self-consistent report
+    that a rerun reproduces, or fails with an error line and no output file."""
+    out, again = tmp_path / "r.json", tmp_path / "again.json"
+    for path in (out, again):
+        path.unlink(missing_ok=True)
+    status, err = _cli_run(argv, out)
+    if status != 0:
+        assert status in (1, 2), err
+        assert "error:" in err and (status == 1 or "usage:" in err), err
+        assert not out.exists()
+        return
+
+    text = out.read_text()
+    report = json.loads(text)
+    trials, verdicts, auth, msg = (report[k] for k in ("trials", "verdicts", "auth", "message"))
+    per_trial = report["per_trial"]
+
+    def flag(name):
+        return argv[argv.index(name) + 1] if name in argv else None
+
+    assert trials == int(flag("--trials")) == len(per_trial)
+    assert verdicts["authenticated"] + verdicts["auth_aborted"] == trials
+    seen = Counter(v for t in per_trial for v in (t["auth_verdict"], t["msg_verdict"]) if v)
+    assert seen == {v: count for v, count in verdicts.items() if count}
+    sent = verdicts["authenticated"] if msg["attempted"] else 0
+    assert verdicts["message_delivered"] + verdicts["message_discarded"] == sent
+    assert msg["delivered"] == verdicts["message_delivered"]
+
+    def ratio(count, total):
+        return count / total if total else 0.0
+
+    assert auth["check_bits"] == sum(t["auth_checked"] for t in per_trial)
+    assert auth["errors"] == sum(t["auth_errors"] for t in per_trial)
+    assert msg["check_bits"] == sum(t["msg_checked"] for t in per_trial)
+    assert msg["errors"] == sum(t["msg_errors"] for t in per_trial)
+    delivered_ok = sum(t["delivered_ok"] is True for t in per_trial)
+    rates = [
+        (auth["error_rate"], ratio(auth["errors"], auth["check_bits"])),
+        (auth["detection_rate"], ratio(verdicts["auth_aborted"], trials)),
+        (msg["error_rate"], ratio(msg["errors"], msg["check_bits"])),
+        (msg["delivery_fidelity"], ratio(delivered_ok, msg["delivered"])),
+    ]
+    for hist in report["eve"].values():
+        total = sum(hist["counts"].values())
+        rates += [(hist["probabilities"][k], ratio(c, total)) for k, c in hist["counts"].items()]
+    for rate, want in rates:
+        assert rate == want and 0.0 <= rate <= 1.0
+    for owner in ("alice", "bob"):
+        by_bit = list(auth[f"error_rate_by_{owner}_key_bit"].values())
+        assert all(0.0 <= r <= 1.0 for r in by_bit)
+        # The total is the two classes' check-weighted mean; an empty class reads 0.
+        assert min(by_bit) - 1e-12 <= auth["error_rate"] <= max(by_bit) + 1e-12
+        assert (auth["errors"] == 0) == (max(by_bit) == 0.0)
+    if flag("--attack") == "none" or flag("--attack-coverage") == "0":
+        assert auth["errors"] == msg["errors"] == 0
+
+    assert _cli_run(argv, again)[0] == 0
+
+    def strip(t):
+        return [line for line in t.splitlines() if '"timestamp"' not in line]
+
+    assert strip(again.read_text()) == strip(text)
 
 
 def test_codec_warning_only_when_a_used_channel_is_attacked(capsys):

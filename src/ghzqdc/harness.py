@@ -60,10 +60,11 @@ SCHEMA_VERSION = 1
 _AUTH_CHANNELS = {Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB}
 
 # Most rows a chunk holds: a chunk runs max(1, ROW_CAP // n_ghz) trials.
-# Larger chunks buy little once numpy calls are amortised, and each row
-# held costs its draws and node indices, so the cap keeps peak memory
-# flat however many trials a run has.
-ROW_CAP = 512
+# A row peaks at ~160-270 bytes inside `run_chunk` (its draws and node
+# indices; tracemalloc, honest n=128 to auth-only n=5), so a full chunk
+# stays near 1.3-2.2 MiB however many trials a run has, while it is still
+# large enough for an n=128 run to pay numpy's per-call cost once per 64 trials.
+ROW_CAP = 8192
 
 
 @dataclass(frozen=True)
@@ -185,24 +186,23 @@ def detection_rate_reference(m: int) -> float:
 
 
 def _analytic_references(spec: RunSpec) -> dict:
-    out: dict = {}
     attack = spec.attack
     if attack.variant == AttackVariant.NONE or not attack.channels:
-        out["auth_check_error_rate"] = 0.0
-        out["msg_check_error_rate"] = 0.0
-        out["auth_detection_rate"] = 0.0
-        return out
-    on_auth = bool(attack.channels & _AUTH_CHANNELS)
-    on_msg = message_channel(spec.config.protocol_variant) in attack.channels
-    if on_auth and attack.coverage == 1.0:
-        # Per check bit with uniform keys: error only when the owner's key
-        # bit is 1, and then with chance 1/2.
-        out["auth_check_error_rate"] = 0.25
-        out["auth_check_error_rate_key_bit_one"] = 0.5
-        out["auth_check_error_rate_key_bit_zero"] = 0.0
-        out["auth_detection_rate"] = detection_rate_reference(spec.config.m_auth_check)
-    if on_msg:
-        out["msg_check_error_rate"] = 0.5 * attack.coverage
+        out = {"auth_check_error_rate": 0.0, "msg_check_error_rate": 0.0,
+               "auth_detection_rate": 0.0}
+    else:
+        out = {}
+        if attack.channels & _AUTH_CHANNELS and attack.coverage == 1.0:
+            # Per check bit with uniform keys: error only when the owner's key
+            # bit is 1, and then with chance 1/2.
+            out["auth_check_error_rate"] = 0.25
+            out["auth_check_error_rate_key_bit_one"] = 0.5
+            out["auth_check_error_rate_key_bit_zero"] = 0.0
+            out["auth_detection_rate"] = detection_rate_reference(spec.config.m_auth_check)
+        if message_channel(spec.config.protocol_variant) in attack.channels:
+            out["msg_check_error_rate"] = 0.5 * attack.coverage
+    if spec.config.m_auth_check == 0:  # a rate over no check bits has no reference
+        out = {k: v for k, v in out.items() if not k.startswith("auth_check_error_rate")}
     return out
 
 

@@ -3,6 +3,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -300,6 +302,67 @@ def test_cli_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(out) in err
         assert not out.exists()
+
+
+def test_cli_out_is_overwritten_in_place(capsys, tmp_path):
+    """--out is rewritten without truncating first and then cut to the new report."""
+    out = tmp_path / "sweep.csv"
+    sweep = ["sweep", "--n-ghz", "24", "--auth-check-bits", "2", "--trials", "2", "--format", "csv"]
+    assert cli_main(sweep + ["--m-values", "1,2,3,4,5", "--out", str(out)]) == 0
+    assert cli_main(sweep + ["--m-values", "1"]) == 0
+    one_row = capsys.readouterr().out
+    assert len(out.read_text()) > len(one_row)
+    assert cli_main(sweep + ["--m-values", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == one_row.encode("ascii")
+    out = tmp_path / "run.json"
+    flags = ["run", "--n-ghz", "24", "--auth-check-bits", "2", "--message-bits", "2"]
+    for trials in ("40", "2"):
+        assert cli_main(flags + ["--trials", trials, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["trials"] == 2
+    # A device cannot be truncated, and need not be.
+    assert cli_main(flags + ["--trials", "1", "--out", os.devnull]) == 0
+
+
+def test_cli_failed_run_leaves_out_empty(capsys, tmp_path, monkeypatch):
+    """A run that fails after --out is opened leaves no stale report in it."""
+
+    def failing_run(spec):
+        raise ValueError("no trials today")
+
+    out = tmp_path / "r.json"
+    out.write_text("a previous report\n")
+    monkeypatch.setattr("ghzqdc.cli.run", failing_run)
+    code = cli_main(["run", "--n-ghz", "24", "--auth-check-bits", "2", "--message-bits", "2",
+                     "--trials", "2", "--out", str(out)])
+    assert code == 1
+    assert "no trials today" in capsys.readouterr().err
+    assert out.read_bytes() == b""
+
+
+def test_cli_out_permissions_match_open(tmp_path):
+    """A new --out gets the mode `open(path, "w")` would give it under the same umask."""
+    argv = ["run", "--n-ghz", "24", "--auth-check-bits", "2", "--message-bits", "2",
+            "--trials", "1"]
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    old = os.umask(0o027)
+    try:
+        assert cli_main(argv + ["--out", str(ours)]) == 0
+        theirs.open("w").close()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(ours.stat().st_mode) == stat.S_IMODE(theirs.stat().st_mode) == 0o640
+
+
+def test_cli_run_without_auth_checks_has_no_check_rate_reference(capsys):
+    """With --auth-check-bits 0 nothing is checked, so no check rate has a reference."""
+    code = cli_main(["run", "--n-ghz", "12", "--auth-check-bits", "0", "--message-bits", "0",
+                     "--trials", "4", "--attack", "intercept",
+                     "--attack-channels", "trent-alice,trent-bob"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["auth"]["check_bits"] == 0
+    assert data["verdicts"]["authenticated"] == 4
+    assert data["analytic"] == {"auth_detection_rate": 0.0}
 
 
 def test_cli_attack_flags(capsys):

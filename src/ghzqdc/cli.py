@@ -12,9 +12,6 @@ of error are raised before the output file is created.
 from __future__ import annotations
 
 import argparse
-import functools
-import os
-import stat
 import sys
 from contextlib import nullcontext, suppress
 
@@ -127,7 +124,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzqdc",
@@ -212,21 +208,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _build_spec(args)  # validates the spec
-        # Opened before the first trial, so an unwritable path fails fast, and
-        # overwritten in place: ext4 flushes a file truncated and then rewritten.
-        out = nullcontext(sys.stdout) if args.out is None else open(
-            os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii")
+        # Opened before the first trial, so an unwritable path fails fast.
+        out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="ascii")
         with out as fh:
-            try:
-                if args.command == "run":
-                    _warn_distance_rule(spec)
-                    report = run(spec)
-                else:
-                    report = sweep_detection_curve(spec, args.m_values)
-                fh.write(report.to_json() if args.format == "json" else report.to_csv())
-            finally:  # cut the old report's tail, or all of it if no report was written
-                if args.out is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate()
+            if args.command == "run":
+                _warn_distance_rule(spec)
+                report = run(spec)
+            else:
+                report = sweep_detection_curve(spec, args.m_values)
+            fh.write(report.to_json() if args.format == "json" else report.to_csv())
     except (ValueError, OSError) as exc:  # ValueError covers ConfigError and InvalidAttackError
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -186,23 +186,27 @@ def detection_rate_reference(m: int) -> float:
 
 
 def _analytic_references(spec: RunSpec) -> dict:
+    out: dict = {}
     attack = spec.attack
+    checked = spec.config.m_auth_check > 0  # a rate over no check bits has no reference
     if attack.variant == AttackVariant.NONE or not attack.channels:
-        out = {"auth_check_error_rate": 0.0, "msg_check_error_rate": 0.0,
-               "auth_detection_rate": 0.0}
-    else:
-        out = {}
-        if attack.channels & _AUTH_CHANNELS and attack.coverage == 1.0:
+        if checked:
+            out["auth_check_error_rate"] = 0.0
+        out["msg_check_error_rate"] = 0.0
+        out["auth_detection_rate"] = 0.0
+        return out
+    on_auth = bool(attack.channels & _AUTH_CHANNELS)
+    on_msg = message_channel(spec.config.protocol_variant) in attack.channels
+    if on_auth and attack.coverage == 1.0:
+        if checked:
             # Per check bit with uniform keys: error only when the owner's key
             # bit is 1, and then with chance 1/2.
             out["auth_check_error_rate"] = 0.25
             out["auth_check_error_rate_key_bit_one"] = 0.5
             out["auth_check_error_rate_key_bit_zero"] = 0.0
-            out["auth_detection_rate"] = detection_rate_reference(spec.config.m_auth_check)
-        if message_channel(spec.config.protocol_variant) in attack.channels:
-            out["msg_check_error_rate"] = 0.5 * attack.coverage
-    if spec.config.m_auth_check == 0:  # a rate over no check bits has no reference
-        out = {k: v for k, v in out.items() if not k.startswith("auth_check_error_rate")}
+        out["auth_detection_rate"] = detection_rate_reference(spec.config.m_auth_check)
+    if on_msg:
+        out["msg_check_error_rate"] = 0.5 * attack.coverage
     return out
 
 

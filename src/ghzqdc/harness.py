@@ -124,9 +124,10 @@ def _derive_trial_keys(keys_rng: np.random.Generator, n: int) -> tuple[AuthKey, 
 
 @dataclass
 class RunReport:
-    """Aggregated outcome of one run; serializes to JSON or CSV."""
+    """Aggregated outcome of one run; serializes to JSON, each field under its
+    own name, or to CSV."""
 
-    spec_echo: dict
+    spec: dict
     seed: int
     trials: int
     verdicts: dict
@@ -137,25 +138,11 @@ class RunReport:
     analytic: dict
     timestamp: str = ""
 
-    def to_dict(self, include_timestamp: bool = True) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "trials": self.trials,
-            "spec": self.spec_echo,
-            "verdicts": self.verdicts,
-            "auth": self.auth,
-            "message": self.message,
-            "eve": self.eve,
-            "analytic": self.analytic,
-            "per_trial": self.per_trial,
-        }
-        if include_timestamp:
-            out["timestamp"] = self.timestamp
-        return out
-
     def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timestamp), sort_keys=True, indent=2) + "\n"
+        out = {"schema_version": SCHEMA_VERSION, **vars(self)}
+        if not include_timestamp:
+            del out["timestamp"]
+        return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         """Flat section,key,value rows of the aggregate statistics."""
@@ -314,16 +301,15 @@ def run(spec: RunSpec) -> RunReport:
         for bit in (0, 1)
     }
 
-    spec_echo = {
-        "config": spec.config.to_dict(),
-        "attack": attack_to_dict(spec.attack),
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "message_bits": spec.message_bits,
-        "message": spec.message,
-    }
-    report = RunReport(
-        spec_echo=spec_echo,
+    return RunReport(
+        spec={
+            "config": spec.config.to_dict(),
+            "attack": attack_to_dict(spec.attack),
+            "trials": spec.trials,
+            "seed": spec.seed,
+            "message_bits": spec.message_bits,
+            "message": spec.message,
+        },
         seed=spec.seed,
         trials=spec.trials,
         verdicts={v.value: getattr(tally, v.name.lower()) for v in Verdict},
@@ -334,7 +320,6 @@ def run(spec: RunSpec) -> RunReport:
         analytic=_analytic_references(spec),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-    return report
 
 
 @dataclass
@@ -346,19 +331,8 @@ class SweepReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return (
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "seed": self.seed,
-                    "trials": self.trials,
-                    "rows": self.rows,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        return json.dumps({"schema_version": SCHEMA_VERSION, **vars(self)}, sort_keys=True,
+                          indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

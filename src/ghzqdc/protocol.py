@@ -46,6 +46,7 @@ import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -199,7 +200,7 @@ class Measurement:
     def __call__(self, node: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(outcome code, next node) of each row, picked with the row's uniform from `u`."""
         act = self.acts[node]
-        k = np.zeros(len(node), dtype=np.intp)
+        k = np.zeros(node.shape, dtype=np.intp)
         k[act] = pick(self.probs[node[act]], u[act])
         return np.where(act, k, -1), self.child[node, k]
 
@@ -536,19 +537,19 @@ def _decode(trent_bit, x):
 def _measure(table: BranchTable, node: np.ndarray, u: np.ndarray, eve_u) -> dict[str, np.ndarray]:
     """Bob's, Trent's and Eve's measurements in the table's order: the outcome codes by basis.
 
-    `u` holds one uniform per row for each of Bob and Trent, columns in
-    measurement order; `eve_u` one per (row, ancilla slot) for Eve's z
-    measurement of each attached ancilla. Returns the "bell" and "x" codes,
-    and Eve's (rows, slots) under "eve", -1 where no ancilla is attached.
+    `u` holds one uniform per row for each of Bob and Trent, on its last
+    axis in measurement order; `eve_u` one per (row, ancilla slot) for Eve's
+    z measurement of each attached ancilla. Returns the "bell" and "x"
+    codes, and Eve's (rows, slots) under "eve", -1 where no ancilla is attached.
     """
     codes = {"eve": np.full(eve_u.shape, -1)}
     col = slot = 0
     for basis, step in table.measure:
         if basis == "eve":
-            codes["eve"][:, slot], node = step(node, eve_u[:, slot])
+            codes["eve"][..., slot], node = step(node, eve_u[..., slot])
             slot += 1
         else:
-            codes[basis], node = step(node, u[:, col])
+            codes[basis], node = step(node, u[..., col])
             col += 1
     return codes
 
@@ -625,7 +626,7 @@ class SessionResult:
     outcome (into X_OUTCOMES), Eve's z outcome per ancilla slot, -1 where
     she attached none, and her message-phase outcome (an intercept's at
     send time, the message-phase ancilla's at her step), -1 where she did
-    not attack. They are views into the trial's chunk.
+    not attack. They are rows of the chunk's (trial, used position) arrays.
     """
 
     auth_verdict: Verdict
@@ -651,64 +652,50 @@ class SessionResult:
 
 
 def _message_phase(
-    config: SessionConfig,
-    attack: AttackModel,
-    trials: list[Trial],
-    auth: AuthPhaseResult,
-    results: list[SessionResult],
-) -> tuple[int, int, int, int]:
-    """Send the message of every authenticated trial at once; fills in their results.
+    config: SessionConfig, attack: AttackModel, trials: list[Trial], surviving: np.ndarray
+) -> tuple[list[MessagePlan], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Send the message of every trial at once over its row of `surviving` nodes.
 
-    Returns the chunk's counts of Eve's message-phase outcomes, indexed
-    by 2 * (Alice's bit) + outcome.
+    Returns each trial's plan, then Bob's decoded bits and the `bell`, `x`,
+    `eve` and `eve_msg` codes of `SessionResult` as arrays over (trial,
+    used position). The trials must share one frame length.
     """
-    survivors = config.n_ghz - config.m_auth_check
+    if not trials:
+        return [], *np.zeros((5, 0), dtype=int)
     channel = message_channel(config.protocol_variant)
-    active = [i for i, (trial, aborted) in enumerate(zip(trials, auth.aborted.tolist()))
-              if trial.message is not None and not aborted]
-    if not active:
-        return (0, 0, 0, 0)
-    plans, rows, hits, eve_us, us = [], [], [], [], []
-    for i in active:
-        trial = trials[i]
+    plans, hits, eve_us, us = [], [], [], []
+    for trial in trials:
         frame = ecc_encode(config.codec, trial.message)
-        plan = plan_message_positions(survivors, frame, config.check_fraction_msg, trial.rng)
+        plan = plan_message_positions(surviving.shape[1], frame, config.check_fraction_msg,
+                                      trial.rng)
         eve_rng = trial.eve_rng if attack.draws else None
         hit, eve_u = attack_draws(attack, (channel,), len(plan.bits), eve_rng)
         plans.append(plan)
-        rows.append(i * survivors + plan.positions)
         hits.append(hit[:, 0])
         eve_us.append(eve_u[:, 0])
         us.append(trial.rng.random((len(plan.bits), 2)))
-    bounds = np.cumsum([0] + [len(plan.bits) for plan in plans]).tolist()
-    chunk_plan = MessagePlan(*(np.concatenate([getattr(plan, name) for plan in plans])
-                               for name in ("positions", "bits", "is_check")))
+    if len({len(plan.bits) for plan in plans}) > 1:
+        raise ConfigError("the trials of a chunk must share one frame length")
+    positions = np.stack([plan.positions for plan in plans])
+    bits = np.stack([plan.bits for plan in plans])
 
     table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
-    node = table.encode[auth.surviving[np.concatenate(rows)], chunk_plan.bits]
-    node, eve_msg = _cross(table.send, node, np.concatenate(hits), np.concatenate(eve_us))
-    # Eve's uniforms for her attached ancillas, trial by trial in (row, slot) order.
+    node = table.encode[np.take_along_axis(surviving, positions, axis=1), bits]
+    node, eve_msg = _cross(table.send, node, np.stack(hits), np.stack(eve_us))
+    # Eve's uniforms for her attached ancillas, trial by trial in (position, slot) order.
     attached = table.attached[node]
     ancilla_u = np.zeros(attached.shape)
-    for i, lo, hi in zip(active, bounds, bounds[1:]):
-        if attached[lo:hi].any():
-            ancilla_u[lo:hi][attached[lo:hi]] = trials[i].eve_rng.random(int(attached[lo:hi].sum()))
-    codes = _measure(table, node, np.concatenate(us), ancilla_u)
+    for trial, mask, u in zip(trials, attached, ancilla_u):
+        if mask.any():
+            u[mask] = trial.eve_rng.random(int(mask.sum()))
+    codes = _measure(table, node, np.stack(us), ancilla_u)
     bell, x, eve = codes["bell"], codes["x"], codes["eve"]
     decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
     if table.message_ancilla:
-        eve_msg = eve[:, -1]  # the message-phase ancilla, measured at Eve's step
+        eve_msg = eve[..., -1]  # the message-phase ancilla, measured at Eve's step
     elif eve_msg is None:  # Eve ignores the message channel
-        eve_msg = np.full(len(node), -1)
-
-    for i, plan, lo, hi in zip(active, plans, bounds, bounds[1:]):
-        res = results[i]
-        res.plan, res.decoded_bits = plan, decoded[lo:hi]
-        res.bell, res.x, res.eve, res.eve_msg = bell[lo:hi], x[lo:hi], eve[lo:hi], eve_msg[lo:hi]
-        res.msg = message_check_and_deliver(decoded[lo:hi], plan, config.error_threshold_msg,
-                                            config.codec)
-    seen = eve_msg >= 0
-    return tuple(np.bincount(2 * chunk_plan.bits[seen] + eve_msg[seen], minlength=4).tolist())
+        eve_msg = np.full(node.shape, -1)
+    return plans, decoded, bell, x, eve, eve_msg
 
 
 def run_chunk(
@@ -722,25 +709,31 @@ def run_chunk(
     does not depend on its chunk.
     """
     auth = auth_phase(config, attack, trials)
+    sends = np.array([trial.message is not None for trial in trials], dtype=bool) & ~auth.aborted
+    surviving = auth.surviving.reshape(len(trials), config.n_ghz - config.m_auth_check)
+    plans, *sent = _message_phase(config, attack, list(compress(trials, sends)), surviving[sends])
+
+    results, outcomes = [], zip(plans, *sent)
     checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
-    results = [
-        SessionResult(
-            Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED,
-            rate,
-            errors,
-            trial_checks,
-            trial.message,
-        )
-        for trial, aborted, rate, errors, trial_checks in zip(
-            trials, auth.aborted.tolist(), auth.error_rates.tolist(), auth.errors.tolist(), checks
-        )
-    ]
-    eve = _message_phase(config, attack, trials, auth, results)
+    for trial, send, aborted, rate, errors, trial_checks in zip(
+        trials, sends.tolist(), auth.aborted.tolist(), auth.error_rates.tolist(),
+        auth.errors.tolist(), checks
+    ):
+        phase = ()  # the message-phase fields, None for a trial that sent nothing
+        if send:
+            plan, decoded, *codes = next(outcomes)
+            msg = message_check_and_deliver(decoded, plan, config.error_threshold_msg,
+                                            config.codec)
+            phase = (plan, decoded, msg, *codes)
+        verdict = Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED
+        results.append(SessionResult(verdict, rate, errors, trial_checks, trial.message, *phase))
 
     msgs = [res.msg for res in results if res.msg is not None]
     delivered = sum(msg.verdict is Verdict.MESSAGE_DELIVERED for msg in msgs)
     aborted = int(auth.aborted.sum())
     pair = 2 * auth.checks[:, 1] + auth.checks[:, 2]
+    alice, eve_msg = np.array([plan.bits for plan in plans], dtype=np.intp), sent[-1]
+    seen = eve_msg >= 0
     tally = Tally(
         trials=len(trials),
         authenticated=len(trials) - aborted,
@@ -752,7 +745,7 @@ def run_chunk(
         auth_errors=tuple(np.bincount(pair[auth.error], minlength=4).tolist()),
         msg_checked=sum(msg.checked for msg in msgs),
         msg_errors=sum(msg.errors for msg in msgs),
-        eve=eve,
+        eve=tuple(np.bincount(2 * alice[seen] + eve_msg[seen], minlength=4).tolist()),
     )
     return tally, results
 

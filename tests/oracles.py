@@ -489,16 +489,15 @@ def reference_run(spec):
         "delivered": delivered,
         "delivery_fidelity": rate(delivered_ok, delivered) if delivered else 0.0,
     }
-    spec_echo = {
-        "config": spec.config.to_dict(),
-        "attack": attack_to_dict(spec.attack),
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "message_bits": spec.message_bits,
-        "message": spec.message,
-    }
     return RunReport(
-        spec_echo=spec_echo,
+        spec={
+            "config": spec.config.to_dict(),
+            "attack": attack_to_dict(spec.attack),
+            "trials": spec.trials,
+            "seed": spec.seed,
+            "message_bits": spec.message_bits,
+            "message": spec.message,
+        },
         seed=spec.seed,
         trials=spec.trials,
         verdicts=verdict_counts,

@@ -76,7 +76,7 @@ def test_trial_seed_mixing_is_stable():
 
 def test_pinned_message_is_used_every_trial():
     report = run(spec(trials=4, message="1010101010101010", message_bits=16))
-    assert report.spec_echo["message"] == "1010101010101010"
+    assert report.spec["message"] == "1010101010101010"
     assert report.message["delivery_fidelity"] == 1.0
 
 
@@ -265,8 +265,11 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
         assert exc.value.code == 2
         assert "--m-values" in capsys.readouterr().err
         assert not out.exists()
-    # So is a negative message length or an empty message.
-    for flag, value in (("--message-bits", "-3"), ("--message", ""), ("--message", "0x")):
+    # So is a negative or non-numeric message length, an empty message, an
+    # unparsable attack parameter or an unknown channel.
+    for flag, value in (("--message-bits", "-3"), ("--message-bits", "abc"), ("--message", ""),
+                        ("--message", "0x"), ("--alpha", "foo"),
+                        ("--attack-channels", "trent-carol")):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--n-ghz", "40", "--auth-check-bits", "2", flag, value,
                       "--out", str(out)])
@@ -546,6 +549,12 @@ def test_codec_warning_only_when_a_used_channel_is_attacked(capsys):
     captured = capsys.readouterr()
     assert "expected raw error rate of 0.50" in captured.err
     assert json.loads(captured.out)["message"]["error_rate"] > 0.25
+    # At half coverage the expected rate halves: rep3 corrects 0.25, hamming74 does not.
+    half = [*base, "--attack-channels", "trent-alice", "--attack-coverage", "0.5"]
+    assert cli_main(half) == 0
+    assert capsys.readouterr().err == ""
+    assert cli_main([*half, "--ecc", "hamming74"]) == 0
+    assert "expected raw error rate of 0.25" in capsys.readouterr().err
 
 
 GOLDEN = load_script("scripts/pin_golden_reports.py")

@@ -460,6 +460,16 @@ def test_chunk_trial_renders_its_lone_session_transcript(variant):
         assert render_transcript(trial_config, res).to_jsonl() == want
 
 
+def test_chunk_trials_share_one_frame_length():
+    """A chunk's message phase runs every trial's frame as one row of a
+    matrix, so trials whose frames differ in length are a configuration error."""
+    config = small_config(codec=Codec("rep3"))
+    trials = [Trial(*keys_for(config, seed=seed), parse_bits(bits), seed)
+              for seed, bits in enumerate(("1011", "101101"))]
+    with pytest.raises(ConfigError, match="share one frame length"):
+        run_chunk(config, NO_ATTACK, trials)
+
+
 def test_transcript_serialization_round_trip():
     tr = transcript_for()
     lines = tr.to_jsonl().strip().split("\n")

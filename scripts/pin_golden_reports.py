@@ -106,6 +106,23 @@ CONFIGS = {
         "--n-ghz", "40", "--auth-check-bits", "8", "--message-bits", "8",
         "--threshold-auth", "1.0", "--threshold-msg", "1.0", "--trials", "6", "--seed", "33",
     ],
+    # Seeds of two and three entropy words (2**32 and 2**64 + 5): every
+    # entry above seeds with one word.
+    "honest_two_word_seed": [
+        "run", "--n-ghz", "40", "--auth-check-bits", "4", "--message-bits", "8",
+        "--trials", "6", "--seed", "4294967296",
+    ],
+    "intercept_half_three_word_seed": [
+        "run", "--attack", "intercept", "--attack-channels", "trent-alice,alice-bob",
+        "--attack-coverage", "0.5", "--n-ghz", "40", "--auth-check-bits", "8",
+        "--message-bits", "8", "--threshold-auth", "1.0", "--threshold-msg", "1.0",
+        "--trials", "6", "--seed", "18446744073709551621",
+    ],
+    "sweep_cnot_two_word_seed": [
+        "sweep", "--attack", "entangle-cnot", "--attack-channels", "trent-alice",
+        "--n-ghz", "8", "--auth-check-bits", "2", "--message-bits", "0",
+        "--m-values", "1,3", "--trials", "20", "--seed", "12000000000000",
+    ],
 }
 
 

@@ -16,7 +16,7 @@ only derived statistics leave the process.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -35,9 +35,11 @@ class AuthKey:
     """Key bits, as a read-only uint8 array of 0s and 1s."""
 
     bits: np.ndarray
+    check: InitVar[bool] = True  # False only for bits that already are such an array
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", parse_bits(self.bits, "key bits"))
+    def __post_init__(self, check: bool):
+        if check:
+            object.__setattr__(self, "bits", parse_bits(self.bits, "key bits"))
 
 
 def derive_key(id_bits: str, needed: int) -> AuthKey:
@@ -48,9 +50,8 @@ def derive_key(id_bits: str, needed: int) -> AuthKey:
     """
     if needed < 1:
         raise ValueError("needed must be >= 1")
-    if not id_bits:
-        raise ValueError("id_bits must be non-empty")
-    parse_bits(id_bits, "id_bits")
+    if not id_bits or id_bits.strip("01"):  # the text is hashed as given, never parsed
+        raise ValueError(f"id_bits must be a non-empty string of 0s and 1s, got {id_bits!r}")
     blocks = -(-needed // _BLOCK_BITS)
     if blocks > _COUNTER_VALUES:
         raise CounterOverflowError(
@@ -60,7 +61,9 @@ def derive_key(id_bits: str, needed: int) -> AuthKey:
         hashlib.shake_256(f"{id_bits}|{c:032b}".encode("ascii")).digest(_BLOCK_BITS // 8)
         for c in range(blocks)
     )
-    return AuthKey(np.unpackbits(np.frombuffer(digest, dtype=np.uint8)))
+    bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))
+    bits.flags.writeable = False
+    return AuthKey(bits, check=False)  # a digest's bits are 0s and 1s
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -2,13 +2,12 @@
 
 Every trial is an independent session with fresh random identities (keys
 derived by SHAKE-256 in counter mode), a fresh message unless one is
-pinned, and its own deterministic seed. The per-trial seed chain is:
-
-    trial_ss   = numpy SeedSequence((spec.seed, trial_index))
-    keys, sess = trial_ss.spawn(2)
-
-so reports are byte-identical across runs of the same RunSpec, the
-timestamp field aside, no matter how trials are scheduled.
+pinned, and its own deterministic seed: numpy's SeedSequence((spec.seed,
+trial_index)).spawn(2) gives its key and session seeds. `seeds.py`
+derives that chain's words for a block of trials in one array pass, equal
+to the SeedSequence chain by construction, so reports are byte-identical
+across runs of the same RunSpec, the timestamp field aside, no matter how
+trials are scheduled.
 
 Trials run trial-major, in chunks of at most max(1, ROW_CAP // n_ghz)
 trials whose rows walk the run's cached `protocol.branch_table` as integer
@@ -18,8 +17,9 @@ seed contract (v1) is unchanged and a report does not depend on the chunk
 size. Chunk `Tally`s add up to the report.
 
 `run` and a detection sweep share one driver, `_chunks`: per block of
-trials it builds each trial's keys, message and seed once, and every row
-(one spec in a run, one m in a sweep) runs its own chunks from them.
+trials it derives the seed words and builds each trial's keys and message
+once, and every row (one spec in a run, one m in a sweep) runs its own
+chunks from them.
 
 The JSON report schema (schema_version 1) is documented in the README.
 Its `analytic` block holds hard-coded reference values (0.25, 1/2 and
@@ -54,6 +54,7 @@ from .protocol import (
     run_chunk,
     run_session,  # only read by perfbench's tracer, which wraps harness.run_session
 )
+from .seeds import generator, trial_words
 
 SCHEMA_VERSION = 1
 
@@ -102,11 +103,6 @@ class RunSpec:
             frame_len = len(ecc_encode(self.config.codec, np.zeros(self.message_bits, np.uint8)))
             surviving = self.config.n_ghz - self.config.m_auth_check
             check_capacity(surviving, frame_len, self.config.check_fraction_msg)
-
-
-def trial_seed(seed: int, index: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    """Spawn the (key material, session) seed pair for one trial."""
-    return tuple(np.random.SeedSequence((seed, index)).spawn(2))
 
 
 def _random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
@@ -213,24 +209,24 @@ def chunk_size(n_ghz: int) -> int:
     return max(1, ROW_CAP // n_ghz)
 
 
-def _trial(spec: RunSpec, index: int, pinned: np.ndarray | None) -> tuple:
-    """The `Trial` fields of trial `index`: keys, then the message from the
-    key generator, then the session seed."""
-    keys_ss, session_ss = trial_seed(spec.seed, index)
-    keys_rng = np.random.default_rng(keys_ss)
-    alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
-    message = pinned  # a RunSpec pins a message only when message_bits is set
-    if message is None and spec.message_bits is not None:
-        message = _random_bits(keys_rng, spec.message_bits)
-    session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
-    return alice_key, bob_key, message, session_seed
+def _trials(spec: RunSpec, first: int, stop: int, pinned: np.ndarray | None) -> Iterator[tuple]:
+    """The `Trial` fields of trials first..stop-1: keys, then the message
+    from the key generator, then the session generators' words."""
+    keys_words, _, session = trial_words(spec.seed, first, stop)
+    for key_words, words in zip(keys_words, session):
+        keys_rng = generator(key_words)
+        alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
+        message = pinned  # a RunSpec pins a message only when message_bits is set
+        if message is None and spec.message_bits is not None:
+            message = _random_bits(keys_rng, spec.message_bits)
+        yield alice_key, bob_key, message, words
 
 
 def _chunks(specs: list[RunSpec]) -> Iterator[tuple[int, Tally, list[SessionResult]]]:
     """Run the trials of `specs`, which differ only in their config, as
     (row, tally, results) per chunk, row being the spec's index.
 
-    A trial's keys, message and session seed do not depend on n (a longer
+    A trial's keys, message and session words do not depend on n (a longer
     counter-mode key starts with every shorter one), so they are built once
     per block of chunk_size(smallest n) trials, for the widest row. Each row
     runs fresh `Trial`s from them, chunk_size(its n) at a time, as a
@@ -240,7 +236,7 @@ def _chunks(specs: list[RunSpec]) -> Iterator[tuple[int, Tally, list[SessionResu
     pinned = None if widest.message is None else parse_bits(widest.message)
     block = chunk_size(min(spec.config.n_ghz for spec in specs))
     for start in range(0, widest.trials, block):
-        inputs = [_trial(widest, t, pinned) for t in range(start, min(start + block, widest.trials))]
+        inputs = list(_trials(widest, start, min(start + block, widest.trials), pinned))
         for row, spec in enumerate(specs):
             size = chunk_size(spec.config.n_ghz)
             for lo in range(0, len(inputs), size):

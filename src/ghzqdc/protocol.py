@@ -54,6 +54,7 @@ import numpy as np
 from .adversary import AttackModel, Channel, NO_ATTACK, apply_channel_attack, attack_draws
 from .authkeys import AuthKey, random_bits
 from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits
+from .seeds import generator, session_words
 from .statevector import (
     BELL_OUTCOMES, H, HX, X_OUTCOMES, apply_gate, measure_branches, new_ghz3, pick,
 )
@@ -369,26 +370,24 @@ def _build_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
 @dataclass(frozen=True, eq=False)
 class Trial:
     """One session's inputs: both keys, the message (None runs authentication
-    only) and the seed of the session's honest and adversary generators.
-
-    The generators are the two children SeedSequence(seed).spawn(2) would
-    give, child i being SeedSequence(seed, spawn_key=(i,)). Each is built
-    on first use: Eve's is never read in a run without an attack, nor in an
-    authentication-only run of an entangling attack at full coverage.
+    only) and the (2, 4) uint64 PCG64 words of the session's honest and
+    adversary generators, each built on first use: Eve's is never read in
+    a run without an attack, nor in an authentication-only run of an
+    entangling attack at full coverage.
     """
 
     alice_key: AuthKey
     bob_key: AuthKey
     message: np.ndarray | None
-    seed: int
+    words: np.ndarray
 
     @cached_property
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
+        return generator(self.words[0])
 
     @cached_property
     def eve_rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(1,)))
+        return generator(self.words[1])
 
 
 @dataclass
@@ -410,22 +409,31 @@ class AuthPhaseResult:
     surviving: np.ndarray  # the branch-table node of each surviving triple
 
 
+def _attack_draws(attack: AttackModel, channels, rows: int, trials: list[Trial]):
+    """`attack_draws` over `rows` triples of each trial, as (trials, rows, channels)
+    arrays: one call for the chunk when Eve reads no generator, else one per
+    trial on its own `eve_rng`, built only then."""
+    if not attack.draws:
+        draws = attack_draws(attack, channels, len(trials) * rows, None)
+        return [a.reshape(len(trials), rows, len(channels)) for a in draws]
+    return [np.stack(a) for a in zip(*(attack_draws(attack, channels, rows, t.eve_rng)
+                                       for t in trials))]
+
+
 def auth_phase(config: SessionConfig, attack: AttackModel, trials: list[Trial]) -> AuthPhaseResult:
     """Run the authentication phase of every trial at once."""
     n, m, count = config.n_ghz, config.m_auth_check, len(trials)
     channels = (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB)
     keys = np.empty((2, count, n), dtype=bool)
-    hit, eve_u = np.empty((count, n, 2), dtype=bool), np.empty((count, n, 2))
     check_positions = np.empty((count, m), dtype=int)
     u = np.empty((count, m, 3))
     # Each trial's draws, in the order its generators have always been read.
+    hit, eve_u = _attack_draws(attack, channels, n, trials)
     for i, trial in enumerate(trials):
         for who, key, row in (("alice", trial.alice_key, keys[0]), ("bob", trial.bob_key, keys[1])):
             if len(key.bits) < n:
                 raise InsufficientKeyError(f"{who} key covers {len(key.bits)} < {n} positions")
             row[i] = key.bits[:n]
-        eve_rng = trial.eve_rng if attack.draws else None  # built only if Eve draws
-        hit[i], eve_u[i] = attack_draws(attack, channels, n, eve_rng)
         if m:
             check_positions[i] = np.sort(trial.rng.choice(n, size=m, replace=False))
             # One uniform per check position and party, in (position, Alice/Bob/Trent) order.
@@ -662,33 +670,27 @@ def _message_phase(
     """
     if not trials:
         return [], *np.zeros((5, 0), dtype=int)
-    channel = message_channel(config.protocol_variant)
-    plans, hits, eve_us, us = [], [], [], []
-    for trial in trials:
-        frame = ecc_encode(config.codec, trial.message)
-        plan = plan_message_positions(surviving.shape[1], frame, config.check_fraction_msg,
-                                      trial.rng)
-        eve_rng = trial.eve_rng if attack.draws else None
-        hit, eve_u = attack_draws(attack, (channel,), len(plan.bits), eve_rng)
-        plans.append(plan)
-        hits.append(hit[:, 0])
-        eve_us.append(eve_u[:, 0])
-        us.append(trial.rng.random((len(plan.bits), 2)))
+    plans = [plan_message_positions(surviving.shape[1], ecc_encode(config.codec, trial.message),
+                                    config.check_fraction_msg, trial.rng) for trial in trials]
     if len({len(plan.bits) for plan in plans}) > 1:
         raise ConfigError("the trials of a chunk must share one frame length")
     positions = np.stack([plan.positions for plan in plans])
     bits = np.stack([plan.bits for plan in plans])
+    # Each trial's rng gives its plan, then one uniform per used position and measuring party.
+    us = np.stack([trial.rng.random((bits.shape[1], 2)) for trial in trials])
+    hit, eve_u = _attack_draws(attack, (message_channel(config.protocol_variant),),
+                               bits.shape[1], trials)
 
     table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
     node = table.encode[np.take_along_axis(surviving, positions, axis=1), bits]
-    node, eve_msg = _cross(table.send, node, np.stack(hits), np.stack(eve_us))
+    node, eve_msg = _cross(table.send, node, hit[..., 0], eve_u[..., 0])
     # Eve's uniforms for her attached ancillas, trial by trial in (position, slot) order.
     attached = table.attached[node]
     ancilla_u = np.zeros(attached.shape)
     for trial, mask, u in zip(trials, attached, ancilla_u):
         if mask.any():
             u[mask] = trial.eve_rng.random(int(mask.sum()))
-    codes = _measure(table, node, np.stack(us), ancilla_u)
+    codes = _measure(table, node, us, ancilla_u)
     bell, x, eve = codes["bell"], codes["x"], codes["eve"]
     decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
     if table.message_ancilla:
@@ -758,7 +760,7 @@ def run_session(
     attack: AttackModel = NO_ATTACK,
 ) -> SessionResult:
     """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
-    trial = Trial(alice_key, bob_key, message_bits, config.rng_seed)
+    trial = Trial(alice_key, bob_key, message_bits, session_words(config.rng_seed))
     _, (result,) = run_chunk(config, attack, [trial])
     return result
 

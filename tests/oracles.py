@@ -386,10 +386,17 @@ def h74_decode(word7: str) -> tuple[str, int]:
 # Reference Monte Carlo loop: one session per trial, hand-written counters.
 
 
+def trial_seed(seed: int, index: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
+    """Trial `index`'s (key material, session) SeedSequence pair, from numpy
+    itself: the chain `ghzqdc.seeds` derives as arrays."""
+    return tuple(np.random.SeedSequence((seed, index)).spawn(2))
+
+
 def reference_run(spec):
     """The report `harness.run(spec)` must reproduce, built trial by trial.
 
-    Each trial spawns its seeds, derives its keys, draws its message, runs
+    Each trial spawns its seeds with numpy's own SeedSequence (not
+    `ghzqdc.seeds`), derives its keys, draws its message, runs
     one session with `run_session` and adds its outcome to plain counters,
     the way the harness did before it ran trials in chunks.
     """
@@ -403,7 +410,6 @@ def reference_run(spec):
         _derive_trial_keys,
         _normalize_eve_counts,
         _random_bits,
-        trial_seed,
     )
     from ghzqdc.protocol import Verdict, run_session
 

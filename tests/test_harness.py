@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import load_script, reference_run, reference_sweep
+from oracles import load_script, reference_run, reference_sweep, trial_seed
 
 import ghzqdc.cli
 from ghzqdc import harness, protocol
@@ -26,9 +26,9 @@ from ghzqdc.harness import (
     detection_rate_reference,
     run,
     sweep_detection_curve,
-    trial_seed,
 )
 from ghzqdc.protocol import CapacityError, ConfigError, SessionConfig
+from ghzqdc.seeds import generator, trial_words
 
 
 def spec(**overrides) -> RunSpec:
@@ -571,11 +571,11 @@ def test_golden_report(name):
 def test_trial_draws_known_answer():
     """Identities, keys and random messages of trials 0-49 at seed 0, pinned by digest."""
     digest = hashlib.sha256()
-    for t in range(50):
-        keys_ss, _ = trial_seed(0, t)
-        rng = np.random.default_rng(keys_ss)
+    keys_words, _, _ = trial_words(0, 0, 50)
+    for words in keys_words:
+        rng = generator(words)
         drawn = [_random_bits(rng, 128), _random_bits(rng, 128), _random_bits(rng, 40)]
-        keys = _derive_trial_keys(np.random.default_rng(keys_ss), 128)
+        keys = _derive_trial_keys(generator(words), 128)
         for bits in drawn + [k.bits for k in keys]:
             digest.update(format_bits(bits).encode("ascii") + b"\n")
     assert digest.hexdigest() == "c8d23db63fe475afc942c4da7a0a8606dfb8a3b1d5df0b1b2b943831fdab84eb"

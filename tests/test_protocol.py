@@ -12,6 +12,7 @@ from ghzqdc import protocol
 from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import Codec, encode as ecc_encode, format_bits, parse_bits
+from ghzqdc.seeds import session_words
 from ghzqdc.protocol import (
     CapacityError,
     ConfigError,
@@ -176,7 +177,7 @@ def test_trent_marginals_leak_nothing():
 
 
 def one_trial(ka, kb, seed) -> list[Trial]:
-    return [Trial(ka, kb, None, seed)]
+    return [Trial(ka, kb, None, session_words(seed))]
 
 
 def test_honest_auth_no_errors():
@@ -449,12 +450,13 @@ def test_chunk_trial_renders_its_lone_session_transcript(variant):
     trials = []
     for seed in range(6):
         ka, kb = keys_for(config, seed=seed)
-        trials.append(Trial(ka, kb, None if seed == 2 else parse_bits("1011"), seed))
+        message = None if seed == 2 else parse_bits("1011")
+        trials.append(Trial(ka, kb, message, session_words(seed)))
     _, results = run_chunk(config, attack, trials)
     assert {res.auth_verdict for res in results} == {Verdict.AUTHENTICATED, Verdict.AUTH_ABORTED}
     assert any(res.eve_msg is not None and (res.eve_msg >= 0).any() for res in results)
-    for trial, res in zip(trials, results):
-        trial_config = replace(config, rng_seed=trial.seed)
+    for seed, (trial, res) in enumerate(zip(trials, results)):
+        trial_config = replace(config, rng_seed=seed)
         alone = run_session(trial_config, trial.alice_key, trial.bob_key, trial.message, attack)
         want = render_transcript(trial_config, alone).to_jsonl()
         assert render_transcript(trial_config, res).to_jsonl() == want
@@ -464,7 +466,7 @@ def test_chunk_trials_share_one_frame_length():
     """A chunk's message phase runs every trial's frame as one row of a
     matrix, so trials whose frames differ in length are a configuration error."""
     config = small_config(codec=Codec("rep3"))
-    trials = [Trial(*keys_for(config, seed=seed), parse_bits(bits), seed)
+    trials = [Trial(*keys_for(config, seed=seed), parse_bits(bits), session_words(seed))
               for seed, bits in enumerate(("1011", "101101"))]
     with pytest.raises(ConfigError, match="share one frame length"):
         run_chunk(config, NO_ATTACK, trials)

@@ -416,8 +416,8 @@ def _attack_draws(attack: AttackModel, channels, rows: int, trials: list[Trial])
     if not attack.draws:
         draws = attack_draws(attack, channels, len(trials) * rows, None)
         return [a.reshape(len(trials), rows, len(channels)) for a in draws]
-    return [np.stack(a) for a in zip(*(attack_draws(attack, channels, rows, t.eve_rng)
-                                       for t in trials))]
+    draws = [attack_draws(attack, channels, rows, trial.eve_rng) for trial in trials]
+    return [np.stack(a) for a in zip(*draws)]
 
 
 def auth_phase(config: SessionConfig, attack: AttackModel, trials: list[Trial]) -> AuthPhaseResult:

@@ -89,11 +89,11 @@ def trial_words(seed: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarra
     head, states = _int_words(seed), []
     while first < stop:  # the trials whose index has as many words as `first`
         width = len(_int_words(first))
-        index = np.arange(first, min(stop, 1 << 32 * width), dtype=np.uint64)
+        index = np.arange(first, min(stop, 1 << (32 * width)), dtype=np.uint64)
         entropy = np.empty((len(index), len(head) + width), dtype=np.uint32)
         entropy[:, :len(head)] = head
         for j in range(width):
-            entropy[:, len(head) + j] = index >> 32 * j & 0xFFFFFFFF
+            entropy[:, len(head) + j] = (index >> (32 * j)) & 0xFFFFFFFF
         states.append(_children(entropy))
         first += len(index)
     state = np.concatenate(states)

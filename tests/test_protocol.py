@@ -12,7 +12,6 @@ from ghzqdc import protocol
 from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import Codec, encode as ecc_encode, format_bits, parse_bits
-from ghzqdc.seeds import session_words
 from ghzqdc.protocol import (
     CapacityError,
     ConfigError,
@@ -33,6 +32,7 @@ from ghzqdc.protocol import (
     _BELL_BIT,
     _decode,
 )
+from ghzqdc.seeds import session_words
 from ghzqdc.statevector import (
     ATOL,
     BELL_OUTCOMES,

@@ -17,11 +17,12 @@ The cases, by name:
                     so her ancillas are labelled E0 and E1.
 
 Each transcript is rendered from the session's result by
-`protocol.render_transcript`. With --out the script writes one case's
-JSONL to a file, which refreshes a golden fixture; with --write it
-rewrites tests/data/transcript_digests.json, the sha256 of every case's
-JSONL, which the tests check, after an intentional change of the
-transcript format.
+`protocol.render_transcript` and written by `protocol.to_jsonl`. With
+--out the script writes one case's JSONL to a file, which refreshes a
+golden fixture; with --write it rewrites
+tests/data/transcript_digests.json, the sha256 of every case's JSONL,
+which the tests check, after an intentional change of the transcript
+format.
 """
 import argparse
 import hashlib
@@ -31,7 +32,7 @@ from pathlib import Path
 from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
 from ghzqdc.authkeys import derive_key
 from ghzqdc.ecc import Codec, parse_bits
-from ghzqdc.protocol import SessionConfig, Transcript, render_transcript, run_session
+from ghzqdc.protocol import SessionConfig, render_transcript, run_session, to_jsonl
 
 DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "data" / "transcript_digests.json"
 
@@ -40,18 +41,18 @@ def golden_keys(needed: int):
     return derive_key("1011001110001111", needed), derive_key("0100110001110000", needed)
 
 
-def session(config: SessionConfig, attack=NO_ATTACK, message: str | None = "1101") -> Transcript:
-    """The transcript of one session over the golden keys."""
+def session(config: SessionConfig, attack=NO_ATTACK, message: str | None = "1101") -> list[dict]:
+    """The event records of one session over the golden keys."""
     alice, bob = golden_keys(config.n_ghz)
     bits = None if message is None else parse_bits(message)
     return render_transcript(config, run_session(config, alice, bob, bits, attack))
 
 
-def golden_session() -> Transcript:
+def golden_session() -> list[dict]:
     return session(SessionConfig(n_ghz=20, m_auth_check=2, check_fraction_msg=0.25, rng_seed=2024))
 
 
-def golden_attacked_session() -> Transcript:
+def golden_attacked_session() -> list[dict]:
     config = SessionConfig(
         n_ghz=24,
         m_auth_check=4,
@@ -68,7 +69,7 @@ def golden_attacked_session() -> Transcript:
     return session(config, attack)
 
 
-def small_session(attack=NO_ATTACK, message="10110010", **config) -> Transcript:
+def small_session(attack=NO_ATTACK, message="10110010", **config) -> list[dict]:
     """A session at n=40, m=4, seed 5 unless `config` says otherwise."""
     config = SessionConfig(**{"n_ghz": 40, "m_auth_check": 4, "rng_seed": 5, **config})
     return session(config, attack, message)
@@ -93,7 +94,7 @@ CASES = {
 
 
 def case_jsonl(name: str) -> str:
-    return CASES[name]().to_jsonl()
+    return to_jsonl(CASES[name]())
 
 
 def digests() -> dict[str, str]:

@@ -8,7 +8,7 @@ from .adversary import NO_ATTACK, AttackModel, AttackVariant, Channel
 from .authkeys import AuthKey, derive_key
 from .ecc import Codec
 from .harness import RunSpec, run, sweep_detection_curve
-from .protocol import SessionConfig, SessionResult, Verdict, render_transcript, run_session
+from .protocol import SessionConfig, SessionResult, render_transcript, run_session, to_jsonl
 from .statevector import new_ghz3
 
 __version__ = "0.1.0"

@@ -91,11 +91,9 @@ def parse_m_values(text: str) -> list[int]:
 
 
 def _default_channels(attack: str, protocol: str) -> frozenset[Channel]:
-    if attack in ("intercept", "entangle-cnot"):
-        return frozenset({Channel.TRENT_TO_ALICE})
     if attack == "entangle-general":
         return frozenset({message_channel(protocol)})
-    return frozenset()
+    return frozenset({Channel.TRENT_TO_ALICE})
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

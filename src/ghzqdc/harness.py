@@ -48,7 +48,7 @@ from .protocol import (
     SessionResult,
     Tally,
     Trial,
-    Verdict,
+    VERDICTS,
     check_capacity,
     message_channel,
     run_chunk,
@@ -248,10 +248,10 @@ def _trial_record(index: int, res: SessionResult) -> dict:
     msg = res.msg
     return {
         "trial": index,
-        "auth_verdict": res.auth_verdict.value,
+        "auth_verdict": res.auth_verdict,
         "auth_errors": res.auth_errors,
         "auth_checked": len(res.checks),
-        "msg_verdict": None if msg is None else msg.verdict.value,
+        "msg_verdict": None if msg is None else msg.verdict,
         "msg_errors": 0 if msg is None else msg.errors,
         "msg_checked": 0 if msg is None else msg.checked,
         "delivered_ok": None if res.message_sent is None else res.delivered_ok,
@@ -308,7 +308,7 @@ def run(spec: RunSpec) -> RunReport:
         },
         seed=spec.seed,
         trials=spec.trials,
-        verdicts={v.value: getattr(tally, v.name.lower()) for v in Verdict},
+        verdicts={v: getattr(tally, v) for v in VERDICTS},
         per_trial=per_trial,
         auth=auth,
         message=message_stats,

@@ -34,17 +34,17 @@ points where an adversary may act. Classical announcements are public,
 append-only, and readable (not forgeable) by the adversary.
 
 A session's transcript is rendered from its finished `SessionResult` by
-`render_transcript`; no phase records anything as it runs. It serializes
-to JSON lines, one event per line with keys ordinal / actor / kind /
-payload; see the README for the event catalogue. Auth-key bits never
-appear in transcript payloads.
+`render_transcript` as a list of event records, dicts with keys ordinal /
+actor / kind / payload; no phase records anything as it runs. `to_jsonl`
+writes them as JSON lines, one event per line; see the README for the
+event catalogue. Auth-key bits never appear in transcript payloads, and
+a verdict is its name, one of `VERDICTS`.
 """
 from __future__ import annotations
 
 import json
 import operator
 from dataclasses import dataclass, fields
-from enum import Enum
 from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
@@ -83,45 +83,8 @@ class InsufficientKeyError(ValueError):
     """An authentication key does not cover all GHZ positions."""
 
 
-class Verdict(str, Enum):
-    AUTHENTICATED = "authenticated"
-    AUTH_ABORTED = "auth_aborted"
-    MESSAGE_DELIVERED = "message_delivered"
-    MESSAGE_DISCARDED = "message_discarded"
-
-
-@dataclass(frozen=True)
-class Event:
-    ordinal: int
-    actor: str  # trent | alice | bob | eve | public
-    kind: str
-    payload: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ordinal": self.ordinal,
-                "actor": self.actor,
-                "kind": self.kind,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-        )
-
-
-class Transcript:
-    """Append-only ordered event log for one session."""
-
-    def __init__(self):
-        self.events: list[Event] = []
-
-    def emit(self, actor: str, kind: str, **payload) -> Event:
-        ev = Event(len(self.events), actor, kind, payload)
-        self.events.append(ev)
-        return ev
-
-    def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self.events) + "\n"
+# The public verdicts, by name: authentication's, then the message phase's.
+VERDICTS = ("authenticated", "auth_aborted", "message_delivered", "message_discarded")
 
 
 @dataclass(frozen=True)
@@ -153,6 +116,8 @@ class SessionConfig:
             raise ConfigError("protocol_variant must be 'qdc1' or 'qdc2'")
         if self.measure_order is not None and sorted(self.measure_order) != ["bob", "eve", "trent"]:
             raise ConfigError("measure_order must be a permutation of bob/trent/eve")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
     def resolved_measure_order(self) -> tuple[str, str, str]:
         if self.measure_order is not None:
@@ -564,7 +529,7 @@ def _measure(table: BranchTable, node: np.ndarray, u: np.ndarray, eve_u) -> dict
 
 @dataclass
 class MessageResult:
-    verdict: Verdict
+    verdict: str  # one of VERDICTS
     message: np.ndarray | None
     error_rate: float
     errors: int
@@ -588,7 +553,7 @@ def message_check_and_deliver(
             message, corrected = ecc_decode(codec, decoded[~is_check])
         except FramingError as exc:
             diagnostic = str(exc)
-    verdict = Verdict.MESSAGE_DISCARDED if message is None else Verdict.MESSAGE_DELIVERED
+    verdict = "message_discarded" if message is None else "message_delivered"
     return MessageResult(verdict, message, error_rate, errors, checked, corrected, diagnostic)
 
 
@@ -599,7 +564,7 @@ def message_check_and_deliver(
 class Tally:
     """Integer counts over a set of trials; tallies of disjoint sets add with `+`.
 
-    The four verdict counts are named after the `Verdict` members. The auth
+    The four verdict counts are named after `VERDICTS`. The auth
     tuples count check positions by (Alice's key bit a, Bob's key bit b) at
     index 2a + b; `eve` counts Eve's message-phase outcomes by (Alice's
     bit, Eve's outcome) at index 2 * bit + outcome.
@@ -637,7 +602,7 @@ class SessionResult:
     not attack. They are rows of the chunk's (trial, used position) arrays.
     """
 
-    auth_verdict: Verdict
+    auth_verdict: str  # one of VERDICTS
     auth_error_rate: float
     auth_errors: int
     checks: np.ndarray  # one row per check position: (position, a, b, z_A, z_T, z_B)
@@ -727,11 +692,11 @@ def run_chunk(
             msg = message_check_and_deliver(decoded, plan, config.error_threshold_msg,
                                             config.codec)
             phase = (plan, decoded, msg, *codes)
-        verdict = Verdict.AUTH_ABORTED if aborted else Verdict.AUTHENTICATED
+        verdict = "auth_aborted" if aborted else "authenticated"
         results.append(SessionResult(verdict, rate, errors, trial_checks, trial.message, *phase))
 
     msgs = [res.msg for res in results if res.msg is not None]
-    delivered = sum(msg.verdict is Verdict.MESSAGE_DELIVERED for msg in msgs)
+    delivered = sum(msg.verdict == "message_delivered" for msg in msgs)
     aborted = int(auth.aborted.sum())
     pair = 2 * auth.checks[:, 1] + auth.checks[:, 2]
     alice, eve_msg = np.array([plan.bits for plan in plans], dtype=np.intp), sent[-1]
@@ -769,7 +734,7 @@ def run_session(
 # Transcripts
 
 
-def render_transcript(config: SessionConfig, result: SessionResult) -> Transcript:
+def render_transcript(config: SessionConfig, result: SessionResult) -> list[dict]:
     """The events of the session `result` records, in order, with `config.rng_seed` as its seed.
 
     Trent prepares, keys and sends every triple, Alice announces the check
@@ -779,8 +744,11 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
     the comparison and the verdict. Eve's ancillas are labelled E0, E1, ...
     by their rank among the triple's attached slots.
     """
-    transcript = Transcript()
-    emit = transcript.emit
+    events = []
+
+    def emit(actor: str, kind: str, **payload) -> None:
+        events.append({"ordinal": len(events), "actor": actor, "kind": kind, "payload": payload})
+
     n, variant, checks = config.n_ghz, config.protocol_variant, result.checks
     emit("public", "session_start", protocol=variant, n_ghz=n, m_auth_check=config.m_auth_check,
          seed=config.rng_seed)
@@ -798,12 +766,12 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
             emit(actor, "z_measure", position=pos, outcome=z)
             emit(actor, "announce", what="auth_z_outcome", position=pos, outcome=z)
         emit("public", "auth_compare", position=pos, outcomes=[a, t, b], error=not a == t == b)
-    emit("public", "verdict", phase="auth", verdict=result.auth_verdict.value,
+    emit("public", "verdict", phase="auth", verdict=result.auth_verdict,
          error_rate=result.auth_error_rate, errors=result.auth_errors,
          checked=config.m_auth_check)
     plan, msg = result.plan, result.msg
     if plan is None:
-        return transcript
+        return events
 
     channel = message_channel(variant).value
     for seq, bit, check in zip(plan.positions.tolist(), plan.bits.tolist(), plan.is_check.tolist()):
@@ -840,9 +808,14 @@ def render_transcript(config: SessionConfig, result: SessionResult) -> Transcrip
     emit("public", "msg_compare", errors=msg.errors, checked=msg.checked,
          error_rate=msg.error_rate)
     extra = {} if msg.diagnostic is None else {"diagnostic": msg.diagnostic}
-    emit("public", "verdict", phase="message", verdict=msg.verdict.value,
+    emit("public", "verdict", phase="message", verdict=msg.verdict,
          error_rate=msg.error_rate, **extra)
     if msg.message is not None:
         emit("bob", "deliver", message=format_bits(msg.message),
              corrected_errors=msg.corrected_errors)
-    return transcript
+    return events
+
+
+def to_jsonl(events: list[dict]) -> str:
+    """The events as JSON lines, one per event with its keys sorted."""
+    return "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)

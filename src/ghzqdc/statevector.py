@@ -95,9 +95,9 @@ _GHZ3[0b000] = _INV_SQRT2
 _GHZ3[0b111] = _INV_SQRT2
 
 
-def new_ghz3(rows: int = 1) -> np.ndarray:
-    """`rows` fresh (|000> + |111>)/sqrt(2) registers over qubits (A, T, B)."""
-    return make_state(np.tile(_GHZ3, (rows, 1)))
+def new_ghz3() -> np.ndarray:
+    """A fresh (|000> + |111>)/sqrt(2) register over qubits (A, T, B)."""
+    return make_state(_GHZ3)
 
 
 # ---------------------------------------------------------------------------

@@ -411,10 +411,10 @@ def reference_run(spec):
         _normalize_eve_counts,
         _random_bits,
     )
-    from ghzqdc.protocol import Verdict, run_session
+    from ghzqdc.protocol import VERDICTS, run_session
 
     per_trial: list[dict] = []
-    verdict_counts = {v.value: 0 for v in Verdict}
+    verdict_counts = {v: 0 for v in VERDICTS}
     auth_errors = auth_checked = 0
     auth_err_by_alice_bit = {0: [0, 0], 1: [0, 0]}  # bit -> [errors, total]
     auth_err_by_bob_bit = {0: [0, 0], 1: [0, 0]}
@@ -439,9 +439,9 @@ def reference_run(spec):
             for bit, outcome in zip(res.plan.bits[seen].tolist(), res.eve_msg[seen].tolist()):
                 eve_counts[str(bit)][str(outcome)] += 1
 
-        verdict_counts[res.auth_verdict.value] += 1
+        verdict_counts[res.auth_verdict] += 1
         if res.msg is not None:
-            verdict_counts[res.msg.verdict.value] += 1
+            verdict_counts[res.msg.verdict] += 1
         trial_errors = check_errors(res.checks)
         for (_, a, b, *_), err in zip(res.checks.tolist(), trial_errors):
             auth_checked += 1
@@ -450,24 +450,24 @@ def reference_run(spec):
             auth_err_by_alice_bit[a][1] += 1
             auth_err_by_bob_bit[b][0] += err
             auth_err_by_bob_bit[b][1] += 1
-        if res.auth_verdict is Verdict.AUTH_ABORTED:
+        if res.auth_verdict == "auth_aborted":
             detected += 1
         msg_result = res.msg
         msg_errors += msg_result.errors if msg_result else 0
         msg_checked += msg_result.checked if msg_result else 0
         if message is not None:
             attempted += 1
-            if msg_result and msg_result.verdict is Verdict.MESSAGE_DELIVERED:
+            if msg_result and msg_result.verdict == "message_delivered":
                 delivered += 1
                 if res.delivered_ok:
                     delivered_ok += 1
         per_trial.append(
             {
                 "trial": t,
-                "auth_verdict": res.auth_verdict.value,
+                "auth_verdict": res.auth_verdict,
                 "auth_errors": sum(trial_errors),
                 "auth_checked": len(trial_errors),
-                "msg_verdict": msg_result.verdict.value if msg_result else None,
+                "msg_verdict": msg_result.verdict if msg_result else None,
                 "msg_errors": msg_result.errors if msg_result else 0,
                 "msg_checked": msg_result.checked if msg_result else 0,
                 "delivered_ok": res.delivered_ok if message is not None else None,

@@ -14,7 +14,7 @@ from ghzqdc.adversary import AttackModel, Channel
 from ghzqdc.authkeys import AuthKey, random_bits
 from ghzqdc.ecc import Codec, decode as ecc_decode, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
-from ghzqdc.protocol import SessionConfig, Verdict, run_session, _decode
+from ghzqdc.protocol import SessionConfig, run_session, _decode
 from ghzqdc.statevector import (
     ATOL,
     BELL_OUTCOMES,
@@ -420,7 +420,7 @@ def test_09b_partial_coverage_attack_with_repetition_code():
         outcomes.append(oracle_says_ok)
         if oracle_says_ok:
             predicted_ok += 1
-            assert res.msg.verdict is Verdict.MESSAGE_DELIVERED
+            assert res.msg.verdict == "message_delivered"
             assert format_bits(res.msg.message) == message
         else:
             # out-of-bound blocks majority-vote wrong, and a corrupted

@@ -447,13 +447,19 @@ def run_argvs(draw):
         "--trials", str(draw(st.integers(1, 4))),
         "--seed", str(draw(st.integers(0, 3))),
     ]
+    return argv + _attack_flags(draw)
+
+
+def _attack_flags(draw) -> list[str]:
+    """A drawn --attack-channels list and --attack-coverage, each often left out."""
+    flags = []
     channels = draw(st.just([]) | st.lists(st.sampled_from(CHANNEL_NAMES), unique=True, max_size=4))
     if channels:
-        argv += ["--attack-channels", ",".join(channels)]
+        flags += ["--attack-channels", ",".join(channels)]
     coverage = draw(st.sampled_from([None, "0", "0.5", "1"]))
     if coverage is not None:
-        argv += ["--attack-coverage", coverage]
-    return argv
+        flags += ["--attack-coverage", coverage]
+    return flags
 
 
 def _cli_run(argv, out) -> tuple[int, str]:
@@ -533,6 +539,75 @@ def test_cli_run_argv_gives_a_consistent_report_or_an_error(tmp_path, argv):
         return [line for line in t.splitlines() if '"timestamp"' not in line]
 
     assert strip(again.read_text()) == strip(text)
+
+
+@st.composite
+def sweep_argvs(draw):
+    """A small `sweep` command line; some draws are invalid on purpose. An m
+    of 0, a usage error, is drawn rarely, so that most draws fit."""
+    m_values = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0]), min_size=1, max_size=3))
+    argv = [
+        "sweep",
+        "--protocol", draw(st.sampled_from(["qdc1", "qdc2"])),
+        "--attack", draw(st.sampled_from([v.value for v in AttackVariant])),
+        "--n-ghz", str(draw(st.integers(5, 24))),
+        "--auth-check-bits", str(draw(st.integers(0, 4))),
+        "--m-values", ",".join(map(str, m_values)),
+        "--threshold-auth", draw(st.sampled_from(["0", "0.25", "1"])),
+        "--trials", str(draw(st.integers(1, 4))),
+        "--seed", str(draw(st.integers(0, 3))),
+        "--format", draw(st.sampled_from(["csv", "json"])),
+    ]
+    return argv + _attack_flags(draw)
+
+
+def _sweep_rows(text: str, fmt: str) -> list[tuple]:
+    """(m, trials, empirical rate, analytic rate or None) of each row of a sweep report."""
+    if fmt == "json":
+        keys = ("m", "trials", "empirical_detection_rate", "analytic_detection_rate")
+        return [tuple(row[k] for k in keys) for row in json.loads(text)["rows"]]
+    _, *rows = csv.reader(io.StringIO(text))
+    return [(int(m), int(t), float(e), float(a) if a else None) for m, t, e, a in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=sweep_argvs())
+@example(argv=["sweep", "--n-ghz", "8", "--m-values", "2,0", "--trials", "2"])  # a usage error
+def test_cli_sweep_argv_gives_a_consistent_report_or_an_error(tmp_path, argv):
+    """Every drawn `sweep` command line either writes one row per drawn m
+    that a rerun reproduces byte for byte, or fails with an error line and
+    no output file."""
+    out, again = tmp_path / "s.out", tmp_path / "again.out"
+    for path in (out, again):
+        path.unlink(missing_ok=True)
+    status, err = _cli_run(argv, out)
+    if status != 0:
+        assert status in (1, 2), err
+        assert "error:" in err and (status == 1 or "usage:" in err), err
+        assert not out.exists()
+        return
+
+    def flag(name):
+        return argv[argv.index(name) + 1] if name in argv else None
+
+    text = out.read_text()
+    rows = _sweep_rows(text, flag("--format"))
+    trials = int(flag("--trials"))
+    assert [row[0] for row in rows] == [int(m) for m in flag("--m-values").split(",")]
+    quiet = flag("--attack") == "none" or flag("--attack-coverage") == "0"
+    by_m = {}
+    for row in rows:
+        m, row_trials, empirical, analytic = row
+        assert row_trials == trials
+        assert empirical in [k / trials for k in range(trials + 1)]
+        assert analytic is None or 0.0 <= analytic <= 1.0
+        assert by_m.setdefault(m, row) == row
+        if quiet:
+            assert empirical == 0.0
+
+    assert _cli_run(argv, again)[0] == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_codec_warning_only_when_a_used_channel_is_attacked(capsys):

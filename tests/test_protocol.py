@@ -20,7 +20,6 @@ from ghzqdc.protocol import (
     SessionConfig,
     SessionResult,
     Trial,
-    Verdict,
     auth_phase,
     branch_table,
     message_channel,
@@ -29,6 +28,7 @@ from ghzqdc.protocol import (
     render_transcript,
     run_chunk,
     run_session,
+    to_jsonl,
     _BELL_BIT,
     _decode,
 )
@@ -272,6 +272,8 @@ def test_config_validation():
         small_config(protocol_variant="qdc3")
     with pytest.raises(ConfigError):
         small_config(measure_order=("bob", "bob", "eve"))
+    with pytest.raises(ConfigError, match="rng_seed"):
+        SessionConfig(n_ghz=8, m_auth_check=2, rng_seed=-1)
 
 
 def test_config_validates_at_construction():
@@ -281,6 +283,8 @@ def test_config_validates_at_construction():
         SessionConfig(n_ghz=4, m_auth_check=9)
     with pytest.raises(ConfigError, match="protocol_variant"):
         replace(small_config(), protocol_variant="qdc3")
+    with pytest.raises(ConfigError, match="rng_seed"):
+        replace(small_config(), rng_seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +319,11 @@ def message_tail(plan, decoded, msg):
     read `decoded` and reached `msg`."""
     rows = len(plan.positions)
     config = SessionConfig(n_ghz=rows, m_auth_check=0)
-    res = SessionResult(Verdict.AUTHENTICATED, 0.0, 0, np.zeros((0, 6), dtype=int), plan=plan,
+    res = SessionResult("authenticated", 0.0, 0, np.zeros((0, 6), dtype=int), plan=plan,
                         decoded_bits=decoded, msg=msg, bell=np.zeros(rows, dtype=int),
                         x=np.zeros(rows, dtype=int), eve=np.zeros((rows, 0), dtype=int))
-    events = render_transcript(config, res).events
-    reveal = next(i for i, e in enumerate(events) if e.payload.get("what") == "msg_check_reveal")
+    events = render_transcript(config, res)
+    reveal = next(i for i, e in enumerate(events) if e["payload"].get("what") == "msg_check_reveal")
     return events[reveal + 1:]
 
 
@@ -331,13 +335,13 @@ def test_message_check_and_deliver_discards_on_errors():
     )
     decoded = parse_bits("0" * 10)  # both check bits wrong
     res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=Codec("hamming74"))
-    assert res.verdict is Verdict.MESSAGE_DISCARDED
+    assert res.verdict == "message_discarded"
     assert res.error_rate == 1.0
     assert res.message is None
     tail = message_tail(plan, decoded, res)
-    assert [e.kind for e in tail] == ["msg_compare", "verdict"]
-    assert tail[0].payload == {"errors": 2, "checked": 2, "error_rate": 1.0}
-    assert tail[-1].payload == {
+    assert [e["kind"] for e in tail] == ["msg_compare", "verdict"]
+    assert tail[0]["payload"] == {"errors": 2, "checked": 2, "error_rate": 1.0}
+    assert tail[-1]["payload"] == {
         "phase": "message",
         "verdict": "message_discarded",
         "error_rate": 1.0,
@@ -348,11 +352,11 @@ def test_message_check_and_deliver_framing_failure_discards():
     plan = MessagePlan(positions=np.arange(9), bits=parse_bits("0" * 9), is_check=np.zeros(9, bool))
     decoded = parse_bits("0" * 9)  # 1-bit body cannot be hamming74
     res = message_check_and_deliver(decoded, plan, threshold=0.5, codec=Codec("hamming74"))
-    assert res.verdict is Verdict.MESSAGE_DISCARDED
+    assert res.verdict == "message_discarded"
     assert res.diagnostic is not None
     tail = message_tail(plan, decoded, res)
-    assert [e.kind for e in tail] == ["msg_compare", "verdict"]
-    assert tail[-1].payload == {
+    assert [e["kind"] for e in tail] == ["msg_compare", "verdict"]
+    assert tail[-1]["payload"] == {
         "phase": "message",
         "verdict": "message_discarded",
         "error_rate": 0.0,
@@ -369,16 +373,16 @@ def test_message_check_and_deliver_delivers_after_verdict():
     decoded = plan.bits.copy()
     decoded[9] ^= 1  # one body error, corrected by the code
     res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=Codec("hamming74"))
-    assert res.verdict is Verdict.MESSAGE_DELIVERED
+    assert res.verdict == "message_delivered"
     assert (format_bits(res.message), res.corrected_errors) == ("1011", 1)
     tail = message_tail(plan, decoded, res)
-    assert [e.kind for e in tail] == ["msg_compare", "verdict", "deliver"]
-    assert tail[1].payload == {
+    assert [e["kind"] for e in tail] == ["msg_compare", "verdict", "deliver"]
+    assert tail[1]["payload"] == {
         "phase": "message",
         "verdict": "message_delivered",
         "error_rate": 0.0,
     }
-    assert tail[2].payload == {"message": "1011", "corrected_errors": 1}
+    assert tail[2]["payload"] == {"message": "1011", "corrected_errors": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +396,8 @@ def test_honest_session_delivers_exact_message(variant):
         config = small_config(protocol_variant=variant, rng_seed=seed)
         ka, kb = keys_for(config, seed=seed)
         res = run_session(config, ka, kb, parse_bits(message), NO_ATTACK)
-        assert res.auth_verdict is Verdict.AUTHENTICATED
-        assert res.msg.verdict is Verdict.MESSAGE_DELIVERED
+        assert res.auth_verdict == "authenticated"
+        assert res.msg.verdict == "message_delivered"
         assert format_bits(res.msg.message) == message
         assert res.auth_error_rate == 0.0
         assert res.msg.error_rate == 0.0
@@ -403,7 +407,7 @@ def test_session_without_message_checks_still_delivers():
     config = small_config(check_fraction_msg=0.0, rng_seed=4)
     ka, kb = keys_for(config, seed=4)
     res = run_session(config, ka, kb, parse_bits("10110100"), NO_ATTACK)
-    assert res.msg.verdict is Verdict.MESSAGE_DELIVERED
+    assert res.msg.verdict == "message_delivered"
     assert res.msg.checked == 0
     assert format_bits(res.msg.message) == "10110100"
 
@@ -412,7 +416,7 @@ def test_auth_only_session():
     config = small_config()
     ka, kb = keys_for(config)
     res = run_session(config, ka, kb, None, NO_ATTACK)
-    assert res.auth_verdict is Verdict.AUTHENTICATED
+    assert res.auth_verdict == "authenticated"
     assert res.msg is None
     assert res.plan is None
 
@@ -421,7 +425,7 @@ def test_session_same_seed_same_transcript():
     config = small_config(rng_seed=123)
     ka, kb = keys_for(config)
     r1, r2 = (run_session(config, ka, kb, parse_bits("10101010"), NO_ATTACK) for _ in range(2))
-    assert render_transcript(config, r1).to_jsonl() == render_transcript(config, r2).to_jsonl()
+    assert to_jsonl(render_transcript(config, r1)) == to_jsonl(render_transcript(config, r2))
 
 
 def test_capacity_error_from_session():
@@ -453,13 +457,13 @@ def test_chunk_trial_renders_its_lone_session_transcript(variant):
         message = None if seed == 2 else parse_bits("1011")
         trials.append(Trial(ka, kb, message, session_words(seed)))
     _, results = run_chunk(config, attack, trials)
-    assert {res.auth_verdict for res in results} == {Verdict.AUTHENTICATED, Verdict.AUTH_ABORTED}
+    assert {res.auth_verdict for res in results} == {"authenticated", "auth_aborted"}
     assert any(res.eve_msg is not None and (res.eve_msg >= 0).any() for res in results)
     for seed, (trial, res) in enumerate(zip(trials, results)):
         trial_config = replace(config, rng_seed=seed)
         alone = run_session(trial_config, trial.alice_key, trial.bob_key, trial.message, attack)
-        want = render_transcript(trial_config, alone).to_jsonl()
-        assert render_transcript(trial_config, res).to_jsonl() == want
+        want = to_jsonl(render_transcript(trial_config, alone))
+        assert to_jsonl(render_transcript(trial_config, res)) == want
 
 
 def test_chunk_trials_share_one_frame_length():
@@ -473,25 +477,29 @@ def test_chunk_trials_share_one_frame_length():
 
 
 def test_transcript_serialization_round_trip():
-    tr = transcript_for()
-    lines = tr.to_jsonl().strip().split("\n")
-    assert len(lines) == len(tr.events)
+    events = transcript_for()
+    lines = to_jsonl(events).strip().split("\n")
+    assert len(lines) == len(events)
     for i, line in enumerate(lines):
         ev = json.loads(line)
         assert ev["ordinal"] == i
         assert set(ev) == {"ordinal", "actor", "kind", "payload"}
         assert ev["actor"] in {"alice", "bob", "trent", "eve", "public"}
+    # An event record is exactly its JSON line: no tuples, no numpy scalars.
+    for case in _dump_transcript_script().CASES.values():
+        events = case()
+        assert [json.loads(line) for line in to_jsonl(events).splitlines()] == events
 
 
 def test_transcript_event_ordering():
     """Check positions are announced only after all auth transmissions,
     and the reveal only after Bob's completion announcement."""
-    tr = transcript_for()
-    kinds = [(e.kind, e.payload.get("what")) for e in tr.events]
+    events = transcript_for()
+    kinds = [(e["kind"], e["payload"].get("what")) for e in events]
     last_transmit_auth = max(
         i
-        for i, e in enumerate(tr.events)
-        if e.kind == "transmit" and e.payload["channel"].startswith("trent")
+        for i, e in enumerate(events)
+        if e["kind"] == "transmit" and e["payload"]["channel"].startswith("trent")
     )
     auth_positions_announce = next(
         i for i, (k, w) in enumerate(kinds) if k == "announce" and w == "auth_check_positions"
@@ -503,25 +511,25 @@ def test_transcript_event_ordering():
     assert reveal > done
     last_msg_transmit = max(
         i
-        for i, e in enumerate(tr.events)
-        if e.kind == "transmit" and e.payload["channel"].startswith("alice")
+        for i, e in enumerate(events)
+        if e["kind"] == "transmit" and e["payload"]["channel"].startswith("alice")
     )
     assert reveal > last_msg_transmit
 
 
 def test_transcript_verdict_precedes_delivery():
-    tr = transcript_for()
-    verdicts = [i for i, e in enumerate(tr.events) if e.kind == "verdict"]
-    deliver = [i for i, e in enumerate(tr.events) if e.kind == "deliver"]
+    events = transcript_for()
+    verdicts = [i for i, e in enumerate(events) if e["kind"] == "verdict"]
+    deliver = [i for i, e in enumerate(events) if e["kind"] == "deliver"]
     assert deliver, "honest run must deliver"
     auth_ok = [
         i
-        for i, e in enumerate(tr.events)
-        if e.kind == "verdict" and e.payload["verdict"] == "authenticated"
+        for i, e in enumerate(events)
+        if e["kind"] == "verdict" and e["payload"]["verdict"] == "authenticated"
     ]
     assert auth_ok and min(auth_ok) < deliver[0]
     assert any(
-        tr.events[i].payload["verdict"] == "message_delivered" and i < deliver[0]
+        events[i]["payload"]["verdict"] == "message_delivered" and i < deliver[0]
         for i in verdicts
     )
 
@@ -533,13 +541,13 @@ def test_transcript_abort_records_error_rate():
     ka, kb = keys_for(config, seed=2)
     attack = AttackModel("entangle-general", {Channel.TRENT_TO_ALICE})
     res = run_session(config, ka, kb, parse_bits("1010"), attack)
-    assert res.auth_verdict is Verdict.AUTH_ABORTED
+    assert res.auth_verdict == "auth_aborted"
     abort_events = [
         e
-        for e in render_transcript(config, res).events
-        if e.kind == "verdict" and e.payload["verdict"] == "auth_aborted"
+        for e in render_transcript(config, res)
+        if e["kind"] == "verdict" and e["payload"]["verdict"] == "auth_aborted"
     ]
-    assert abort_events and abort_events[0].payload["error_rate"] > 0
+    assert abort_events and abort_events[0]["payload"]["error_rate"] > 0
 
 
 def test_transcript_eve_measures_only_message_triples():
@@ -554,8 +562,8 @@ def test_transcript_eve_measures_only_message_triples():
     surviving = [p for p in range(config.n_ghz) if p not in checked]
     used = res.plan.positions.tolist()
     assert len(used) < len(surviving)  # some survivors stay unused
-    events = render_transcript(config, res).events
-    eve = [e.payload for e in events if e.kind == "eve_ancilla_measure"]
+    events = render_transcript(config, res)
+    eve = [e["payload"] for e in events if e["kind"] == "eve_ancilla_measure"]
     assert [(e["position"], e["ancilla"]) for e in eve] == [
         (surviving[seq], label) for seq in used for label in ("E0", "E1")
     ]
@@ -567,13 +575,13 @@ def test_transcript_eve_measures_only_message_triples():
 def test_transcript_contains_no_key_material():
     config = small_config(rng_seed=5)
     ka, kb = keys_for(config, seed=5)
-    transcript = render_transcript(config, run_session(config, ka, kb, parse_bits("10110100")))
-    text = transcript.to_jsonl()
+    events = render_transcript(config, run_session(config, ka, kb, parse_bits("10110100")))
+    text = to_jsonl(events)
     assert format_bits(ka.bits) not in text
     assert format_bits(kb.bits) not in text
-    for event in transcript.events:
-        if event.kind in ("auth_encode", "auth_decode"):
-            assert "bit" not in event.payload
+    for event in events:
+        if event["kind"] in ("auth_encode", "auth_decode"):
+            assert "bit" not in event["payload"]
 
 
 def test_measure_order_knob_reorders_events():
@@ -583,21 +591,22 @@ def test_measure_order_knob_reorders_events():
     def first_measure_kind(order):
         cfg = replace(config, measure_order=order)
         res = run_session(cfg, ka, kb, parse_bits("1010"), NO_ATTACK)
-        for e in render_transcript(cfg, res).events:
-            if e.kind in ("bell_measure", "x_measure"):
-                return (e.actor, e.kind)
+        for e in render_transcript(cfg, res):
+            if e["kind"] in ("bell_measure", "x_measure"):
+                return (e["actor"], e["kind"])
 
     assert first_measure_kind(("bob", "trent", "eve")) == ("bob", "bell_measure")
     assert first_measure_kind(("trent", "bob", "eve")) == ("trent", "x_measure")
 
 
 def test_announcements_view_is_public_subset():
-    tr = transcript_for()
-    public = [e for e in tr.events if e.actor == "public" or e.kind == "announce"]
-    assert any(e.actor == "public" for e in public) and any(e.kind == "announce" for e in public)
+    events = transcript_for()
+    public = [e for e in events if e["actor"] == "public" or e["kind"] == "announce"]
+    assert any(e["actor"] == "public" for e in public)
+    assert any(e["kind"] == "announce" for e in public)
     # Bob's Bell outcomes are private: never announced in qdc1.
-    assert not any(e.payload.get("what") == "bell_outcome" for e in public)
-    assert not any(v in BELL_OUTCOMES for e in public for v in e.payload.values())
+    assert not any(e["payload"].get("what") == "bell_outcome" for e in public)
+    assert not any(v in BELL_OUTCOMES for e in public for v in e["payload"].values())
 
 
 def _dump_transcript_script():
@@ -613,7 +622,7 @@ def _fixture_text(name):
 def test_golden_transcript_fixture():
     """Serialized event log is byte-stable; regenerate the fixture with
     scripts/dump_honest_transcript.py after an intentional format change."""
-    got = _dump_transcript_script().golden_session().to_jsonl()
+    got = to_jsonl(_dump_transcript_script().golden_session())
     assert got == _fixture_text("golden_session.jsonl")
 
 
@@ -621,7 +630,7 @@ def test_golden_attacked_transcript_fixture():
     """The attacked session (general attack on every qdc1 channel at coverage
     0.5, Eve measuring between Bob and Trent) is byte-stable too, Eve's
     ancilla labels included; regenerate with --attacked."""
-    got = _dump_transcript_script().golden_attacked_session().to_jsonl()
+    got = to_jsonl(_dump_transcript_script().golden_attacked_session())
     assert got == _fixture_text("golden_attacked_session.jsonl")
 
 

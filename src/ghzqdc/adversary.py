@@ -56,14 +56,7 @@ class Channel(str, Enum):
     ALICE_TO_TRENT = "alice-trent"
 
 
-_CNOT = complex_constant(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
-)
+_CNOT = complex_constant(np.eye(4)[[0, 1, 3, 2]])  # swaps |10> and |11>
 
 # Default general-attack parameters: maximal disturbance, orthogonal
 # ancilla marks. Satisfies |a|^2+|b|^2 = |a'|^2+|b'|^2 = 1 and
@@ -74,6 +67,8 @@ _DEF_ALPHA_P = complex(1 / np.sqrt(2))
 _DEF_BETA_P = complex(-1 / np.sqrt(2))
 _KET0 = (complex(1), complex(0))
 _KET1 = (complex(0), complex(1))
+# A general attack's parameters, in `build_entangling_unitary`'s argument order.
+_GENERAL_FIELDS = ("alpha", "beta", "alpha_p", "beta_p", "e00", "e01", "e10", "e11", "eve_state")
 
 
 # Every check below is written `not (... <= ATOL)`, so a NaN parameter fails it.
@@ -107,17 +102,8 @@ def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def build_entangling_unitary(
-    alpha: complex,
-    beta: complex,
-    alpha_p: complex,
-    beta_p: complex,
-    e00,
-    e01,
-    e10,
-    e11,
-    eve_state=_KET0,
-) -> np.ndarray:
+def build_entangling_unitary(alpha: complex, beta: complex, alpha_p: complex, beta_p: complex,
+                             e00, e01, e10, e11, eve_state=_KET0) -> np.ndarray:
     """4x4 unitary on the (channel qubit, ancilla) pair.
 
     Index order: 2*bit(channel) + bit(ancilla). Raises InvalidAttackError
@@ -186,19 +172,8 @@ class AttackModel:
         if self.variant == AttackVariant.ENTANGLE_CNOT:
             unitary, ancilla = _CNOT, _CNOT_ANCILLA
         elif self.variant == AttackVariant.ENTANGLE_GENERAL:
-            unitary = complex_constant(
-                build_entangling_unitary(
-                    self.alpha,
-                    self.beta,
-                    self.alpha_p,
-                    self.beta_p,
-                    self.e00,
-                    self.e01,
-                    self.e10,
-                    self.e11,
-                    self.eve_state,
-                )
-            )
+            unitary = complex_constant(build_entangling_unitary(
+                *(getattr(self, name) for name in _GENERAL_FIELDS)))
             ancilla = complex_constant(_vec2(self.eve_state, "eve_state"))
         object.__setattr__(self, "unitary", unitary)
         object.__setattr__(self, "ancilla", ancilla)
@@ -281,8 +256,11 @@ def attack_to_dict(model: AttackModel) -> dict:
     if model.variant == AttackVariant.INTERCEPT_RESEND:
         out["intercept_basis"] = model.intercept_basis
     if model.variant == AttackVariant.ENTANGLE_GENERAL:
-        out["alpha"] = [model.alpha.real, model.alpha.imag]
-        out["beta"] = [model.beta.real, model.beta.imag]
-        out["alpha_p"] = [model.alpha_p.real, model.alpha_p.imag]
-        out["beta_p"] = [model.beta_p.real, model.beta_p.imag]
+        for name in _GENERAL_FIELDS[:4]:
+            value = getattr(model, name)
+            out[name] = [value.real, value.imag]
+        for name in _GENERAL_FIELDS[4:]:  # the ancilla marks, echoed where not the default
+            amplitudes = [complex(a) for a in getattr(model, name)]
+            if amplitudes != list(getattr(NO_ATTACK, name)):
+                out[name] = [[a.real, a.imag] for a in amplitudes]
     return out

@@ -65,8 +65,3 @@ def derive_key(id_bits: str, needed: int) -> AuthKey:
     bits.flags.writeable = False
     return AuthKey(bits, check=False)  # a digest's bits are 0s and 1s
 
-
-def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniformly random bits as a uint8 array, from one integers() draw."""
-    return rng.integers(0, 2, size=n).astype(np.uint8)
-

@@ -110,10 +110,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack-channels", type=parse_channels, default=None,
                    help="comma list of trent-alice, trent-bob, alice-bob, alice-trent")
     p.add_argument("--attack-coverage", type=float, default=None, help="default 1.0")
-    p.add_argument("--alpha", type=parse_complex, default=None, help='complex as "re,im"')
-    p.add_argument("--beta", type=parse_complex, default=None, help='complex as "re,im"')
-    p.add_argument("--alpha-p", type=parse_complex, default=None, help='complex as "re,im"')
-    p.add_argument("--beta-p", type=parse_complex, default=None, help='complex as "re,im"')
+    for name in ("alpha", "beta", "alpha-p", "beta-p"):
+        p.add_argument(f"--{name}", type=parse_complex, default=None, help='complex as "re,im"')
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold-auth", type=float, default=0.0)

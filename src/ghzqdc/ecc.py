@@ -9,9 +9,10 @@ A codec is its name, as the CLI and the report spell it: "none"
 vote) and "hamming74" (single error corrected per 7-bit block). Neither
 hamming74 nor odd repetition has detect-but-uncorrectable syndromes, so
 decode never rejects a block; framing inconsistencies (bad length,
-impossible pad) raise FramingError instead.
+impossible pad) raise FramingError instead, or are flagged per row when
+`encode` and `decode` take a matrix, a frame per row, as a chunk holds them.
 
-Inside the library a bit sequence is a 1-D uint8 array of 0s and 1s; this
+Inside the library a bit sequence is a uint8 array of 0s and 1s; this
 module owns the "0"/"1" text used at the edges (CLI, report, transcript):
 parse_bits reads and checks it, format_bits writes it.
 """
@@ -95,44 +96,64 @@ _H74_GENERATOR[:, [0, 1, 3]] = _H74_CHECK[_H74_DATA]
 
 
 def encode(codec: Codec, data: np.ndarray) -> np.ndarray:
-    """Frame and encode a bit array: header (pad length) + coded blocks."""
-    pad = (-len(data)) % codec.k
-    blocks = np.concatenate([data, np.zeros(pad, dtype=np.uint8)]).reshape(-1, codec.k)
+    """Frame and encode bits, a (bits,) array or a (rows, bits) matrix row by
+    row: header (pad length) + coded blocks."""
+    data = np.asarray(data, dtype=np.uint8)
+    *rows, bits = data.shape
+    pad = (-bits) % codec.k
+    blocks = np.concatenate([data, np.zeros((*rows, pad), dtype=np.uint8)], axis=-1)
+    blocks = blocks.reshape(*rows, (bits + pad) // codec.k, codec.k)
     if codec.name == "hamming74":
         blocks = blocks @ _H74_GENERATOR % 2
     else:
-        blocks = np.repeat(blocks, codec.n, axis=1)
-    header = np.unpackbits(np.array([pad], dtype=np.uint8))
-    return np.concatenate([header, blocks.ravel()]).astype(np.uint8)
+        blocks = np.repeat(blocks, codec.n, axis=-1)
+    header = np.broadcast_to(np.unpackbits(np.array([pad], dtype=np.uint8)), (*rows, HEADER_BITS))
+    return np.concatenate([header, blocks.reshape(*rows, -1)], axis=-1).astype(np.uint8)
 
 
-def decode(codec: Codec, received: np.ndarray) -> tuple[np.ndarray, int]:
-    """Decode a frame back to (data bits, number of corrected bits).
-
-    Raises FramingError when the frame length or pad header cannot belong
-    to this codec.
-    """
-    if len(received) < HEADER_BITS:
-        raise FramingError(f"frame shorter than the {HEADER_BITS}-bit header")
-    pad = int(np.packbits(received[:HEADER_BITS])[0])
-    body = received[HEADER_BITS:]
-    if len(body) % codec.n != 0:
-        raise FramingError(f"body length {len(body)} is not a multiple of n={codec.n}")
+def framing_error(codec: Codec, length: int, pad: int) -> str | None:
+    """Why a frame of `length` bits whose header reads `pad` cannot belong to
+    this codec, or None when it can."""
+    body = length - HEADER_BITS
+    if body < 0:
+        return f"frame shorter than the {HEADER_BITS}-bit header"
+    if body % codec.n != 0:
+        return f"body length {body} is not a multiple of n={codec.n}"
     if pad >= codec.k:
-        raise FramingError(f"pad length {pad} impossible for k={codec.k}")
-    words = np.asarray(body, dtype=np.uint8).reshape(-1, codec.n)
+        return f"pad length {pad} impossible for k={codec.k}"
+    if pad > body // codec.n * codec.k:
+        return f"pad length {pad} exceeds decoded length {body // codec.n * codec.k}"
+
+
+def decode(codec: Codec, received: np.ndarray):
+    """Decode a frame to (data bits, corrected bits), or raise FramingError
+    with `framing_error`'s reason. A (rows, frame) matrix, of which a frame
+    is the one-row case, decodes to (data, corrected, pad, framed): each
+    row's decoded blocks, pad still on, its corrected bits, its header's pad
+    length and whether `framing_error` finds nothing wrong with it."""
+    frames = np.asarray(received, dtype=np.uint8)
+    if frames.ndim == 1:
+        data, corrected, pad, framed = decode(codec, frames[None])
+        if not framed[0]:
+            raise FramingError(framing_error(codec, len(frames), int(pad[0])))
+        return data[0, :data.shape[1] - pad[0]], int(corrected[0])
+    rows, length = frames.shape
+    if framing_error(codec, length, 0) is not None:  # a wrong length: no row is a frame
+        empty = np.zeros(rows, dtype=np.intp)
+        return np.zeros((rows, 0), dtype=np.uint8), empty, empty, np.zeros(rows, dtype=bool)
+    blocks = (length - HEADER_BITS) // codec.n
+    pad = np.packbits(frames[:, :HEADER_BITS], axis=1)[:, 0].astype(np.intp)
+    words = frames[:, HEADER_BITS:].reshape(rows, blocks, codec.n)
     if codec.name == "hamming74":
         position = words @ _H74_CHECK % 2 @ (1, 2, 4)  # 1-indexed error position, 0 for none
-        words = (words ^ (np.arange(1, 8) == position[:, None]))[:, _H74_DATA]
-        corrected = int(np.count_nonzero(position))
+        words = (words ^ (np.arange(1, 8) == position[..., None]))[..., _H74_DATA]
+        corrected = np.count_nonzero(position, axis=1)
     else:  # majority vote per block
-        ones = words.sum(axis=1)
+        ones = words.sum(axis=2)
         words = (2 * ones > codec.n).astype(np.uint8)
-        corrected = int(np.minimum(ones, codec.n - ones).sum())
-    padded = words.ravel()
-    if pad > len(padded):
-        raise FramingError(f"pad length {pad} exceeds decoded length {len(padded)}")
-    return padded[: len(padded) - pad], corrected
+        corrected = np.minimum(ones, codec.n - ones).sum(axis=1)
+    framed = (pad < codec.k) & (pad <= blocks * codec.k)
+    return words.reshape(rows, -1), corrected, pad, framed
 
 
 def check_distance_rule(error_rate: float, n: int, d: int) -> bool:

@@ -17,9 +17,10 @@ seed contract (v1) is unchanged and a report does not depend on the chunk
 size. Chunk `Tally`s add up to the report.
 
 `run` and a detection sweep share one driver, `_chunks`: per block of
-trials it derives the seed words and builds each trial's keys and message
-once, and every row (one spec in a run, one m in a sweep) runs its own
-chunks from them.
+trials it derives the seed words and builds the keys and messages once, as
+(trial, ...) arrays, and every row (one spec in a run, one m in a sweep)
+runs its own chunks from them. A chunk runs as columns, and `run` builds
+`per_trial` from its per-trial column arrays, not from `SessionResult`s.
 
 The JSON report schema (schema_version 1) is documented in the README.
 Its `analytic` block holds hard-coded reference values (0.25, 1/2 and
@@ -40,14 +41,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import AttackModel, AttackVariant, Channel, NO_ATTACK, attack_to_dict
-from .authkeys import AuthKey, derive_key
+from .authkeys import derive_key
 from .ecc import encode as ecc_encode, format_bits, parse_bits
 from .protocol import (
+    Chunk,
     ConfigError,
     SessionConfig,
-    SessionResult,
     Tally,
-    Trial,
     VERDICTS,
     check_capacity,
     message_channel,
@@ -88,6 +88,8 @@ class RunSpec:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.message_bits is not None and self.message_bits < 0:
+            raise ConfigError("message_bits must be >= 0 or None")
         if self.message is not None:
             try:
                 parse_bits(self.message, "message")
@@ -103,19 +105,6 @@ class RunSpec:
             frame_len = len(ecc_encode(self.config.codec, np.zeros(self.message_bits, np.uint8)))
             surviving = self.config.n_ghz - self.config.m_auth_check
             check_capacity(surviving, frame_len, self.config.check_fraction_msg)
-
-
-def _random_bits(rng: np.random.Generator, length: int) -> np.ndarray:
-    nbytes = (length + 7) // 8
-    return np.unpackbits(np.frombuffer(rng.bytes(nbytes), dtype=np.uint8))[:length]
-
-
-def _derive_trial_keys(keys_rng: np.random.Generator, n: int) -> tuple[AuthKey, AuthKey]:
-    # Alice's 128-bit identity, then Bob's: one 32-byte draw reads the
-    # generator exactly as two 16-byte draws would.
-    ids = _random_bits(keys_rng, 256)
-    alice_id, bob_id = format_bits(ids[:128]), format_bits(ids[128:])
-    return derive_key(alice_id, needed=n), derive_key(bob_id, needed=n)
 
 
 @dataclass
@@ -148,13 +137,8 @@ class RunReport:
         writer.writerow(["run", "schema_version", SCHEMA_VERSION])
         writer.writerow(["run", "seed", self.seed])
         writer.writerow(["run", "trials", self.trials])
-        for section, data in (
-            ("verdicts", self.verdicts),
-            ("auth", self.auth),
-            ("message", self.message),
-            ("analytic", self.analytic),
-        ):
-            for key, value in sorted(data.items()):
+        for section in ("verdicts", "auth", "message", "analytic"):
+            for key, value in sorted(getattr(self, section).items()):
                 if isinstance(value, dict):
                     value = json.dumps(value, sort_keys=True)
                 writer.writerow([section, key, value])
@@ -209,62 +193,62 @@ def chunk_size(n_ghz: int) -> int:
     return max(1, ROW_CAP // n_ghz)
 
 
-def _trials(spec: RunSpec, first: int, stop: int, pinned: np.ndarray | None) -> Iterator[tuple]:
-    """The `Trial` fields of trials first..stop-1: keys, then the message
-    from the key generator, then the session generators' words."""
-    keys_words, _, session = trial_words(spec.seed, first, stop)
-    for key_words, words in zip(keys_words, session):
+def _inputs(spec: RunSpec, first: int, stop: int, pinned: np.ndarray | None):
+    """The `Chunk` columns of trials first..stop-1: keys (trials, 2, n) and
+    messages (trials, bits) or None, both from each trial's key generator,
+    then the session generators' words."""
+    keys_words, _, words = trial_words(spec.seed, first, stop)
+    drawn = pinned is None and spec.message_bits is not None
+    nbytes = (spec.message_bits + 7) // 8 if drawn else 0
+    draws = []
+    for key_words in keys_words:
         keys_rng = generator(key_words)
-        alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
-        message = pinned  # a RunSpec pins a message only when message_bits is set
-        if message is None and spec.message_bits is not None:
-            message = _random_bits(keys_rng, spec.message_bits)
-        yield alice_key, bob_key, message, words
+        # Alice's 128-bit identity, then Bob's: one 32-byte draw reads the
+        # generator exactly as two 16-byte draws would; then the message.
+        draws.append(keys_rng.bytes(32) + (keys_rng.bytes(nbytes) if drawn else b""))
+    bits = np.unpackbits(np.frombuffer(b"".join(draws), dtype=np.uint8)).reshape(len(words), -1)
+    text, n = format_bits(bits[:, :256]), spec.config.n_ghz
+    keys = np.array([derive_key(text[i:i + 128], needed=n).bits[:n]
+                     for i in range(0, len(text), 128)]).reshape(len(words), 2, n)
+    # A RunSpec pins a message only when message_bits is set.
+    messages = bits[:, 256:256 + spec.message_bits] if drawn else None
+    if pinned is not None:
+        messages = np.broadcast_to(pinned, (len(words), len(pinned)))
+    return keys, messages, words
 
 
-def _chunks(specs: list[RunSpec]) -> Iterator[tuple[int, Tally, list[SessionResult]]]:
+def _chunks(specs: list[RunSpec]) -> Iterator[tuple[int, Tally, dict[str, np.ndarray]]]:
     """Run the trials of `specs`, which differ only in their config, as
-    (row, tally, results) per chunk, row being the spec's index.
+    (row, tally, columns) per chunk, row being the spec's index.
 
     A trial's keys, message and session words do not depend on n (a longer
     counter-mode key starts with every shorter one), so they are built once
     per block of chunk_size(smallest n) trials, for the widest row. Each row
-    runs fresh `Trial`s from them, chunk_size(its n) at a time, as a
-    `Trial`'s generators are consumed when it runs.
+    runs fresh `Chunk`s of them, chunk_size(its n) trials at a time, as a
+    chunk's generators are consumed when it runs.
     """
     widest = max(specs, key=lambda spec: spec.config.n_ghz)
     pinned = None if widest.message is None else parse_bits(widest.message)
     block = chunk_size(min(spec.config.n_ghz for spec in specs))
     for start in range(0, widest.trials, block):
-        inputs = list(_trials(widest, start, min(start + block, widest.trials), pinned))
+        keys, messages, words = _inputs(widest, start, min(start + block, widest.trials), pinned)
         for row, spec in enumerate(specs):
             size = chunk_size(spec.config.n_ghz)
-            for lo in range(0, len(inputs), size):
-                chunk = [Trial(*t) for t in inputs[lo:lo + size]]
+            for lo in range(0, len(words), size):
+                part = slice(lo, lo + size)
+                chunk = Chunk(keys[part], None if messages is None else messages[part], words[part])
                 yield row, *run_chunk(spec.config, spec.attack, chunk)
-
-
-def _trial_record(index: int, res: SessionResult) -> dict:
-    msg = res.msg
-    return {
-        "trial": index,
-        "auth_verdict": res.auth_verdict,
-        "auth_errors": res.auth_errors,
-        "auth_checked": len(res.checks),
-        "msg_verdict": None if msg is None else msg.verdict,
-        "msg_errors": 0 if msg is None else msg.errors,
-        "msg_checked": 0 if msg is None else msg.checked,
-        "delivered_ok": None if res.message_sent is None else res.delivered_ok,
-    }
 
 
 def run(spec: RunSpec) -> RunReport:
     """Execute spec.trials independent sessions, chunk by chunk, and aggregate."""
-    tally, per_trial = Tally(), []
-    for _, chunk, sessions in _chunks([spec]):
+    tally, chunks = Tally(), []
+    for _, chunk, columns in _chunks([spec]):
         tally += chunk
-        first = len(per_trial)
-        per_trial.extend(_trial_record(first + i, res) for i, res in enumerate(sessions))
+        chunks.append(columns)
+    names = list(chunks[0])
+    rows = zip(*(np.concatenate([c[name] for c in chunks]).tolist() for name in names))
+    per_trial = [dict(zip(names, row), trial=i) for i, row in enumerate(rows)]
 
     def rate(errors, total):
         return errors / total if total else 0.0
@@ -333,11 +317,9 @@ class SweepReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m", "trials", "empirical_detection_rate", "analytic_detection_rate"])
-        for row in self.rows:
-            writer.writerow(
-                [row["m"], row["trials"], row["empirical_detection_rate"], row["analytic_detection_rate"]]
-            )
+        columns = ["m", "trials", "empirical_detection_rate", "analytic_detection_rate"]
+        writer.writerow(columns)
+        writer.writerows([row[k] for k in columns] for row in self.rows)
         return buf.getvalue()
 
 
@@ -362,12 +344,10 @@ def sweep_detection_curve(base: RunSpec, m_values: list[int]) -> SweepReport:
     for row, chunk, _ in _chunks(specs):
         tallies[row] += chunk
     for spec, tally in zip(specs, tallies):
-        report.rows.append(
-            {
-                "m": spec.config.m_auth_check,
-                "trials": spec.trials,
-                "empirical_detection_rate": tally.auth_aborted / tally.trials,
-                "analytic_detection_rate": _analytic_references(spec).get("auth_detection_rate"),
-            }
-        )
+        report.rows.append({
+            "m": spec.config.m_auth_check,
+            "trials": spec.trials,
+            "empirical_detection_rate": tally.auth_aborted / tally.trials,
+            "analytic_detection_rate": _analytic_references(spec).get("auth_detection_rate"),
+        })
     return report

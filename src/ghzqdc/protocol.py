@@ -33,6 +33,11 @@ measurement picks an outcome with the row's uniform. Channels are hook
 points where an adversary may act. Classical announcements are public,
 append-only, and readable (not forgeable) by the adversary.
 
+A run moves a `Chunk` of trials at a time as columns, (trial, ...) arrays:
+a trial's loops hold only its generator calls, every other step is one
+array operation over the chunk, and `run_chunk` returns a `Tally` and
+per-trial column arrays. `SessionResult` comes only from `run_session`.
+
 A session's transcript is rendered from its finished `SessionResult` by
 `render_transcript` as a list of event records, dicts with keys ordinal /
 actor / kind / payload; no phase records anything as it runs. `to_jsonl`
@@ -46,14 +51,13 @@ import json
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .adversary import AttackModel, Channel, NO_ATTACK, apply_channel_attack, attack_draws
-from .authkeys import AuthKey, random_bits
-from .ecc import Codec, FramingError, decode as ecc_decode, encode as ecc_encode, format_bits
+from .authkeys import AuthKey
+from .ecc import Codec, decode as ecc_decode, encode as ecc_encode, format_bits, framing_error
 from .seeds import generator, session_words
 from .statevector import (
     BELL_OUTCOMES, H, HX, X_OUTCOMES, apply_gate, measure_branches, new_ghz3, pick,
@@ -127,16 +131,9 @@ class SessionConfig:
         return ("trent", "bob", "eve")
 
     def to_dict(self) -> dict:
-        return {
-            "n_ghz": self.n_ghz,
-            "m_auth_check": self.m_auth_check,
-            "check_fraction_msg": self.check_fraction_msg,
-            "error_threshold_auth": self.error_threshold_auth,
-            "error_threshold_msg": self.error_threshold_msg,
-            "codec": self.codec.name,
-            "protocol_variant": self.protocol_variant,
-            "rng_seed": self.rng_seed,
-        }
+        """Every field but `measure_order`, the codec by its name."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "measure_order"}
+        return out | {"codec": self.codec.name}
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +330,24 @@ def _build_table(variant: str, order: tuple[str, str, str], attack: AttackModel)
 
 
 @dataclass(frozen=True, eq=False)
-class Trial:
-    """One session's inputs: both keys, the message (None runs authentication
-    only) and the (2, 4) uint64 PCG64 words of the session's honest and
-    adversary generators, each built on first use: Eve's is never read in
-    a run without an attack, nor in an authentication-only run of an
-    entangling attack at full coverage.
-    """
+class Chunk:
+    """A chunk's inputs as columns, a row per trial: the (trials, 2, >= n) key
+    bits, Alice's then Bob's; the (trials, bits) messages, or None for
+    authentication only; and the (trials, 2, 4) uint64 PCG64 words of each
+    trial's honest and adversary generators, built on first use (Eve's only
+    when she draws)."""
 
-    alice_key: AuthKey
-    bob_key: AuthKey
-    message: np.ndarray | None
+    keys: np.ndarray
+    messages: np.ndarray | None
     words: np.ndarray
 
     @cached_property
-    def rng(self) -> np.random.Generator:
-        return generator(self.words[0])
+    def rngs(self) -> np.ndarray:
+        return np.array([generator(w) for w in self.words[:, 0]], dtype=object)
 
     @cached_property
-    def eve_rng(self) -> np.random.Generator:
-        return generator(self.words[1])
+    def eve_rngs(self) -> np.ndarray:
+        return np.array([generator(w) for w in self.words[:, 1]], dtype=object)
 
 
 @dataclass
@@ -374,38 +369,39 @@ class AuthPhaseResult:
     surviving: np.ndarray  # the branch-table node of each surviving triple
 
 
-def _attack_draws(attack: AttackModel, channels, rows: int, trials: list[Trial]):
-    """`attack_draws` over `rows` triples of each trial, as (trials, rows, channels)
-    arrays: one call for the chunk when Eve reads no generator, else one per
-    trial on its own `eve_rng`, built only then."""
+def _attack_draws(attack: AttackModel, channels, rows: int, chunk: Chunk, trials: np.ndarray):
+    """`attack_draws` over `rows` triples of each of the chunk's `trials`, as
+    (trials, rows, channels) arrays: one call for all of them when Eve reads
+    no generator, else one per trial on its own adversary generator."""
     if not attack.draws:
         draws = attack_draws(attack, channels, len(trials) * rows, None)
         return [a.reshape(len(trials), rows, len(channels)) for a in draws]
-    draws = [attack_draws(attack, channels, rows, trial.eve_rng) for trial in trials]
-    return [np.stack(a) for a in zip(*draws)]
+    hit = np.empty((len(trials), rows, len(channels)), dtype=bool)
+    u = np.empty(hit.shape)
+    for i, eve_rng in enumerate(chunk.eve_rngs[trials]):
+        hit[i], u[i] = attack_draws(attack, channels, rows, eve_rng)
+    return hit, u
 
 
-def auth_phase(config: SessionConfig, attack: AttackModel, trials: list[Trial]) -> AuthPhaseResult:
-    """Run the authentication phase of every trial at once."""
-    n, m, count = config.n_ghz, config.m_auth_check, len(trials)
+def auth_phase(config: SessionConfig, attack: AttackModel, chunk: Chunk) -> AuthPhaseResult:
+    """Run the authentication phase of every trial of the chunk at once."""
+    n, m, count = config.n_ghz, config.m_auth_check, len(chunk.words)
+    if chunk.keys.shape[2] < n:
+        raise InsufficientKeyError(f"keys cover {chunk.keys.shape[2]} < {n} positions")
     channels = (Channel.TRENT_TO_ALICE, Channel.TRENT_TO_BOB)
-    keys = np.empty((2, count, n), dtype=bool)
-    check_positions = np.empty((count, m), dtype=int)
+    picks = np.empty((count, m), dtype=np.intp)
     u = np.empty((count, m, 3))
     # Each trial's draws, in the order its generators have always been read.
-    hit, eve_u = _attack_draws(attack, channels, n, trials)
-    for i, trial in enumerate(trials):
-        for who, key, row in (("alice", trial.alice_key, keys[0]), ("bob", trial.bob_key, keys[1])):
-            if len(key.bits) < n:
-                raise InsufficientKeyError(f"{who} key covers {len(key.bits)} < {n} positions")
-            row[i] = key.bits[:n]
-        if m:
-            check_positions[i] = np.sort(trial.rng.choice(n, size=m, replace=False))
+    hit, eve_u = _attack_draws(attack, channels, n, chunk, np.arange(count))
+    if m:
+        for i, rng in enumerate(chunk.rngs):
+            picks[i] = rng.choice(n, size=m, replace=False)
             # One uniform per check position and party, in (position, Alice/Bob/Trent) order.
-            u[i] = trial.rng.random((m, 3))
+            rng.random(out=u[i])
+    check_positions = np.sort(picks, axis=1)
 
     # Row i * n + p is position p of trial i.
-    a_key, b_key = keys[0].reshape(-1), keys[1].reshape(-1)
+    a_key, b_key = chunk.keys[:, 0, :n].reshape(-1), chunk.keys[:, 1, :n].reshape(-1)
     hit, eve_u = hit.reshape(-1, 2), eve_u.reshape(-1, 2)
     table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
     node = table.keyed[0, 2 * a_key + b_key]
@@ -434,9 +430,9 @@ def auth_phase(config: SessionConfig, attack: AttackModel, trials: list[Trial]) 
 # Messaging phase
 
 
-@dataclass(frozen=True, eq=False)
-class MessagePlan:
-    """Alice's private plan for one messaging phase, as three aligned arrays.
+class MessagePlan(NamedTuple):
+    """Alice's private plan for the messaging phase, as three aligned arrays:
+    a session's, or a chunk's as (trial, used position) matrices.
 
     `positions` are the used survivor indices in ascending order, `bits`
     the bit Alice sends at each, and `is_check` marks the check positions.
@@ -449,8 +445,8 @@ class MessagePlan:
     is_check: np.ndarray
 
     def used_positions(self) -> np.ndarray:
-        """`positions`, for callers that read it through a method (perfbench's tracer)."""
-        return self.positions
+        """Every used survivor index, for callers that read it by method (perfbench's tracer)."""
+        return self.positions.ravel()
 
 
 def message_channel(variant: str) -> Channel:
@@ -473,28 +469,24 @@ def check_capacity(num_surviving: int, frame_len: int, check_fraction: float) ->
     return n_checks
 
 
-def plan_message_positions(
-    num_surviving: int,
-    frame_bits: np.ndarray,
-    check_fraction: float,
-    rng: np.random.Generator,
-) -> MessagePlan:
-    """Pick disjoint check and message positions among the survivors.
+def plan_message_positions(picks: np.ndarray, check_bits: np.ndarray, frames: np.ndarray,
+                           num_surviving: int) -> MessagePlan:
+    """Lay out each trial's frame and check bits over its survivors, a row per trial.
 
-    Check positions are a uniform without-replacement sample; their bits
-    are fresh random draws unrelated to the message, in position order.
+    `picks` are a trial's check positions, a uniform without-replacement
+    sample of its survivors, and `check_bits` the fresh random bits,
+    unrelated to the message, that Alice sends there in position order.
     Message positions are the lowest remaining indices, in order.
     """
-    n_checks = check_capacity(num_surviving, len(frame_bits), check_fraction)
-    check = np.zeros(num_surviving, dtype=bool)
-    if n_checks:
-        check[rng.choice(num_surviving, size=n_checks, replace=False)] = True
-    check_bits = random_bits(rng, n_checks)
+    count = len(frames)
+    check = np.zeros((count, num_surviving), dtype=bool)
+    check[np.arange(count)[:, None], picks] = True
     free = ~check
-    positions = np.flatnonzero(check | (free & (np.cumsum(free) <= len(frame_bits))))
-    is_check = check[positions]
-    bits = np.empty(len(positions), dtype=np.uint8)
-    bits[is_check], bits[~is_check] = check_bits, frame_bits
+    used = check | (free & (np.cumsum(free, axis=1) <= frames.shape[1]))
+    positions = np.nonzero(used)[1].reshape(count, picks.shape[1] + frames.shape[1])
+    is_check = check[used].reshape(positions.shape)
+    bits = np.empty(positions.shape, dtype=np.uint8)
+    bits[is_check], bits[~is_check] = check_bits.ravel(), frames.ravel()
     return MessagePlan(positions, bits, is_check)
 
 
@@ -539,22 +531,43 @@ class MessageResult:
 
 
 def message_check_and_deliver(
-    decoded: np.ndarray, plan: MessagePlan, threshold: float, codec: Codec
-) -> MessageResult:
-    """Compare the revealed check bits, then deliver or discard; `decoded` aligns with the plan."""
+    decoded: np.ndarray, plan: MessagePlan, messages: np.ndarray, threshold: float, codec: Codec
+) -> dict[str, np.ndarray]:
+    """Compare each trial's revealed check bits, then deliver or discard its frame.
+
+    `decoded` holds Bob's bit at each of `plan.positions` and `messages`
+    what Alice sent, a row per trial. Returns columns: the check `errors`,
+    `checked` and `error_rate`; whether the frame was `delivered`; the
+    decoded `data` with the header's `pad` still on (a delivered message
+    is a row's first width - pad bits); the `corrected` bits, 0 where
+    nothing was delivered; and `delivered_ok`, exactly the sent message.
+    """
     is_check = plan.is_check
-    errors = int(np.count_nonzero(decoded[is_check] != plan.bits[is_check]))
-    checked = int(np.count_nonzero(is_check))
-    error_rate = errors / checked if checked else 0.0
+    errors = np.count_nonzero((decoded != plan.bits) & is_check, axis=1)
+    checked = np.count_nonzero(is_check, axis=1)
+    error_rate = errors / np.maximum(checked, 1)  # 0 where nothing was checked
+    frames = decoded[~is_check].reshape(len(decoded), decoded.shape[1] - checked[0])
+    data, corrected, pad, framed = ecc_decode(codec, frames)
+    delivered = (error_rate <= threshold) & framed
+    bits = messages.shape[1]
+    delivered_ok = (delivered & (data.shape[1] - pad == bits)
+                    & (data[:, :bits] == messages).all(axis=1))
+    return {"errors": errors, "checked": checked, "error_rate": error_rate,
+            "delivered": delivered, "data": data, "pad": pad,
+            "corrected": np.where(delivered, corrected, 0), "delivered_ok": delivered_ok}
+
+
+def message_result(plan: MessagePlan, out: dict, i: int, threshold: float,
+                   codec: Codec) -> MessageResult:
+    """Row i of `message_check_and_deliver`'s columns `out`, for `plan`, as a `MessageResult`."""
+    rate, errors, checked = (out[k][i].item() for k in ("error_rate", "errors", "checked"))
     message = diagnostic = None
-    corrected = 0
-    if error_rate <= threshold:
-        try:
-            message, corrected = ecc_decode(codec, decoded[~is_check])
-        except FramingError as exc:
-            diagnostic = str(exc)
-    verdict = "message_discarded" if message is None else "message_delivered"
-    return MessageResult(verdict, message, error_rate, errors, checked, corrected, diagnostic)
+    if out["delivered"][i]:
+        message = out["data"][i, :out["data"].shape[1] - out["pad"][i]]
+    elif rate <= threshold:  # the checks passed, so the frame failed
+        diagnostic = framing_error(codec, plan.positions.shape[1] - checked, int(out["pad"][i]))
+    return MessageResult("message_discarded" if message is None else "message_delivered", message,
+                         rate, errors, checked, int(out["corrected"][i]), diagnostic)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +619,6 @@ class SessionResult:
     auth_error_rate: float
     auth_errors: int
     checks: np.ndarray  # one row per check position: (position, a, b, z_A, z_T, z_B)
-    message_sent: np.ndarray | None = None
     plan: MessagePlan | None = None
     decoded_bits: np.ndarray | None = None  # Bob's bit at each of plan.positions
     msg: MessageResult | None = None
@@ -615,46 +627,47 @@ class SessionResult:
     eve: np.ndarray | None = None  # (used positions, ancilla slots)
     eve_msg: np.ndarray | None = None
 
-    @property
-    def delivered_ok(self) -> bool:
-        return (
-            self.msg is not None
-            and self.msg.message is not None
-            and np.array_equal(self.msg.message, self.message_sent)
-        )
 
-
-def _message_phase(
-    config: SessionConfig, attack: AttackModel, trials: list[Trial], surviving: np.ndarray
-) -> tuple[list[MessagePlan], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Send the message of every trial at once over its row of `surviving` nodes.
-
-    Returns each trial's plan, then Bob's decoded bits and the `bell`, `x`,
-    `eve` and `eve_msg` codes of `SessionResult` as arrays over (trial,
-    used position). The trials must share one frame length.
-    """
-    if not trials:
-        return [], *np.zeros((5, 0), dtype=int)
-    plans = [plan_message_positions(surviving.shape[1], ecc_encode(config.codec, trial.message),
-                                    config.check_fraction_msg, trial.rng) for trial in trials]
-    if len({len(plan.bits) for plan in plans}) > 1:
-        raise ConfigError("the trials of a chunk must share one frame length")
-    positions = np.stack([plan.positions for plan in plans])
-    bits = np.stack([plan.bits for plan in plans])
-    # Each trial's rng gives its plan, then one uniform per used position and measuring party.
-    us = np.stack([trial.rng.random((bits.shape[1], 2)) for trial in trials])
-    hit, eve_u = _attack_draws(attack, (message_channel(config.protocol_variant),),
-                               bits.shape[1], trials)
+def _message_phase(config: SessionConfig, attack: AttackModel, chunk: Chunk,
+                   auth: AuthPhaseResult) -> tuple[np.ndarray, MessagePlan | None, dict | None]:
+    """Send the message of every authenticated trial of the chunk at once, over
+    its surviving nodes. Returns the indices of those `sent` trials, their
+    plan, and `message_check_and_deliver`'s columns plus Bob's `decoded`
+    bits and `SessionResult`'s `bell`, `x`, `eve` and `eve_msg` codes as
+    (trial, used position) arrays; plan and columns are None if none sent."""
+    sent = np.flatnonzero(~auth.aborted & (chunk.messages is not None))
+    if not len(sent):
+        return sent, None, None
+    surviving = auth.surviving.reshape(len(auth.aborted), -1)[sent]
+    messages = chunk.messages[sent]
+    frames = ecc_encode(config.codec, messages)
+    count, survivors = surviving.shape
+    n_checks = check_capacity(survivors, frames.shape[1], config.check_fraction_msg)
+    used = n_checks + frames.shape[1]
+    picks = np.empty((count, n_checks), dtype=np.intp)
+    check_bits = np.empty((count, n_checks), dtype=np.uint8)
+    us = np.empty((count, used, 2))
+    # Each trial's rng gives its check positions and bits, then one uniform
+    # per used position and measuring party.
+    for i, rng in enumerate(chunk.rngs[sent]):
+        if n_checks:
+            picks[i] = rng.choice(survivors, size=n_checks, replace=False)
+        check_bits[i] = rng.integers(0, 2, size=n_checks)
+        rng.random(out=us[i])
+    plan = plan_message_positions(picks, check_bits, frames, survivors)
+    hit, eve_u = _attack_draws(attack, (message_channel(config.protocol_variant),), used,
+                               chunk, sent)
 
     table = branch_table(config.protocol_variant, tuple(config.resolved_measure_order()), attack)
-    node = table.encode[np.take_along_axis(surviving, positions, axis=1), bits]
+    node = table.encode[np.take_along_axis(surviving, plan.positions, axis=1), plan.bits]
     node, eve_msg = _cross(table.send, node, hit[..., 0], eve_u[..., 0])
     # Eve's uniforms for her attached ancillas, trial by trial in (position, slot) order.
     attached = table.attached[node]
     ancilla_u = np.zeros(attached.shape)
-    for trial, mask, u in zip(trials, attached, ancilla_u):
-        if mask.any():
-            u[mask] = trial.eve_rng.random(int(mask.sum()))
+    counts = attached.sum(axis=(1, 2)).tolist()
+    if any(counts):
+        draws = zip(chunk.eve_rngs[sent], counts)
+        ancilla_u[attached] = np.concatenate([rng.random(c) for rng, c in draws if c])
     codes = _measure(table, node, us, ancilla_u)
     bell, x, eve = codes["bell"], codes["x"], codes["eve"]
     decoded = _decode(_BELL_BIT[bell], x).astype(np.uint8)
@@ -662,72 +675,87 @@ def _message_phase(
         eve_msg = eve[..., -1]  # the message-phase ancilla, measured at Eve's step
     elif eve_msg is None:  # Eve ignores the message channel
         eve_msg = np.full(node.shape, -1)
-    return plans, decoded, bell, x, eve, eve_msg
+    out = message_check_and_deliver(decoded, plan, messages, config.error_threshold_msg,
+                                    config.codec)
+    out.update(decoded=decoded, bell=bell, x=x, eve=eve, eve_msg=eve_msg)
+    return sent, plan, out
 
 
-def run_chunk(
-    config: SessionConfig, attack: AttackModel, trials: list[Trial]
-) -> tuple[Tally, list[SessionResult]]:
+def run_chunk(config: SessionConfig, attack: AttackModel,
+              chunk: Chunk) -> tuple[Tally, dict[str, np.ndarray]]:
     """Run a chunk of trials trial-major: rows are (trial, position) pairs.
 
     Each step of the branch table moves the rows of every trial in it at
     once; trials that abort skip the message phase. Every trial's generators are
     read in the same order as in a session run alone, so a trial's outcome
-    does not depend on its chunk.
+    does not depend on its chunk. Returns the chunk's `Tally` and its
+    per-trial columns, named as a report's per-trial record's keys
+    (`msg_verdict` is None where no message was sent, `delivered_ok` None
+    in an authentication-only chunk).
     """
-    auth = auth_phase(config, attack, trials)
-    sends = np.array([trial.message is not None for trial in trials], dtype=bool) & ~auth.aborted
-    surviving = auth.surviving.reshape(len(trials), config.n_ghz - config.m_auth_check)
-    plans, *sent = _message_phase(config, attack, list(compress(trials, sends)), surviving[sends])
-
-    results, outcomes = [], zip(plans, *sent)
-    checks = auth.checks.reshape(len(trials), config.m_auth_check, auth.checks.shape[1])
-    for trial, send, aborted, rate, errors, trial_checks in zip(
-        trials, sends.tolist(), auth.aborted.tolist(), auth.error_rates.tolist(),
-        auth.errors.tolist(), checks
-    ):
-        phase = ()  # the message-phase fields, None for a trial that sent nothing
-        if send:
-            plan, decoded, *codes = next(outcomes)
-            msg = message_check_and_deliver(decoded, plan, config.error_threshold_msg,
-                                            config.codec)
-            phase = (plan, decoded, msg, *codes)
-        verdict = "auth_aborted" if aborted else "authenticated"
-        results.append(SessionResult(verdict, rate, errors, trial_checks, trial.message, *phase))
-
-    msgs = [res.msg for res in results if res.msg is not None]
-    delivered = sum(msg.verdict == "message_delivered" for msg in msgs)
-    aborted = int(auth.aborted.sum())
+    auth = auth_phase(config, attack, chunk)
+    sent, plan, out = _message_phase(config, attack, chunk, auth)
+    count, aborted = len(auth.aborted), int(auth.aborted.sum())
+    columns = {"auth_verdict": np.where(auth.aborted, "auth_aborted", "authenticated"),
+               "auth_errors": auth.errors, "auth_checked": np.full(count, config.m_auth_check),
+               "msg_verdict": np.full(count, None, dtype=object),
+               "msg_errors": np.zeros(count, dtype=int), "msg_checked": np.zeros(count, dtype=int),
+               "delivered_ok": np.full(count, None if chunk.messages is None else False,
+                                       dtype=object)}
+    delivered = delivered_ok = 0
+    eve = np.zeros(4, dtype=int)
+    if plan is not None:
+        columns["msg_verdict"][sent] = np.where(out["delivered"], *VERDICTS[2:])
+        for name in ("msg_errors", "msg_checked", "delivered_ok"):
+            columns[name][sent] = out[name.removeprefix("msg_")]
+        delivered, delivered_ok = (int(out[k].sum()) for k in ("delivered", "delivered_ok"))
+        seen = out["eve_msg"] >= 0
+        eve = np.bincount(2 * plan.bits[seen].astype(np.intp) + out["eve_msg"][seen], minlength=4)
     pair = 2 * auth.checks[:, 1] + auth.checks[:, 2]
-    alice, eve_msg = np.array([plan.bits for plan in plans], dtype=np.intp), sent[-1]
-    seen = eve_msg >= 0
-    tally = Tally(
-        trials=len(trials),
-        authenticated=len(trials) - aborted,
+    return Tally(
+        trials=count,
+        authenticated=count - aborted,
         auth_aborted=aborted,
         message_delivered=delivered,
-        message_discarded=len(msgs) - delivered,
-        delivered_ok=sum(res.delivered_ok for res in results),
+        message_discarded=len(sent) - delivered,
+        delivered_ok=delivered_ok,
         auth_checked=tuple(np.bincount(pair, minlength=4).tolist()),
         auth_errors=tuple(np.bincount(pair[auth.error], minlength=4).tolist()),
-        msg_checked=sum(msg.checked for msg in msgs),
-        msg_errors=sum(msg.errors for msg in msgs),
-        eve=tuple(np.bincount(2 * alice[seen] + eve_msg[seen], minlength=4).tolist()),
-    )
-    return tally, results
+        msg_checked=int(columns["msg_checked"].sum()),
+        msg_errors=int(columns["msg_errors"].sum()),
+        eve=tuple(eve.tolist()),
+    ), columns
 
 
-def run_session(
-    config: SessionConfig,
-    alice_key: AuthKey,
-    bob_key: AuthKey,
-    message_bits: np.ndarray | None,
-    attack: AttackModel = NO_ATTACK,
-) -> SessionResult:
+def session_results(config: SessionConfig, attack: AttackModel,
+                    chunk: Chunk) -> list[SessionResult]:
+    """Every trial of `chunk` as a `SessionResult`, for transcripts and tests;
+    a run reads `run_chunk`'s columns instead."""
+    auth = auth_phase(config, attack, chunk)
+    sent, plan, out = _message_phase(config, attack, chunk, auth)
+    checks = auth.checks.reshape(len(auth.aborted), config.m_auth_check, auth.checks.shape[1])
+    results = [
+        SessionResult("auth_aborted" if aborted else "authenticated", rate, errors, trial_checks)
+        for aborted, rate, errors, trial_checks in zip(
+            auth.aborted.tolist(), auth.error_rates.tolist(), auth.errors.tolist(), checks)
+    ]
+    for row, i in enumerate(sent.tolist()):
+        res = results[i]
+        res.plan, res.decoded_bits = MessagePlan(*(a[row] for a in plan)), out["decoded"][row]
+        res.msg = message_result(plan, out, row, config.error_threshold_msg, config.codec)
+        for name in ("bell", "x", "eve", "eve_msg"):
+            setattr(res, name, out[name][row])
+    return results
+
+
+def run_session(config: SessionConfig, alice_key: AuthKey, bob_key: AuthKey,
+                message_bits: np.ndarray | None, attack: AttackModel = NO_ATTACK) -> SessionResult:
     """Run one full session as a one-trial chunk. message_bits=None runs authentication only."""
-    trial = Trial(alice_key, bob_key, message_bits, session_words(config.rng_seed))
-    _, (result,) = run_chunk(config, attack, [trial])
-    return result
+    width = min(config.n_ghz, len(alice_key.bits), len(bob_key.bits))
+    keys = np.stack([alice_key.bits[:width], bob_key.bits[:width]])[None]
+    messages = None if message_bits is None else np.asarray(message_bits, dtype=np.uint8)[None]
+    chunk = Chunk(keys, messages, session_words(config.rng_seed)[None])
+    return session_results(config, attack, chunk)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -382,8 +382,61 @@ def h74_decode(word7: str) -> tuple[str, int]:
     return f"{w[2]}{w[4]}{w[5]}{w[6]}", fixed
 
 
+# Codeword width n and data width k of each codec name.
+CODEC_WIDTHS = {"none": (1, 1), "rep3": (3, 1), "rep5": (5, 1), "hamming74": (7, 4)}
+
+
+def check_and_deliver(decoded: str, sent: str, is_check: list[bool], threshold: float,
+                      codec: str, message: str) -> tuple[str, int, int, str | None, bool]:
+    """One trial's message phase verdict from text: (verdict, check errors,
+    corrected bits, delivered message or None, delivered_ok).
+
+    `decoded` and `sent` are Bob's and Alice's bits at the used positions,
+    `is_check` marks the check positions and the rest carry the frame: an
+    8-bit pad header, then codewords, decoded one by one with `h74_decode`
+    or a majority vote of the word's text.
+    """
+    pairs = [(d, s) for d, s, check in zip(decoded, sent, is_check) if check]
+    errors = sum(d != s for d, s in pairs)
+    if pairs and errors / len(pairs) > threshold:
+        return "message_discarded", errors, 0, None, False
+    frame = "".join(d for d, check in zip(decoded, is_check) if not check)
+    n, k = CODEC_WIDTHS[codec]
+    pad, words = int(frame[:8], 2), [frame[i:i + n] for i in range(8, len(frame), n)]
+    if codec == "hamming74":
+        blocks = [h74_decode(word) for word in words]
+    else:
+        blocks = [("1" if 2 * word.count("1") > n else "0", min(word.count("0"), word.count("1")))
+                  for word in words]
+    data = "".join(bits for bits, _ in blocks)
+    if pad >= k or pad > len(data):
+        return "message_discarded", errors, 0, None, False
+    delivered = data[:len(data) - pad]
+    return "message_delivered", errors, sum(c for _, c in blocks), delivered, delivered == message
+
+
 # ---------------------------------------------------------------------------
 # Reference Monte Carlo loop: one session per trial, hand-written counters.
+
+
+def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniformly random bits as a uint8 array, from one integers() draw (test keys)."""
+    return rng.integers(0, 2, size=n).astype(np.uint8)
+
+
+def drawn_bits(rng: np.random.Generator, length: int) -> np.ndarray:
+    """`length` bits from one `bytes` draw, most significant bit first."""
+    return np.unpackbits(np.frombuffer(rng.bytes((length + 7) // 8), dtype=np.uint8))[:length]
+
+
+def trial_keys(keys_rng: np.random.Generator, n: int):
+    """A trial's two keys, drawn alone: Alice's 128-bit identity, then Bob's,
+    from one 32-byte draw, each derived to n bits."""
+    from ghzqdc.authkeys import derive_key
+    from ghzqdc.ecc import format_bits
+
+    ids = drawn_bits(keys_rng, 256)
+    return tuple(derive_key(format_bits(half), needed=n) for half in (ids[:128], ids[128:]))
 
 
 def trial_seed(seed: int, index: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
@@ -404,13 +457,7 @@ def reference_run(spec):
 
     from ghzqdc.adversary import attack_to_dict
     from ghzqdc.ecc import parse_bits
-    from ghzqdc.harness import (
-        RunReport,
-        _analytic_references,
-        _derive_trial_keys,
-        _normalize_eve_counts,
-        _random_bits,
-    )
+    from ghzqdc.harness import RunReport, _analytic_references, _normalize_eve_counts
     from ghzqdc.protocol import VERDICTS, run_session
 
     per_trial: list[dict] = []
@@ -427,10 +474,10 @@ def reference_run(spec):
     for t in range(spec.trials):
         keys_ss, session_ss = trial_seed(spec.seed, t)
         keys_rng = np.random.default_rng(keys_ss)
-        alice_key, bob_key = _derive_trial_keys(keys_rng, spec.config.n_ghz)
+        alice_key, bob_key = trial_keys(keys_rng, spec.config.n_ghz)
         message = pinned
         if message is None and spec.message_bits is not None:
-            message = _random_bits(keys_rng, spec.message_bits)
+            message = drawn_bits(keys_rng, spec.message_bits)
         session_seed = int(session_ss.generate_state(1, dtype=np.uint64)[0])
         config = replace(spec.config, rng_seed=session_seed)
         res = run_session(config, alice_key, bob_key, message, spec.attack)
@@ -455,11 +502,13 @@ def reference_run(spec):
         msg_result = res.msg
         msg_errors += msg_result.errors if msg_result else 0
         msg_checked += msg_result.checked if msg_result else 0
+        ok = bool(msg_result and msg_result.message is not None
+                  and np.array_equal(msg_result.message, message))
         if message is not None:
             attempted += 1
             if msg_result and msg_result.verdict == "message_delivered":
                 delivered += 1
-                if res.delivered_ok:
+                if ok:
                     delivered_ok += 1
         per_trial.append(
             {
@@ -470,7 +519,7 @@ def reference_run(spec):
                 "msg_verdict": msg_result.verdict if msg_result else None,
                 "msg_errors": msg_result.errors if msg_result else 0,
                 "msg_checked": msg_result.checked if msg_result else 0,
-                "delivered_ok": res.delivered_ok if message is not None else None,
+                "delivered_ok": ok if message is not None else None,
             }
         )
 

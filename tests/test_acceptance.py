@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ghzqdc.adversary import AttackModel, Channel
-from ghzqdc.authkeys import AuthKey, random_bits
+from ghzqdc.authkeys import AuthKey
 from ghzqdc.ecc import Codec, decode as ecc_decode, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.harness import RunSpec, detection_rate_reference, run, sweep_detection_curve
 from ghzqdc.protocol import SessionConfig, run_session, _decode
@@ -31,7 +31,7 @@ from ghzqdc.statevector import (
 )
 
 import oracles
-from oracles import states_equal_up_to_global_phase
+from oracles import random_bits, states_equal_up_to_global_phase
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

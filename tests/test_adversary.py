@@ -14,10 +14,11 @@ from ghzqdc.adversary import (
     InvalidAttackError,
     NO_ATTACK,
     attack_draws,
+    attack_to_dict,
     build_entangling_unitary,
     eve_measure_ancilla,
 )
-from ghzqdc.authkeys import AuthKey, random_bits
+from ghzqdc.authkeys import AuthKey
 from ghzqdc.ecc import parse_bits
 from ghzqdc.protocol import SessionConfig, render_transcript, run_session, to_jsonl
 from ghzqdc.statevector import (
@@ -34,7 +35,7 @@ from ghzqdc.statevector import (
 )
 
 import oracles
-from oracles import basis_state, states_equal_up_to_global_phase
+from oracles import basis_state, random_bits, states_equal_up_to_global_phase
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -415,6 +416,25 @@ def test_run_with_variant_by_name_reports_like_the_enum_member():
     by_name = report("intercept")
     assert json.loads(by_name)["spec"]["attack"]["variant"] == "intercept"
     assert by_name == report(AttackVariant.INTERCEPT_RESEND)
+
+
+def test_attack_echo_tells_ancilla_marks_apart():
+    """General attacks that differ only in their ancilla marks echo different
+    specs; the default marks echo as they always have, with no mark keys."""
+    s = 2**-0.5
+    marks = [{}, {"e00": (0, 1), "e01": (1, 0)}, {"e01": (s, s), "e11": (s, s)}]
+    echoes = [attack_to_dict(AttackModel("entangle-general", {"alice-bob"}, **m)) for m in marks]
+    assert len({json.dumps(e, sort_keys=True) for e in echoes}) == 3
+    r = 1 / np.sqrt(2)  # the default amplitudes
+    assert echoes[0] == {"variant": "entangle-general", "channels": ["alice-bob"], "coverage": 1.0,
+                         "alpha": [r, 0.0], "beta": [r, 0.0], "alpha_p": [r, 0.0],
+                         "beta_p": [-r, 0.0]}
+    assert echoes[1]["e00"] == [[0.0, 0.0], [1.0, 0.0]]
+    assert echoes[1]["e01"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert "e10" not in echoes[1] and "eve_state" not in echoes[1]
+    assert echoes[2]["e11"] == [[s, 0.0], [s, 0.0]] and "e00" not in echoes[2]
+    plus = AttackModel("entangle-general", {"alice-bob"}, eve_state=(s, s))
+    assert attack_to_dict(plus)["eve_state"] == [[s, 0.0], [s, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from ghzqdc.authkeys import (
     AuthKey,
     CounterOverflowError,
     derive_key,
-    random_bits,
 )
 from ghzqdc.ecc import format_bits, parse_bits
 from ghzqdc.statevector import ATOL, H, apply_gate, make_state
+from oracles import random_bits
 
 ALICE = "1011"
 # Key bit 0 selects the identity, 1 the Hadamard.

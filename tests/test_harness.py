@@ -7,12 +7,13 @@ import os
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import load_script, reference_run, reference_sweep, trial_seed
+from oracles import drawn_bits, load_script, reference_run, reference_sweep, trial_keys, trial_seed
 
 import ghzqdc.cli
 from ghzqdc import harness, protocol
@@ -21,8 +22,7 @@ from ghzqdc.cli import main as cli_main, parse_complex, parse_message
 from ghzqdc.ecc import Codec, format_bits
 from ghzqdc.harness import (
     RunSpec,
-    _derive_trial_keys,
-    _random_bits,
+    _inputs,
     detection_rate_reference,
     run,
     sweep_detection_curve,
@@ -85,6 +85,10 @@ def test_config_errors_raised_before_trials():
         run(spec(trials=0))
     with pytest.raises(ConfigError, match="seed"):
         run(spec(seed=-5))
+    with pytest.raises(ConfigError, match="message_bits must be >= 0 or None"):
+        spec(message_bits=-1)
+    with pytest.raises(ConfigError, match="message_bits must be >= 0 or None"):
+        replace(spec(), message_bits=-1)
     with pytest.raises(ConfigError):
         run(spec(message="10", message_bits=16))
     with pytest.raises(ConfigError):
@@ -644,15 +648,20 @@ def test_golden_report(name):
 
 
 def test_trial_draws_known_answer():
-    """Identities, keys and random messages of trials 0-49 at seed 0, pinned by digest."""
+    """Identities, keys and random messages of trials 0-49 at seed 0, pinned by
+    digest, drawn trial by trial; the harness draws a block's at once to the same bits."""
     digest = hashlib.sha256()
     keys_words, _, _ = trial_words(0, 0, 50)
-    for words in keys_words:
+    block_keys, block_messages, _ = _inputs(spec(config=SessionConfig(128, 16), message_bits=40),
+                                            0, 50, None)
+    for words, block_key, block_message in zip(keys_words, block_keys, block_messages):
         rng = generator(words)
-        drawn = [_random_bits(rng, 128), _random_bits(rng, 128), _random_bits(rng, 40)]
-        keys = _derive_trial_keys(generator(words), 128)
+        drawn = [drawn_bits(rng, 128), drawn_bits(rng, 128), drawn_bits(rng, 40)]
+        keys = trial_keys(generator(words), 128)
         for bits in drawn + [k.bits for k in keys]:
             digest.update(format_bits(bits).encode("ascii") + b"\n")
+        assert [format_bits(b) for b in block_key] == [format_bits(k.bits) for k in keys]
+        assert format_bits(block_message) == format_bits(drawn[2])
     assert digest.hexdigest() == "c8d23db63fe475afc942c4da7a0a8606dfb8a3b1d5df0b1b2b943831fdab84eb"
 
 
@@ -733,9 +742,9 @@ def test_chunks_stay_within_row_cap(monkeypatch):
     rows = []
     auth_phase = protocol.auth_phase
 
-    def recording_auth_phase(config, attack, trials):
-        rows.append(len(trials) * config.n_ghz)
-        return auth_phase(config, attack, trials)
+    def recording_auth_phase(config, attack, chunk):
+        rows.append(len(chunk.words) * config.n_ghz)
+        return auth_phase(config, attack, chunk)
 
     monkeypatch.setattr(protocol, "auth_phase", recording_auth_phase)
     monkeypatch.setattr(harness, "ROW_CAP", 512)
@@ -802,19 +811,20 @@ def test_sweep_derives_each_trials_keys_once(monkeypatch):
 def test_sweep_skips_the_message_phase(monkeypatch):
     """A sweep row reports only the authentication phase, so none of its
     trials plans a message, though the base spec sends one."""
-    calls = []
+    planned = []  # the trials each call plans, one row of its plan per trial
     plan = protocol.plan_message_positions
 
     def counting_plan(*args):
-        calls.append(args)
-        return plan(*args)
+        result = plan(*args)
+        planned.append(len(result.positions))
+        return result
 
     monkeypatch.setattr(protocol, "plan_message_positions", counting_plan)
     base = spec(config=SessionConfig(n_ghz=24, m_auth_check=2), trials=5, message_bits=8)
     sweep_detection_curve(base, [1, 2, 4])
-    assert calls == []
+    assert planned == []
     run(base)  # every honest trial authenticates and plans its message
-    assert len(calls) == 5
+    assert sum(planned) == 5
 
 
 def test_perfbench_tracer_wraps_every_call_site(capsys):

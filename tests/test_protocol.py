@@ -6,28 +6,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghzqdc import protocol
 from ghzqdc.adversary import NO_ATTACK, AttackModel, Channel
-from ghzqdc.authkeys import AuthKey, random_bits
+from ghzqdc.authkeys import AuthKey
 from ghzqdc.ecc import Codec, encode as ecc_encode, format_bits, parse_bits
 from ghzqdc.protocol import (
     CapacityError,
+    Chunk,
     ConfigError,
     InsufficientKeyError,
     MessagePlan,
     SessionConfig,
     SessionResult,
-    Trial,
     auth_phase,
     branch_table,
+    check_capacity,
     message_channel,
     message_check_and_deliver,
+    message_result,
     plan_message_positions,
     render_transcript,
-    run_chunk,
     run_session,
+    session_results,
     to_jsonl,
     _BELL_BIT,
     _decode,
@@ -44,6 +46,7 @@ from ghzqdc.statevector import (
 )
 
 import oracles
+from oracles import random_bits
 
 
 def small_config(**overrides) -> SessionConfig:
@@ -176,8 +179,8 @@ def test_trent_marginals_leak_nothing():
 # Authentication phase
 
 
-def one_trial(ka, kb, seed) -> list[Trial]:
-    return [Trial(ka, kb, None, session_words(seed))]
+def one_trial(ka, kb, seed) -> Chunk:
+    return Chunk(np.stack([ka.bits, kb.bits])[None], None, session_words(seed)[None])
 
 
 def test_honest_auth_no_errors():
@@ -255,10 +258,7 @@ def test_branch_table_matches_oracle(variant, attack, order):
 def test_auth_requires_key_coverage():
     config = small_config()
     with pytest.raises(InsufficientKeyError):
-        auth_phase(
-            config, NO_ATTACK,
-            one_trial(AuthKey(parse_bits("01")), AuthKey(parse_bits("0" * 48)), seed=0),
-        )
+        auth_phase(config, NO_ATTACK, one_trial(*[AuthKey(parse_bits("01"))] * 2, seed=0))
 
 
 def test_config_validation():
@@ -294,13 +294,16 @@ def test_config_validates_at_construction():
 def test_plan_positions_disjoint_and_uniformly_sampled():
     rng = np.random.default_rng(0)
     frame = parse_bits("01" * 10)
-    plan = plan_message_positions(40, frame, 0.25, rng)
+    picks = rng.choice(40, size=check_capacity(40, len(frame), 0.25), replace=False)
+    plan = plan_message_positions(picks[None], random_bits(rng, len(picks))[None], frame[None], 40)
+    assert len(plan.used_positions()) == 30
+    plan = MessagePlan(*(a[0] for a in plan))
     check_positions = plan.positions[plan.is_check].tolist()
     message_positions = plan.positions[~plan.is_check].tolist()
     assert len(check_positions) == 10
     assert len(message_positions) == 20
     assert not set(check_positions) & set(message_positions)
-    assert all(0 <= p < 40 for p in plan.used_positions())
+    assert all(0 <= p < 40 for p in plan.positions)
     assert len(set(check_positions)) == 10
     # ascending positions; the frame rides the lowest free indices, in order
     assert plan.positions.tolist() == sorted(check_positions + message_positions)
@@ -311,7 +314,7 @@ def test_plan_positions_disjoint_and_uniformly_sampled():
 
 def test_plan_capacity_error():
     with pytest.raises(CapacityError):
-        plan_message_positions(10, parse_bits("0" * 9), 0.25, np.random.default_rng(0))
+        check_capacity(10, 9, 0.25)
 
 
 def message_tail(plan, decoded, msg):
@@ -327,14 +330,22 @@ def message_tail(plan, decoded, msg):
     return events[reveal + 1:]
 
 
+def check_and_deliver(decoded, plan, message, threshold, codec):
+    """`message_check_and_deliver` of one trial, as its `MessageResult`."""
+    out = message_check_and_deliver(decoded[None], plan, parse_bits(message)[None], threshold,
+                                    codec)
+    return message_result(plan, out, 0, threshold, codec)
+
+
 def test_message_check_and_deliver_discards_on_errors():
     plan = MessagePlan(  # frame 00000000 at 0-7, check bits 11 at 8 and 9
-        positions=np.arange(10),
-        bits=parse_bits("00000000" + "11"),
-        is_check=np.arange(10) >= 8,
+        positions=np.arange(10)[None],
+        bits=parse_bits("00000000" + "11")[None],
+        is_check=(np.arange(10) >= 8)[None],
     )
     decoded = parse_bits("0" * 10)  # both check bits wrong
-    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=Codec("hamming74"))
+    res = check_and_deliver(decoded, plan, "", threshold=0.0, codec=Codec("hamming74"))
+    plan = MessagePlan(*(a[0] for a in plan))
     assert res.verdict == "message_discarded"
     assert res.error_rate == 1.0
     assert res.message is None
@@ -349,9 +360,11 @@ def test_message_check_and_deliver_discards_on_errors():
 
 
 def test_message_check_and_deliver_framing_failure_discards():
-    plan = MessagePlan(positions=np.arange(9), bits=parse_bits("0" * 9), is_check=np.zeros(9, bool))
+    plan = MessagePlan(positions=np.arange(9)[None], bits=parse_bits("0" * 9)[None],
+                     is_check=np.zeros((1, 9), bool))
     decoded = parse_bits("0" * 9)  # 1-bit body cannot be hamming74
-    res = message_check_and_deliver(decoded, plan, threshold=0.5, codec=Codec("hamming74"))
+    res = check_and_deliver(decoded, plan, "", threshold=0.5, codec=Codec("hamming74"))
+    plan = MessagePlan(*(a[0] for a in plan))
     assert res.verdict == "message_discarded"
     assert res.diagnostic is not None
     tail = message_tail(plan, decoded, res)
@@ -368,11 +381,13 @@ def test_message_check_and_deliver_delivers_after_verdict():
     frame = format_bits(ecc_encode(Codec("hamming74"), parse_bits("1011")))
     n = len(frame) + 1
     plan = MessagePlan(  # the frame, then check bit 1 at the last position
-        positions=np.arange(n), bits=parse_bits(frame + "1"), is_check=np.arange(n) == n - 1
+        positions=np.arange(n)[None], bits=parse_bits(frame + "1")[None],
+        is_check=(np.arange(n) == n - 1)[None],
     )
-    decoded = plan.bits.copy()
+    decoded = plan.bits[0].copy()
     decoded[9] ^= 1  # one body error, corrected by the code
-    res = message_check_and_deliver(decoded, plan, threshold=0.0, codec=Codec("hamming74"))
+    res = check_and_deliver(decoded, plan, "1011", threshold=0.0, codec=Codec("hamming74"))
+    plan = MessagePlan(*(a[0] for a in plan))
     assert res.verdict == "message_delivered"
     assert (format_bits(res.message), res.corrected_errors) == ("1011", 1)
     tail = message_tail(plan, decoded, res)
@@ -383,6 +398,56 @@ def test_message_check_and_deliver_delivers_after_verdict():
         "error_rate": 0.0,
     }
     assert tail[2]["payload"] == {"message": "1011", "corrected_errors": 1}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    codec=st.sampled_from(["none", "rep3", "rep5", "hamming74"]),
+    bits=st.integers(0, 10),
+    checks=st.integers(0, 4),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    flips=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["header", "body", "check"]),
+                             st.integers(0, 99)), max_size=12),
+    threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+@example(  # the header reads pad 1, valid for k=4: three wrong bits are delivered
+    codec="hamming74", bits=4, checks=0, trials=1, seed=0, flips=[(0, "header", 7)],
+    threshold=0.0,
+)
+@example(  # the second trial's header reads pad 4 >= k: a framing failure
+    codec="hamming74", bits=4, checks=1, trials=2, seed=1, flips=[(1, "header", 5)],
+    threshold=0.0,
+)
+def test_check_and_deliver_matches_per_row_oracle(codec, bits, checks, trials, seed, flips,
+                                                  threshold):
+    """Each row of a chunk's check, decode and delivery is what the text
+    oracle gives that trial alone, over flips in its header, body and check bits."""
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, 2, (trials, bits)).astype(np.uint8)
+    frames = ecc_encode(Codec(codec), messages)
+    survivors = frames.shape[1] + checks + 2
+    picks = np.array([rng.choice(survivors, checks, replace=False) for _ in range(trials)])
+    check_bits = rng.integers(0, 2, (trials, checks)).astype(np.uint8)
+    plan = plan_message_positions(picks.reshape(trials, checks), check_bits, frames, survivors)
+    decoded = plan.bits.copy()
+    for t, region, index in flips:
+        if t < trials:
+            frame = np.flatnonzero(~plan.is_check[t])
+            cols = {"header": frame[:8], "body": frame[8:],
+                    "check": np.flatnonzero(plan.is_check[t])}[region]
+            if len(cols):
+                decoded[t, cols[index % len(cols)]] ^= 1
+    out = message_check_and_deliver(decoded, plan, messages, threshold, Codec(codec))
+    for t in range(trials):
+        res = message_result(plan, out, t, threshold, Codec(codec))
+        got = (res.verdict, res.errors, res.corrected_errors,
+               None if res.message is None else format_bits(res.message),
+               bool(out["delivered_ok"][t]))
+        assert got == oracles.check_and_deliver(
+            format_bits(decoded[t]), format_bits(plan.bits[t]), plan.is_check[t].tolist(),
+            threshold, codec, format_bits(messages[t]))
+        assert res.errors == out["errors"][t] and res.checked == checks
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +516,22 @@ def test_chunk_trial_renders_its_lone_session_transcript(variant):
     alone, whether Eve attacked its message, it aborted or it sent nothing."""
     config = small_config(protocol_variant=variant, n_ghz=24, error_threshold_msg=1.0)
     attack = AttackModel("entangle-cnot", {Channel.TRENT_TO_ALICE, message_channel(variant)}, 0.5)
-    trials = []
-    for seed in range(6):
-        ka, kb = keys_for(config, seed=seed)
-        message = None if seed == 2 else parse_bits("1011")
-        trials.append(Trial(ka, kb, message, session_words(seed)))
-    _, results = run_chunk(config, attack, trials)
-    assert {res.auth_verdict for res in results} == {"authenticated", "auth_aborted"}
-    assert any(res.eve_msg is not None and (res.eve_msg >= 0).any() for res in results)
-    for seed, (trial, res) in enumerate(zip(trials, results)):
-        trial_config = replace(config, rng_seed=seed)
-        alone = run_session(trial_config, trial.alice_key, trial.bob_key, trial.message, attack)
-        want = to_jsonl(render_transcript(trial_config, alone))
-        assert to_jsonl(render_transcript(trial_config, res)) == want
-
-
-def test_chunk_trials_share_one_frame_length():
-    """A chunk's message phase runs every trial's frame as one row of a
-    matrix, so trials whose frames differ in length are a configuration error."""
-    config = small_config(codec=Codec("rep3"))
-    trials = [Trial(*keys_for(config, seed=seed), parse_bits(bits), session_words(seed))
-              for seed, bits in enumerate(("1011", "101101"))]
-    with pytest.raises(ConfigError, match="share one frame length"):
-        run_chunk(config, NO_ATTACK, trials)
+    keys = [keys_for(config, seed=seed) for seed in range(6)]
+    words = np.stack([session_words(seed) for seed in range(6)])
+    stacked = np.array([[ka.bits, kb.bits] for ka, kb in keys])
+    # A chunk's trials all send a message or none does: the trials that send
+    # nothing run as a chunk of their own.
+    for message in (parse_bits("1011"), None):
+        messages = None if message is None else np.stack([message] * 6)
+        results = session_results(config, attack, Chunk(stacked, messages, words))
+        assert {res.auth_verdict for res in results} == {"authenticated", "auth_aborted"}
+        if message is not None:
+            assert any(res.eve_msg is not None and (res.eve_msg >= 0).any() for res in results)
+        for seed, ((ka, kb), res) in enumerate(zip(keys, results)):
+            trial_config = replace(config, rng_seed=seed)
+            alone = run_session(trial_config, ka, kb, message, attack)
+            want = to_jsonl(render_transcript(trial_config, alone))
+            assert to_jsonl(render_transcript(trial_config, res)) == want
 
 
 def test_transcript_serialization_round_trip():
